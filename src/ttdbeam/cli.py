@@ -30,7 +30,6 @@ from .solvers import (
     SolverParams,
     default_max_delay,
     make_jpta_synthesizer,
-    register_synthesizer,
 )
 from .splitbeam import DirectionMap, expand_directions
 from .svgrender import render_config_heatmap, render_summary_charts
@@ -62,7 +61,10 @@ def _solver_params(args: argparse.Namespace, cfg: SystemConfig) -> SolverParams:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iters", type=int, default=30, help="solver sweeps (default 30)")
+    p.add_argument(
+        "--iters", type=int, default=30,
+        help="solver sweeps (default 30); has no effect, one sweep reaches the grid optimum",
+    )
     p.add_argument(
         "--tmax-s", type=float, default=None,
         help="delay search range in seconds (default M/BW)",
@@ -117,16 +119,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _register_cli_synthesizers(args: argparse.Namespace, built) -> None:
-    register_synthesizer("hdb", make_hdb_synthesizer(built), replace=True)
-    register_synthesizer(
-        "jpta", make_jpta_synthesizer(_solver_params(args, built.meta)), replace=True
-    )
+def _synthesizers(args: argparse.Namespace, built) -> dict:
+    """The synthesis procedures ``eval --synth`` and ``bench`` choose from."""
+    return {
+        "hdb": make_hdb_synthesizer(built),
+        "jpta": make_jpta_synthesizer(_solver_params(args, built.meta)),
+    }
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     built = dict_io.load(args.dict)
-    _register_cli_synthesizers(args, built)
+    synth = _synthesizers(args, built)[args.synth]
     scenario = EvalScenario(
         cfg=built.meta,
         n_subbands=args.ues,
@@ -135,7 +138,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         n_trials=args.trials,
         master_seed=args.seed,
     )
-    report = monte_carlo(scenario, args.synth)
+    report = monte_carlo(scenario, synth)
     csv_path = f"{args.out_prefix}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         for line in report_csv_lines(report, scenario):
@@ -163,12 +166,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         n_trials=1,
         master_seed=args.seed,
     )
-    synths = {
-        "hdb": make_hdb_synthesizer(built),
-        "jpta": make_jpta_synthesizer(_solver_params(args, built.meta)),
-    }
     calls = {"hdb": args.hdb_calls, "jpta": args.jpta_calls}
-    means = runtime_bench(scenario, synths, calls)
+    means = runtime_bench(scenario, _synthesizers(args, built), calls)
     for name in ("hdb", "jpta"):
         print(f"{name}: {means[name]:.3e} s/call over {calls[name]} calls")
     print(f"speedup: {means['jpta'] / means['hdb']:.1f}x")

@@ -216,6 +216,24 @@ def compose(phi1: ArrayConfig, phi2: ArrayConfig, cfg: SystemConfig, grid: PsiGr
     return beampattern_of_config(phi1 + phi2, cfg, grid)
 
 
+def _response(delays: np.ndarray, phases: np.ndarray, psi, f, cfg: SystemConfig) -> np.ndarray:
+    """Response sum_n exp(j*(-2*pi*f*t_n + phi_n - n*pi*psi*f/fc)) / sqrt(N).
+
+    ``psi`` broadcasts against ``f`` (both at most 1-D).  No range checks:
+    directions outside [-1, 1] are evaluated as their aliases.  Uses only
+    elementwise ops and a fixed-order sum, so results do not depend on BLAS
+    threading.
+    """
+    psi, f = np.broadcast_arrays(np.asarray(psi, dtype=np.float64), np.asarray(f, dtype=np.float64))
+    n = np.arange(delays.shape[0])
+    phase = (
+        -2.0 * np.pi * np.outer(delays, f)
+        + phases[:, None]
+        - np.pi * np.outer(n, psi * f / cfg.carrier_freq)
+    )
+    return np.exp(1j * phase).sum(axis=0) / np.sqrt(cfg.n_antennas)
+
+
 def gain_at(phi: ArrayConfig, psi: float, m: int, cfg: SystemConfig) -> complex:
     """Pattern value at a single (psi, m) point in O(N) time.
 
@@ -228,9 +246,7 @@ def gain_at(phi: ArrayConfig, psi: float, m: int, cfg: SystemConfig) -> complex:
     if phi.n_antennas != cfg.n_antennas:
         raise ValueError("config/system antenna count mismatch")
     f_m = cfg.carrier_freq + m * (cfg.bandwidth / cfg.n_subcarriers) - cfg.bandwidth / 2.0
-    n = np.arange(cfg.n_antennas)
-    phase = -2.0 * np.pi * f_m * phi.delays + phi.phases - n * np.pi * psi * f_m / cfg.carrier_freq
-    return complex(np.exp(1j * phase).sum() / np.sqrt(cfg.n_antennas))
+    return complex(_response(phi.delays, phi.phases, psi, [f_m], cfg)[0])
 
 
 def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -238,22 +254,13 @@ def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: Sy
 
     Vectorized form of :func:`gain_at` used by the evaluation harness; avoids
     synthesizing a full grid when only one direction per subcarrier matters.
-    Uses only elementwise ops and a fixed-order sum, so results do not depend
-    on BLAS threading.
     """
     psi = np.asarray(per_subcarrier_psi, dtype=np.float64)
     if psi.shape != (cfg.n_subcarriers,):
         raise ValueError(f"need one direction per subcarrier, got shape {psi.shape}")
     if np.any(np.abs(psi) > 1.0):
         raise ValueError("directions must lie in [-1, 1]")
-    f = subcarrier_freqs(cfg)
-    n = np.arange(cfg.n_antennas)
-    phase = (
-        -2.0 * np.pi * np.outer(phi.delays, f)
-        + phi.phases[:, None]
-        - np.pi * np.outer(n, psi * f / cfg.carrier_freq)
-    )
-    return np.exp(1j * phase).sum(axis=0) / np.sqrt(cfg.n_antennas)
+    return _response(phi.delays, phi.phases, psi, subcarrier_freqs(cfg), cfg)
 
 
 def argmax_directions(pattern: Beampattern) -> np.ndarray:

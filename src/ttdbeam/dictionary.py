@@ -18,22 +18,28 @@ mirroring the header is written next to the file for inspection.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
+from . import hdb
 from .core import (
     ArrayConfig,
     PsiGrid,
     SystemConfig,
+    _readonly,
+    _response,
     subcarrier_freqs,
     zero_config,
 )
 from .parallel import worker_count
 from .solvers import SolverParams, fold_delay_periods, jpta_approx
+from .splitbeam import _steering_precoder
 
 __all__ = [
     "GeneratorDictionary",
@@ -41,7 +47,6 @@ __all__ = [
     "offset_grid",
     "build_dictionary",
     "postprocess_center",
-    "lookup",
     "save",
     "load",
 ]
@@ -69,19 +74,19 @@ class GeneratorDictionary:
 
     def __post_init__(self) -> None:
         for name in ("offsets", "delays", "phases"):
-            a = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if self.offsets.ndim != 1 or self.offsets.size == 0:
             raise ValueError("offsets must be a non-empty vector")
-        if np.any(np.diff(self.offsets) <= 0):
-            raise ValueError("offsets must be strictly increasing")
+        if not (np.all(np.isfinite(self.offsets)) and np.all(np.diff(self.offsets) > 0)):
+            raise ValueError("offsets must be finite and strictly increasing")
         d = self.offsets.size
         n = self.meta.n_antennas
         if self.delays.shape != (d, n) or self.phases.shape != (d, n):
             raise ValueError(
                 f"config arrays must be ({d}, {n}), got {self.delays.shape} and {self.phases.shape}"
             )
+        if not (np.all(np.isfinite(self.delays)) and np.all(np.isfinite(self.phases))):
+            raise ValueError("config rows must be finite")
 
     @property
     def n_entries(self) -> int:
@@ -109,10 +114,6 @@ class GeneratorDictionary:
         )
 
 
-def lookup(dictionary: GeneratorDictionary, delta: float) -> ArrayConfig:
-    return dictionary.lookup(delta)
-
-
 def offset_grid(direction_grid_size: int) -> np.ndarray:
     """All pairwise differences of the A-point direction grid: 2A-1 values in [-2, 2]."""
     if direction_grid_size < 2:
@@ -129,23 +130,12 @@ def _two_subband_target(delta: float, cfg: SystemConfig) -> np.ndarray:
     [-1, 1]: the steering formula extends smoothly and the out-of-range
     direction appears in-range through the pattern's aliasing.
     """
-    psi = np.repeat([0.0, delta], cfg.n_subcarriers // 2)
-    f = subcarrier_freqs(cfg)
-    n = np.arange(cfg.n_antennas)
-    phase = np.pi * np.outer(n, psi * f / cfg.carrier_freq)
-    return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
+    return _steering_precoder(np.repeat([0.0, delta], cfg.n_subcarriers // 2), cfg)
 
 
 def _gain_profile(phi: ArrayConfig, psi: float, cfg: SystemConfig) -> np.ndarray:
     """|gain| toward one (possibly out-of-range) direction at every subcarrier."""
-    f = subcarrier_freqs(cfg)
-    n = np.arange(cfg.n_antennas)
-    phase = (
-        -2.0 * np.pi * np.outer(phi.delays, f)
-        + phi.phases[:, None]
-        - np.pi * psi * np.outer(n, f / cfg.carrier_freq)
-    )
-    return np.abs(np.exp(1j * phase).sum(axis=0)) / np.sqrt(cfg.n_antennas)
+    return np.abs(_response(phi.delays, phi.phases, psi, subcarrier_freqs(cfg), cfg))
 
 
 def _center_params(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[float, float] | None:
@@ -174,34 +164,24 @@ def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> Arr
     shifted so their frequency midpoint maps to the carrier.  Degenerate
     inputs (both maxima on one subcarrier) are returned unchanged.
     """
-    from .hdb import scale_shift
-
     params = _center_params(phi, delta, cfg)
     if params is None:
         return phi
     fc_new, bw_new = params
-    return scale_shift(phi, fc_new, bw_new, cfg)
+    return hdb.scale_shift(phi, fc_new, bw_new, cfg)
 
 
-def _build_one(delta: float, cfg: SystemConfig, solver: SolverParams) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Build a single offset entry; returns (delays, phases, degenerate)."""
+def _build_one(
+    delta: float, cfg: SystemConfig, solver: SolverParams, direction_grid_size: int, gain_threshold: float
+) -> tuple[ArrayConfig, bool, list[str]]:
+    """Build and check a single offset entry; returns (config, degenerate, warnings)."""
     if delta == 0.0:
-        z = zero_config(cfg.n_antennas)
-        return np.asarray(z.delays), np.asarray(z.phases), False
+        return zero_config(cfg.n_antennas), False, []
     phi = fold_delay_periods(jpta_approx(_two_subband_target(delta, cfg), solver, cfg), cfg)
-    params = _center_params(phi, delta, cfg)
-    if params is None:
-        return np.asarray(phi.delays), np.asarray(phi.phases), True
-    from .hdb import scale_shift
-
-    fc_new, bw_new = params
-    out = scale_shift(phi, fc_new, bw_new, cfg)
-    return np.asarray(out.delays), np.asarray(out.phases), False
-
-
-def _build_chunk(args: tuple) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    deltas, cfg, solver = args
-    return [_build_one(d, cfg, solver) for d in deltas]
+    out = postprocess_center(phi, delta, cfg)
+    if out is phi:
+        return phi, True, []
+    return out, False, _entry_diagnostics(delta, out, cfg, direction_grid_size, gain_threshold)
 
 
 def _entry_diagnostics(
@@ -221,7 +201,6 @@ def _entry_diagnostics(
     step = grid.step
     centers = (half // 2, half + half // 2)  # 0-based subband-center subcarriers
     f = subcarrier_freqs(cfg)
-    n = np.arange(cfg.n_antennas)
     for band, (target, center_m) in enumerate(zip(targets, centers), start=1):
         band_gains = _gain_profile(phi, target, cfg)[(band - 1) * half : band * half]
         if band_gains.min() < floor:
@@ -230,8 +209,7 @@ def _entry_diagnostics(
                 f"{band_gains.min():.3f} (< {floor:.3f})"
             )
         f_m = f[center_m]
-        weights = np.exp(1j * (-2.0 * np.pi * f_m * phi.delays + phi.phases))
-        column = np.exp(-1j * np.pi * np.outer(grid.points, n) * (f_m / cfg.carrier_freq)) @ weights
+        column = _response(phi.delays, phi.phases, grid.points, f_m, cfg)
         peak = grid.points[int(np.argmax(np.abs(column)))]
         # the visible peak of direction d at frequency f_m is its alias
         # d - 2k*fc/f_m brought into [-1, 1]
@@ -259,8 +237,9 @@ def build_dictionary(
     [0, offset] target, delay-folded, then re-centered; the zero offset is
     the zero config by construction.  Entries are independent and may build
     in parallel; the result is identical regardless of worker count.
-    Fidelity findings are attached as ``build_warnings`` and degenerate
-    entries listed in ``degenerate``; neither affects equality or
+    Fidelity diagnostics run per entry, in the workers, right after the
+    entry is built.  Their findings are attached as ``build_warnings`` and
+    degenerate entries listed in ``degenerate``; neither affects equality or
     persistence.
     """
     if cfg.n_subcarriers % 2 != 0:
@@ -268,52 +247,23 @@ def build_dictionary(
     offsets = offset_grid(direction_grid_size)
     denom = direction_grid_size - 1
     deltas = [2.0 * k / denom for k in range(-denom, denom + 1)]
+    args = (deltas, repeat(cfg), repeat(solver), repeat(direction_grid_size), repeat(gain_threshold))
 
     n_workers = worker_count(workers)
     if n_workers > 1 and len(deltas) > 4:
-        chunks = [(deltas[i::n_workers], cfg, solver) for i in range(n_workers)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chunk_results = list(pool.map(_build_chunk, chunks))
-        built: list[tuple[np.ndarray, np.ndarray, bool] | None] = [None] * len(deltas)
-        for i, results in enumerate(chunk_results):
-            for slot, one in zip(range(i, len(deltas), n_workers), results):
-                built[slot] = one
+            built = list(pool.map(_build_one, *args, chunksize=math.ceil(len(deltas) / n_workers)))
     else:
-        built = [_build_one(delta, cfg, solver) for delta in deltas]
-
-    n = cfg.n_antennas
-    delays = np.empty((offsets.size, n))
-    phases = np.empty((offsets.size, n))
-    degenerate: list[int] = []
-    for i, (d, p, flagged) in enumerate(built):
-        delays[i] = d
-        phases[i] = p
-        if flagged:
-            degenerate.append(i)
-
-    warnings: list[str] = []
-    degenerate_set = set(degenerate)
-    for i, delta in enumerate(deltas):
-        if i in degenerate_set or delta == 0.0:
-            continue
-        warnings.extend(
-            _entry_diagnostics(
-                delta,
-                ArrayConfig(delays[i], phases[i]),
-                cfg,
-                direction_grid_size,
-                gain_threshold,
-            )
-        )
+        built = list(map(_build_one, *args))
 
     return GeneratorDictionary(
         offsets=offsets,
-        delays=delays,
-        phases=phases,
+        delays=np.array([phi.delays for phi, _, _ in built]),
+        phases=np.array([phi.phases for phi, _, _ in built]),
         meta=cfg,
         direction_grid_size=direction_grid_size,
-        degenerate=tuple(degenerate),
-        build_warnings=tuple(warnings),
+        degenerate=tuple(i for i, (_, flagged, _) in enumerate(built) if flagged),
+        build_warnings=tuple(w for _, _, found in built for w in found),
     )
 
 
@@ -351,7 +301,12 @@ def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
 
 
 def load(path: str | os.PathLike) -> GeneratorDictionary:
-    """Read a dictionary written by :func:`save`; rejects corrupt files whole."""
+    """Read a dictionary written by :func:`save`; rejects corrupt files whole.
+
+    Beyond magic, version and payload length, the entry count must be 2A-1,
+    the offsets must be bitwise the A-point offset grid, the rows finite and
+    the header a valid system.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -363,21 +318,28 @@ def load(path: str | os.PathLike) -> GeneratorDictionary:
         raise DictionaryFormatError(f"unsupported version {version}")
     if n < 1 or d < 1 or m < 1 or a < 2:
         raise DictionaryFormatError("implausible header counts")
+    if d != 2 * a - 1:
+        raise DictionaryFormatError(f"{d} entries do not fit a direction grid of {a} (need {2 * a - 1})")
     expected = _HEADER.size + d * 8 + d * 2 * n * 8
     if len(blob) != expected:
         raise DictionaryFormatError(
             f"payload length {len(blob)} does not match header (expected {expected})"
         )
     offsets = np.frombuffer(blob, dtype="<f8", count=d, offset=_HEADER.size).copy()
+    if offsets.tobytes() != offset_grid(a).astype("<f8").tobytes():
+        raise DictionaryFormatError(f"offsets are not the {d}-point offset grid")
     rows = (
         np.frombuffer(blob, dtype="<f8", count=d * 2 * n, offset=_HEADER.size + d * 8)
         .copy()
         .reshape(d, 2 * n)
     )
-    return GeneratorDictionary(
-        offsets=offsets,
-        delays=rows[:, :n],
-        phases=rows[:, n:],
-        meta=SystemConfig(n, m, fc, bw),
-        direction_grid_size=a,
-    )
+    try:
+        return GeneratorDictionary(
+            offsets=offsets,
+            delays=rows[:, :n],
+            phases=rows[:, n:],
+            meta=SystemConfig(n, m, fc, bw),
+            direction_grid_size=a,
+        )
+    except ValueError as exc:
+        raise DictionaryFormatError(str(exc)) from None

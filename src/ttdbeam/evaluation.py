@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, gain_at, gain_at_directions
+from .core import ArrayConfig, SystemConfig, _readonly, gain_at, gain_at_directions
 from .parallel import worker_count
-from .solvers import SynthesisFn, get_synthesizer
+from .solvers import SynthesisFn
 from .splitbeam import DirectionMap, expand_directions, subband_of
 
 __all__ = [
@@ -109,9 +109,7 @@ class EvalReport:
             "ase_per_subcarrier",
             "ecdf_points",
         ):
-            a = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def n_trials(self) -> int:
@@ -135,39 +133,29 @@ def _run_trial(
 
 def monte_carlo(
     scenario: EvalScenario,
-    synthesizer: str | SynthesisFn,
+    synthesizer: SynthesisFn,
     *,
     workers: int | None = None,
 ) -> EvalReport:
-    """Run all trials and aggregate.
+    """Run all trials of ``synthesizer`` and aggregate; the report names it by ``__name__``.
 
-    ``synthesizer`` is either a registered name or the procedure itself.
     Trial t derives its seed from (master_seed, t) alone, and results are
     assembled in trial order, so the report is reproducible bit-for-bit for
     any worker count.  A failing trial is recorded and skipped, not fatal.
     """
-    if isinstance(synthesizer, str):
-        name = synthesizer
-        synth = get_synthesizer(synthesizer)
-    else:
-        name = getattr(synthesizer, "__name__", "custom")
-        synth = synthesizer
-
     n_workers = min(worker_count(workers), scenario.n_trials)
-    results: list[tuple[np.ndarray, np.ndarray] | Exception] = [None] * scenario.n_trials  # type: ignore[list-item]
 
-    def run(trial: int) -> None:
+    def run(trial: int) -> tuple[np.ndarray, np.ndarray] | Exception:
         try:
-            results[trial] = _run_trial(scenario, synth, trial)
+            return _run_trial(scenario, synthesizer, trial)
         except Exception as exc:  # recorded per trial, not fatal
-            results[trial] = exc
+            return exc
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, range(scenario.n_trials)))
+            results = list(pool.map(run, range(scenario.n_trials)))
     else:
-        for trial in range(scenario.n_trials):
-            run(trial)
+        results = [run(trial) for trial in range(scenario.n_trials)]
 
     rows: list[np.ndarray] = []
     dirs: list[np.ndarray] = []
@@ -189,7 +177,7 @@ def monte_carlo(
         ase_per_subcarrier=se.mean(axis=0),
         ecdf_points=np.sort(se.ravel()),
         upper_bound=upper_bound_se(scenario.cfg, scenario.snr_linear),
-        synthesizer=name,
+        synthesizer=getattr(synthesizer, "__name__", "custom"),
         master_seed=scenario.master_seed,
         failures=tuple(failures),
     )

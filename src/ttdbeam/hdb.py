@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, wrap_sine
+from .core import ArrayConfig, SystemConfig, _readonly, wrap_sine
 from .solvers import SynthesisFn, constant_direction_config
 from .splitbeam import DirectionMap
 
@@ -99,10 +99,8 @@ class GeneratorSet:
     bands: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        d = np.array(self.deltas, dtype=np.float64, copy=True)
-        d.setflags(write=False)
-        object.__setattr__(self, "deltas", d)
-        if len(self.bands) != d.size:
+        object.__setattr__(self, "deltas", _readonly(self.deltas))
+        if len(self.bands) != self.deltas.size:
             raise ValueError("need one band per generator")
 
 
@@ -165,7 +163,7 @@ def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: Syste
 def make_hdb_synthesizer(dictionary: "GeneratorDictionary") -> SynthesisFn:
     """Dictionary-backed synthesis procedure for the evaluation harness."""
 
-    def synth(dmap: DirectionMap, cfg: SystemConfig) -> ArrayConfig:
+    def hdb(dmap: DirectionMap, cfg: SystemConfig) -> ArrayConfig:
         return synthesize(dmap, dictionary, cfg)
 
-    return synth
+    return hdb

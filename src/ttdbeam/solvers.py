@@ -29,9 +29,6 @@ __all__ = [
     "jpta_approx",
     "exhaustive_oracle",
     "fold_delay_periods",
-    "register_synthesizer",
-    "get_synthesizer",
-    "registered_synthesizers",
     "make_jpta_synthesizer",
     "SynthesisFn",
 ]
@@ -44,7 +41,11 @@ _ORACLE_MAX_EVALS = 4_000_000
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Line-search settings for the alternating-minimization solver."""
+    """Line-search settings for the alternating-minimization solver.
+
+    ``n_iterations`` is validated but has no effect: one sweep reaches the
+    grid optimum (see :func:`jpta_approx`).
+    """
 
     max_delay: float
     n_iterations: int = 30
@@ -148,17 +149,16 @@ def jpta_approx(
 ) -> ArrayConfig:
     """Fit a delay/phase config to an arbitrary target precoder.
 
-    Per sweep, each antenna independently line-searches its delay over a
-    uniform grid in [0, max_delay), pairing every candidate with its
-    closed-form optimal phase (the argument of the target correlation at that
-    delay); the antenna keeps its current pair only if strictly better.  Ties
-    in the line search break toward the smaller delay.
+    Each antenna independently line-searches its delay over a uniform grid
+    in [0, max_delay), pairing every candidate with its closed-form optimal
+    phase (the argument of the target correlation at that delay); the antenna
+    keeps its ``init`` pair (default: zero) only if strictly better.  Ties in
+    the line search break toward the smaller delay.
 
     Because the objective separates across antennas and the per-antenna
-    subproblem does not involve the other antennas, the first sweep already
-    reaches the grid optimum; remaining sweeps are convergence checks and the
-    loop exits as soon as a sweep leaves the config unchanged.  The result is
-    identical to running all ``n_iterations`` sweeps.  Deterministic given
+    subproblem does not involve the other antennas, this single step already
+    reaches the grid optimum; further alternating sweeps could not change it,
+    so ``params.n_iterations`` has no effect.  Deterministic given
     (v_target, params, init).
     """
     v_target = np.asarray(v_target, dtype=np.complex128)
@@ -170,28 +170,18 @@ def jpta_approx(
     mags = np.abs(scores)
     best_k = np.argmax(mags, axis=0)  # first max: smaller delay wins ties
     ant = np.arange(cfg.n_antennas)
-    grid_score = mags[best_k, ant]
-    grid_delays = t_grid[best_k]
-    grid_phases = np.angle(scores[best_k, ant])
 
     current = init if init is not None else zero_config(cfg.n_antennas)
     if current.n_antennas != cfg.n_antennas:
         raise ValueError("init config antenna count mismatch")
-    for _ in range(params.n_iterations):
-        cur_score = np.real(
-            _correlation_at(v_target, cfg, current.delays) * np.exp(-1j * current.phases)
-        )
-        keep = cur_score > grid_score
-        new = ArrayConfig(
-            np.where(keep, current.delays, grid_delays),
-            np.where(keep, current.phases, grid_phases),
-        )
-        if np.array_equal(new.delays, current.delays) and np.array_equal(
-            new.phases, current.phases
-        ):
-            break
-        current = new
-    return current
+    cur_score = np.real(
+        _correlation_at(v_target, cfg, current.delays) * np.exp(-1j * current.phases)
+    )
+    keep = cur_score > mags[best_k, ant]
+    return ArrayConfig(
+        np.where(keep, current.delays, t_grid[best_k]),
+        np.where(keep, current.phases, np.angle(scores[best_k, ant])),
+    )
 
 
 def fold_delay_periods(phi: ArrayConfig, cfg: SystemConfig) -> ArrayConfig:
@@ -250,32 +240,10 @@ def exhaustive_oracle(
     return ArrayConfig(delays, phases)
 
 
-_SYNTHESIZERS: dict[str, SynthesisFn] = {}
-
-
-def register_synthesizer(name: str, fn: SynthesisFn, *, replace: bool = False) -> None:
-    """Register a named map from a DirectionMap to an ArrayConfig."""
-    if not replace and name in _SYNTHESIZERS:
-        raise ValueError(f"synthesizer {name!r} already registered")
-    _SYNTHESIZERS[name] = fn
-
-
-def get_synthesizer(name: str) -> SynthesisFn:
-    try:
-        return _SYNTHESIZERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_SYNTHESIZERS)) or "none"
-        raise KeyError(f"no synthesizer named {name!r} (registered: {known})") from None
-
-
-def registered_synthesizers() -> tuple[str, ...]:
-    return tuple(sorted(_SYNTHESIZERS))
-
-
 def make_jpta_synthesizer(params: SolverParams) -> SynthesisFn:
     """Direct alternating-minimization synthesis of a split-beam target."""
 
-    def synth(dmap: DirectionMap, cfg: SystemConfig) -> ArrayConfig:
+    def jpta(dmap: DirectionMap, cfg: SystemConfig) -> ArrayConfig:
         return jpta_approx(ideal_split_precoder(dmap, cfg), params, cfg)
 
-    return synth
+    return jpta

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemConfig, subcarrier_freqs
+from .core import SystemConfig, _readonly, _response, subcarrier_freqs
 
 __all__ = [
     "DirectionMap",
@@ -31,8 +31,7 @@ class DirectionMap:
     directions: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.array(self.directions, dtype=np.float64, copy=True)
-        d.setflags(write=False)
+        d = _readonly(self.directions)
         object.__setattr__(self, "directions", d)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("need at least one direction")
@@ -56,6 +55,17 @@ def expand_directions(dmap: DirectionMap, cfg: SystemConfig) -> np.ndarray:
     return np.repeat(dmap.directions, cfg.n_subcarriers // dmap.n_subbands)
 
 
+def _steering_precoder(psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """N x M weights ``exp(j*pi*n*psi_m*f_m/fc) / sqrt(N)`` for per-subcarrier psi_m.
+
+    psi_m may lie outside [-1, 1]; the formula extends smoothly.
+    """
+    f = subcarrier_freqs(cfg)
+    n = np.arange(cfg.n_antennas)
+    phase = np.pi * np.outer(n, psi * f / cfg.carrier_freq)
+    return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
+
+
 def ideal_split_precoder(dmap: DirectionMap, cfg: SystemConfig) -> np.ndarray:
     """Frequency-dependent weights steering each subcarrier at its subband direction.
 
@@ -64,11 +74,7 @@ def ideal_split_precoder(dmap: DirectionMap, cfg: SystemConfig) -> np.ndarray:
     produce the direction jump between subbands, so this is a target, not a
     realizable config.
     """
-    psi = expand_directions(dmap, cfg)
-    f = subcarrier_freqs(cfg)
-    n = np.arange(cfg.n_antennas)
-    phase = np.pi * np.outer(n, psi * f / cfg.carrier_freq)
-    return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
+    return _steering_precoder(expand_directions(dmap, cfg), cfg)
 
 
 def dirichlet_gain(psi_offset: float, m: int, cfg: SystemConfig) -> complex:
@@ -81,11 +87,8 @@ def dirichlet_gain(psi_offset: float, m: int, cfg: SystemConfig) -> complex:
     if not 1 <= m <= cfg.n_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
     f_m = cfg.carrier_freq + m * (cfg.bandwidth / cfg.n_subcarriers) - cfg.bandwidth / 2.0
-    n = np.arange(cfg.n_antennas)
-    return complex(
-        np.exp(-1j * n * np.pi * psi_offset * f_m / cfg.carrier_freq).sum()
-        / np.sqrt(cfg.n_antennas)
-    )
+    zero = np.zeros(cfg.n_antennas)
+    return complex(_response(zero, zero, psi_offset, [f_m], cfg)[0])
 
 
 def subband_of(m: int, n_subbands: int, n_subcarriers: int) -> int:

@@ -187,6 +187,15 @@ class TestExitCodes:
         rc = main(["synth", "--dict", str(bad), "--dirs", "0", "--out", str(tmp_path / "o.json")])
         assert rc == 5
 
+    def test_nan_offset_dict_parse_error(self, built_dict, tmp_path):
+        bad = tmp_path / "nan.ttdd"
+        blob = bytearray(built_dict.read_bytes())
+        blob[40:48] = np.array([np.nan], dtype="<f8").tobytes()  # first offset
+        bad.write_bytes(bytes(blob))
+        rc = main(["synth", "--dict", str(bad), "--dirs", "-0.4,0.4,-0.1", "--out", str(tmp_path / "o.json")])
+        assert rc == 5
+        assert not (tmp_path / "o.json").exists()
+
     def test_indivisible_ues_usage_error(self, built_dict, tmp_path):
         rc = main(
             [

@@ -7,6 +7,7 @@ from ttdbeam.core import (
     ArrayConfig,
     PsiGrid,
     SystemConfig,
+    _response,
     argmax_directions,
     beampattern_of_config,
     beampattern_of_precoder,
@@ -260,6 +261,25 @@ class TestGainAt:
         gains = gain_at_directions(phi, psi, cfg_small)
         for m in (1, 25, 48):
             assert abs(gains[m - 1] - gain_at(phi, float(psi[m - 1]), m, cfg_small)) < 1e-12
+
+
+class TestResponse:
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        m=st.integers(min_value=1, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        psi=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_precoder_times_steering(self, n, m, seed, psi):
+        # psi beyond [-1, 1] is evaluated as its alias, with no range check
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        phi = random_config(np.random.default_rng(seed), n)
+        f = subcarrier_freqs(cfg)
+        steering = np.exp(1j * np.pi * np.outer(np.arange(n), psi * f / cfg.carrier_freq)) / np.sqrt(n)
+        expected = np.sqrt(n) * np.sum(precoder_matrix(phi, cfg) * np.conj(steering), axis=0)
+        got = _response(phi.delays, phi.phases, psi, f, cfg)
+        assert np.max(np.abs(got - expected)) < 1e-9
 
 
 class TestWrapSine:

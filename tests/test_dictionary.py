@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from ttdbeam.dictionary import (
     _gain_profile,
     build_dictionary,
     load,
-    lookup,
     offset_grid,
     postprocess_center,
     save,
@@ -64,6 +65,8 @@ class TestBuild:
         one = build_dictionary(cfg_dict, 7, params, workers=1)
         two = build_dictionary(cfg_dict, 7, params, workers=2)
         assert one == two
+        assert one.build_warnings == two.build_warnings
+        assert one.degenerate == two.degenerate
 
     def test_odd_subcarrier_count_rejected(self):
         cfg = SystemConfig(4, 9, 1e9, 1e8)
@@ -114,7 +117,7 @@ class TestPostprocessCenter:
 class TestLookup:
     def test_exact_hit(self, small_dict):
         delta = float(small_dict.offsets[13])
-        phi = lookup(small_dict, delta)
+        phi = small_dict.lookup(delta)
         np.testing.assert_array_equal(phi.delays, small_dict.delays[13])
 
     def test_zero_maps_to_zero_config(self, small_dict):
@@ -196,6 +199,26 @@ class TestPersistence:
         with pytest.raises(DictionaryFormatError):
             load(path)
 
+    @pytest.mark.parametrize(
+        "pos, fmt, value",
+        [
+            (40, "<d", float("nan")),  # NaN first offset
+            (40 + 8 * 40, "<d", 1e-300),  # zero offset off the grid by a hair
+            (12, "<i", 42),  # A no longer matches D = 2A - 1
+            (24, "<d", 1e9),  # fc < BW/2: no valid system
+            (40 + 8 * 81 + 8 * 5, "<d", float("inf")),  # non-finite delay in row 0
+        ],
+        ids=["nan_offset", "off_grid_offset", "entry_count", "invalid_system", "nonfinite_row"],
+    )
+    def test_inconsistent_content_rejected(self, small_dict, tmp_path, pos, fmt, value):
+        path = tmp_path / "gen.ttdd"
+        save(small_dict, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, pos, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DictionaryFormatError):
+            load(path)
+
     def test_rerun_same_bytes(self, cfg_dict, tmp_path):
         params = SolverParams(max_delay=default_max_delay(cfg_dict), n_iterations=2, delay_grid_size=4096)
         p1, p2 = tmp_path / "a.ttdd", tmp_path / "b.ttdd"
@@ -214,6 +237,13 @@ class TestValidation:
                 meta=cfg_dict,
                 direction_grid_size=2,
             )
+
+    @pytest.mark.parametrize("field", ["offsets", "delays"])
+    def test_non_finite_values_rejected(self, cfg_dict, field):
+        arrays = {"offsets": np.array([0.0, 0.5]), "delays": np.zeros((2, 16))}
+        arrays[field][0] = np.nan
+        with pytest.raises(ValueError):
+            GeneratorDictionary(phases=np.zeros((2, 16)), meta=cfg_dict, direction_grid_size=2, **arrays)
 
     def test_config_shape_checked(self, cfg_dict):
         with pytest.raises(ValueError):

@@ -114,13 +114,10 @@ class TestMonteCarlo:
         assert report.failures[0][0] == 1
         assert "injected" in report.failures[0][1]
 
-    def test_registry_lookup_by_name(self, small_dict, cfg_dict):
-        from ttdbeam.solvers import register_synthesizer
-
-        register_synthesizer("hdb-test-eval", make_hdb_synthesizer(small_dict), replace=True)
+    def test_report_names_synthesizer(self, small_dict, cfg_dict):
         scen = scenario_for(cfg_dict, small_dict, trials=3)
-        report = monte_carlo(scen, "hdb-test-eval", workers=1)
-        assert report.synthesizer == "hdb-test-eval"
+        report = monte_carlo(scen, make_hdb_synthesizer(small_dict), workers=1)
+        assert report.synthesizer == "hdb"
 
 
 class TestAggregates:

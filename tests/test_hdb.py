@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttdbeam.core import (
+    ArrayConfig,
     PsiGrid,
     SystemConfig,
     argmax_directions,
@@ -104,6 +105,21 @@ class TestScaleShift:
         w_old = np.exp(1j * (-2 * np.pi * np.outer(phi.delays, f_old) + phi.phases[:, None]))
         w_new = np.exp(1j * (-2 * np.pi * np.outer(out.delays, f_new) + out.phases[:, None]))
         assert np.max(np.abs(w_old - w_new)) < 1e-9
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fc_new=st.floats(min_value=20e9, max_value=40e9),
+        bw_new=st.floats(min_value=0.5e9, max_value=12e9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip(self, seed, fc_new, bw_new):
+        cfg = SystemConfig(16, 48, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        phi = ArrayConfig(rng.uniform(-2e-9, 2e-9, 16), rng.uniform(-2 * np.pi, 2 * np.pi, 16))
+        there = scale_shift(phi, fc_new, bw_new, cfg)
+        back = scale_shift(there, cfg.carrier_freq, cfg.bandwidth, SystemConfig(16, 48, fc_new, bw_new))
+        np.testing.assert_allclose(back.delays, phi.delays, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(back.phases, phi.phases, rtol=0, atol=1e-9)
 
     def test_rejects_nonpositive_bandwidth(self, cfg_small):
         with pytest.raises(ValueError):

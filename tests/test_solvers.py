@@ -19,11 +19,9 @@ from ttdbeam.solvers import (
     delay_grid,
     exhaustive_oracle,
     fold_delay_periods,
-    get_synthesizer,
     jpta_approx,
     make_jpta_synthesizer,
     objective,
-    register_synthesizer,
 )
 from ttdbeam.splitbeam import DirectionMap, expand_directions, ideal_split_precoder
 
@@ -238,18 +236,6 @@ class TestFoldDelayPeriods:
 
 
 class TestRegistry:
-    def test_register_and_get(self, cfg_dict):
-        fn = make_jpta_synthesizer(params_for(cfg_dict, size=1024, iters=2))
-        register_synthesizer("test-jpta-unit", fn)
-        assert get_synthesizer("test-jpta-unit") is fn
-        with pytest.raises(ValueError):
-            register_synthesizer("test-jpta-unit", fn)
-        register_synthesizer("test-jpta-unit", fn, replace=True)
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            get_synthesizer("does-not-exist")
-
     def test_jpta_synthesizer_runs(self, cfg_dict):
         fn = make_jpta_synthesizer(params_for(cfg_dict, size=4096, iters=2))
         phi = fn(DirectionMap(np.array([0.0, 0.3])), cfg_dict)
