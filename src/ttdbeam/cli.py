@@ -55,23 +55,17 @@ def _directions_arg(raw: str) -> np.ndarray:
 
 def _solver_params(args: argparse.Namespace, cfg: SystemConfig) -> SolverParams:
     t_max = args.tmax_s if args.tmax_s is not None else default_max_delay(cfg)
-    return SolverParams(
-        max_delay=t_max, n_iterations=args.iters, delay_grid_size=args.delay_grid
-    )
+    return SolverParams(max_delay=t_max, delay_grid_size=args.delay_grid)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--iters", type=int, default=30,
-        help="solver sweeps (default 30); has no effect, one sweep reaches the grid optimum",
-    )
     p.add_argument(
         "--tmax-s", type=float, default=None,
         help="delay search range in seconds (default M/BW)",
     )
     p.add_argument(
         "--delay-grid", type=int, default=65536,
-        help="delay line-search grid size (default 65536)",
+        help="delay search grid size (default 65536)",
     )
 
 
@@ -119,17 +113,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _synthesizers(args: argparse.Namespace, built) -> dict:
-    """The synthesis procedures ``eval --synth`` and ``bench`` choose from."""
-    return {
-        "hdb": make_hdb_synthesizer(built),
-        "jpta": make_jpta_synthesizer(_solver_params(args, built.meta)),
-    }
+def _jpta_synthesizer(args: argparse.Namespace, built):
+    return make_jpta_synthesizer(_solver_params(args, built.meta))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     built = dict_io.load(args.dict)
-    synth = _synthesizers(args, built)[args.synth]
+    synth = make_hdb_synthesizer(built) if args.synth == "hdb" else _jpta_synthesizer(args, built)
     scenario = EvalScenario(
         cfg=built.meta,
         n_subbands=args.ues,
@@ -167,7 +157,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         master_seed=args.seed,
     )
     calls = {"hdb": args.hdb_calls, "jpta": args.jpta_calls}
-    means = runtime_bench(scenario, _synthesizers(args, built), calls)
+    synths = {"hdb": make_hdb_synthesizer(built), "jpta": _jpta_synthesizer(args, built)}
+    means = runtime_bench(scenario, synths, calls)
     for name in ("hdb", "jpta"):
         print(f"{name}: {means[name]:.3e} s/call over {calls[name]} calls")
     print(f"speedup: {means['jpta'] / means['hdb']:.1f}x")

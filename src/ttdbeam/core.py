@@ -190,14 +190,20 @@ def beampattern_of_precoder(v: np.ndarray, cfg: SystemConfig, grid: PsiGrid) -> 
             f"precoder shape {v.shape} does not match (N, M)="
             f"({cfg.n_antennas}, {cfg.n_subcarriers})"
         )
-    f = subcarrier_freqs(cfg)
-    # Horner evaluation in z = exp(-j*pi*psi*f/fc): avoids the (grid, N, M) cube.
-    z = np.exp(-1j * np.pi * np.outer(grid.points, f / cfg.carrier_freq))
+    return Beampattern(_pattern(v, grid.points, subcarrier_freqs(cfg), cfg.carrier_freq), grid)
+
+
+def _pattern(v: np.ndarray, psi: np.ndarray, f: np.ndarray, fc: float) -> np.ndarray:
+    """(psi, column) array response of precoder columns ``v`` at frequencies ``f``.
+
+    Horner evaluation in z = exp(-j*pi*psi*f/fc): avoids the (grid, N, M) cube.
+    """
+    z = np.exp(-1j * np.pi * np.outer(psi, f / fc))
     acc = np.broadcast_to(v[-1], z.shape).copy()
-    for n in range(cfg.n_antennas - 2, -1, -1):
+    for n in range(v.shape[0] - 2, -1, -1):
         acc *= z
         acc += v[n]
-    return Beampattern(acc, grid)
+    return acc
 
 
 def beampattern_of_config(phi: ArrayConfig, cfg: SystemConfig, grid: PsiGrid) -> Beampattern:

@@ -54,6 +54,7 @@ __all__ = [
 _MAGIC = b"TTDD"
 _VERSION = 1
 _HEADER = struct.Struct("<4siiiiidd")
+_GAIN_THRESHOLD = 0.5  # build warning when a subband's gain dips below this fraction of sqrt(N)
 
 
 class DictionaryFormatError(Exception):
@@ -172,7 +173,7 @@ def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> Arr
 
 
 def _build_one(
-    delta: float, cfg: SystemConfig, solver: SolverParams, direction_grid_size: int, gain_threshold: float
+    delta: float, cfg: SystemConfig, solver: SolverParams, direction_grid_size: int
 ) -> tuple[ArrayConfig, bool, list[str]]:
     """Build and check a single offset entry; returns (config, degenerate, warnings)."""
     if delta == 0.0:
@@ -181,22 +182,18 @@ def _build_one(
     out = postprocess_center(phi, delta, cfg)
     if out is phi:
         return phi, True, []
-    return out, False, _entry_diagnostics(delta, out, cfg, direction_grid_size, gain_threshold)
+    return out, False, _entry_diagnostics(delta, out, cfg, direction_grid_size)
 
 
 def _entry_diagnostics(
-    dictionary_delta: float,
-    phi: ArrayConfig,
-    cfg: SystemConfig,
-    direction_grid_size: int,
-    gain_threshold: float,
+    dictionary_delta: float, phi: ArrayConfig, cfg: SystemConfig, direction_grid_size: int
 ) -> list[str]:
     """Fidelity checks for one non-degenerate entry: peak placement and minimum gain."""
     warnings: list[str] = []
     m_count = cfg.n_subcarriers
     half = m_count // 2
     targets = (0.0, dictionary_delta)
-    floor = gain_threshold * np.sqrt(cfg.n_antennas)
+    floor = _GAIN_THRESHOLD * np.sqrt(cfg.n_antennas)
     grid = PsiGrid.uniform(direction_grid_size)
     step = grid.step
     centers = (half // 2, half + half // 2)  # 0-based subband-center subcarriers
@@ -224,12 +221,7 @@ def _entry_diagnostics(
 
 
 def build_dictionary(
-    cfg: SystemConfig,
-    direction_grid_size: int,
-    solver: SolverParams,
-    *,
-    workers: int | None = None,
-    gain_threshold: float = 0.5,
+    cfg: SystemConfig, direction_grid_size: int, solver: SolverParams, *, workers: int | None = None
 ) -> GeneratorDictionary:
     """Build the offset-indexed config table for a system.
 
@@ -247,7 +239,7 @@ def build_dictionary(
     offsets = offset_grid(direction_grid_size)
     denom = direction_grid_size - 1
     deltas = [2.0 * k / denom for k in range(-denom, denom + 1)]
-    args = (deltas, repeat(cfg), repeat(solver), repeat(direction_grid_size), repeat(gain_threshold))
+    args = (deltas, repeat(cfg), repeat(solver), repeat(direction_grid_size))
 
     n_workers = worker_count(workers)
     if n_workers > 1 and len(deltas) > 4:

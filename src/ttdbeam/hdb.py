@@ -55,10 +55,7 @@ def decompose(dmap: DirectionMap) -> np.ndarray:
     (-1, 1].  The running sum stays congruent to the target mod 2 and every
     offset ends up with magnitude at most 1.
     """
-    phi = dmap.directions
-    deltas = np.empty_like(phi)
-    deltas[0] = phi[0]
-    deltas[1:] = phi[1:] - phi[:-1]
+    deltas = np.diff(dmap.directions, prepend=0.0)
     for g in range(1, deltas.size):
         if abs(deltas[g]) > 1.0:
             shift = 2.0 * round(deltas[g] / 2.0)
@@ -105,13 +102,9 @@ class GeneratorSet:
 
 
 def generator_set(dmap: DirectionMap, cfg: SystemConfig) -> GeneratorSet:
-    phi = dmap.directions
-    deltas = np.empty_like(phi)
-    deltas[0] = phi[0]
-    deltas[1:] = phi[1:] - phi[:-1]
     g_count = dmap.n_subbands
     return GeneratorSet(
-        deltas=deltas,
+        deltas=np.diff(dmap.directions, prepend=0.0),
         bands=tuple(generator_bands(g, g_count, cfg) for g in range(1, g_count + 1)),
     )
 

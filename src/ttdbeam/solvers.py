@@ -1,10 +1,10 @@
-"""Baseline synthesis: closed-form steering and per-antenna alternating minimization.
+"""Baseline synthesis: closed-form steering and a per-antenna delay grid search.
 
 The fitting problem minimized here is the squared Frobenius distance between
 the hardware-realizable precoder and an arbitrary complex target, summed over
 antennas and subcarriers.  That objective separates across antennas, so each
 antenna can be solved independently: for a fixed delay the optimal phase has
-a closed form, and the delay is found by line search over a uniform grid.
+a closed form, and the delay is found by search over a uniform grid.
 
 `jpta_approx` is the workhorse used to build dictionary entries; the
 exhaustive oracle exists only to validate it at desk scale.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, precoder_matrix, subcarrier_freqs, zero_config
+from .core import ArrayConfig, SystemConfig, precoder_matrix, subcarrier_freqs
 from .splitbeam import DirectionMap, ideal_split_precoder
 
 __all__ = [
@@ -41,10 +41,10 @@ _ORACLE_MAX_EVALS = 4_000_000
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Line-search settings for the alternating-minimization solver.
+    """Delay-grid settings for the :func:`jpta_approx` grid search.
 
-    ``n_iterations`` is validated but has no effect: one sweep reaches the
-    grid optimum (see :func:`jpta_approx`).
+    ``n_iterations`` is validated but has no effect: one search reaches the
+    grid optimum.
     """
 
     max_delay: float
@@ -135,31 +135,17 @@ def _correlation_scores(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndar
     return scores
 
 
-def _correlation_at(v_target: np.ndarray, cfg: SystemConfig, delays: np.ndarray) -> np.ndarray:
-    """c_n at one arbitrary delay per antenna (off-grid evaluation)."""
-    f = subcarrier_freqs(cfg)
-    return (v_target * np.exp(1j * 2.0 * np.pi * np.outer(delays, f))).sum(axis=1)
+def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -> ArrayConfig:
+    """Fit a delay/phase config to an arbitrary target precoder by grid search.
 
+    Each antenna independently searches its delay over a uniform grid in
+    [0, max_delay), pairing every candidate with its closed-form optimal
+    phase (the argument of the target correlation at that delay), and keeps
+    the best pair.  Ties break toward the smaller delay.
 
-def jpta_approx(
-    v_target: np.ndarray,
-    params: SolverParams,
-    cfg: SystemConfig,
-    init: ArrayConfig | None = None,
-) -> ArrayConfig:
-    """Fit a delay/phase config to an arbitrary target precoder.
-
-    Each antenna independently line-searches its delay over a uniform grid
-    in [0, max_delay), pairing every candidate with its closed-form optimal
-    phase (the argument of the target correlation at that delay); the antenna
-    keeps its ``init`` pair (default: zero) only if strictly better.  Ties in
-    the line search break toward the smaller delay.
-
-    Because the objective separates across antennas and the per-antenna
-    subproblem does not involve the other antennas, this single step already
-    reaches the grid optimum; further alternating sweeps could not change it,
-    so ``params.n_iterations`` has no effect.  Deterministic given
-    (v_target, params, init).
+    The objective separates across antennas, so this one search is the grid
+    optimum of the whole fit; ``params.n_iterations`` has no effect.
+    Deterministic given (v_target, params).
     """
     v_target = np.asarray(v_target, dtype=np.complex128)
     expected = (cfg.n_antennas, cfg.n_subcarriers)
@@ -167,21 +153,8 @@ def jpta_approx(
         raise ValueError(f"target shape {v_target.shape} does not match {expected}")
     t_grid = delay_grid(params.max_delay, params.delay_grid_size)
     scores = _correlation_scores(v_target, cfg, t_grid, params.max_delay)
-    mags = np.abs(scores)
-    best_k = np.argmax(mags, axis=0)  # first max: smaller delay wins ties
-    ant = np.arange(cfg.n_antennas)
-
-    current = init if init is not None else zero_config(cfg.n_antennas)
-    if current.n_antennas != cfg.n_antennas:
-        raise ValueError("init config antenna count mismatch")
-    cur_score = np.real(
-        _correlation_at(v_target, cfg, current.delays) * np.exp(-1j * current.phases)
-    )
-    keep = cur_score > mags[best_k, ant]
-    return ArrayConfig(
-        np.where(keep, current.delays, t_grid[best_k]),
-        np.where(keep, current.phases, np.angle(scores[best_k, ant])),
-    )
+    best_k = np.argmax(np.abs(scores), axis=0)  # first max: smaller delay wins ties
+    return ArrayConfig(t_grid[best_k], np.angle(scores[best_k, np.arange(cfg.n_antennas)]))
 
 
 def fold_delay_periods(phi: ArrayConfig, cfg: SystemConfig) -> ArrayConfig:
@@ -241,7 +214,7 @@ def exhaustive_oracle(
 
 
 def make_jpta_synthesizer(params: SolverParams) -> SynthesisFn:
-    """Direct alternating-minimization synthesis of a split-beam target."""
+    """Direct grid-search synthesis of a split-beam target."""
 
     def jpta(dmap: DirectionMap, cfg: SystemConfig) -> ArrayConfig:
         return jpta_approx(ideal_split_precoder(dmap, cfg), params, cfg)

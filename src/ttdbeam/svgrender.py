@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ArrayConfig, PsiGrid, SystemConfig
+from .core import ArrayConfig, PsiGrid, SystemConfig, _pattern, precoder_matrix, subcarrier_freqs
 
 __all__ = ["render_config_heatmap", "render_summary_charts"]
 
@@ -42,20 +42,10 @@ def render_config_heatmap(
     cols = np.unique(
         np.linspace(0, cfg.n_subcarriers - 1, min(max_cols, cfg.n_subcarriers)).astype(int)
     )
-    grid = PsiGrid.uniform(psi_rows)
-    f = (
-        cfg.carrier_freq
-        + (cols + 1) * (cfg.bandwidth / cfg.n_subcarriers)
-        - cfg.bandwidth / 2.0
-    )
-    v = np.exp(1j * (-2.0 * np.pi * np.outer(phi.delays, f) + phi.phases[:, None]))
-    v /= np.sqrt(cfg.n_antennas)
-    z = np.exp(-1j * np.pi * np.outer(grid.points, f / cfg.carrier_freq))
-    acc = np.broadcast_to(v[-1], z.shape).copy()
-    for n in range(cfg.n_antennas - 2, -1, -1):
-        acc *= z
-        acc += v[n]
-    level = np.clip(np.abs(acc) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
+    psi = PsiGrid.uniform(psi_rows).points
+    v = precoder_matrix(phi, cfg)[:, cols]
+    gains = _pattern(v, psi, subcarrier_freqs(cfg)[cols], cfg.carrier_freq)
+    level = np.clip(np.abs(gains) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
 
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB

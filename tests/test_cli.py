@@ -16,7 +16,7 @@ def built_dict(tmp_path_factory):
         [
             "dict-build",
             "--n", "16", "--fc", "28e9", "--bw", "3e9", "--m", "48",
-            "--grid", "9", "--iters", "3", "--delay-grid", "8192",
+            "--grid", "9", "--delay-grid", "8192",
             "--out", str(path),
         ]
     )
@@ -36,7 +36,7 @@ class TestDictBuild:
             [
                 "dict-build",
                 "--n", "16", "--fc", "28e9", "--bw", "3e9", "--m", "48",
-                "--grid", "9", "--iters", "3", "--delay-grid", "8192",
+                "--grid", "9", "--delay-grid", "8192",
                 "--out", str(other),
             ]
         )
@@ -51,7 +51,7 @@ class TestDictBuild:
             [
                 "dict-build",
                 "--n", "4", "--fc", "28e9", "--bw", "3e9", "--m", "8",
-                "--grid", "2", "--iters", "1", "--delay-grid", "512",
+                "--grid", "2", "--delay-grid", "512",
                 "--out", str(out),
             ]
         )
@@ -118,13 +118,27 @@ class TestEval:
         rc = main(
             [
                 "eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2",
-                "--seed", "3", "--synth", "jpta", "--iters", "2", "--delay-grid", "2048",
+                "--seed", "3", "--synth", "jpta", "--delay-grid", "2048",
                 "--out-prefix", str(tmp_path / "j"),
             ]
         )
         assert rc == 0
         doc = json.loads((tmp_path / "j.summary.json").read_text())
         assert doc["synthesizer"] == "jpta"
+
+    def test_hdb_ignores_solver_flags(self, built_dict, tmp_path):
+        # hdb never runs the solver, so an invalid jpta grid size does not concern it
+        args = ["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2", "--delay-grid", "1"]
+        assert main(args + ["--synth", "hdb", "--out-prefix", str(tmp_path / "h")]) == 0
+        assert (tmp_path / "h.csv").read_text().startswith("trial,m,subband,direction,se_bps_hz")
+        assert main(args + ["--synth", "jpta", "--out-prefix", str(tmp_path / "j")]) == 2
+        assert not (tmp_path / "j.csv").exists()
+
+    def test_iters_flag_removed(self, built_dict, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--dict", str(built_dict), "--ues", "2", "--iters", "2",
+                  "--out-prefix", str(tmp_path / "i")])
+        assert exc.value.code == 2
 
 
 class TestRender:
@@ -222,8 +236,7 @@ class TestBench:
         rc = main(
             [
                 "bench", "--dict", str(built_dict), "--ues", "3", "--seed", "1",
-                "--hdb-calls", "20", "--jpta-calls", "2", "--iters", "2",
-                "--delay-grid", "2048",
+                "--hdb-calls", "20", "--jpta-calls", "2", "--delay-grid", "2048",
             ]
         )
         assert rc == 0

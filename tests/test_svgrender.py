@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 
-from ttdbeam.core import zero_config
+from ttdbeam.core import ArrayConfig, PsiGrid, beampattern_of_config, zero_config
 from ttdbeam.hdb import synthesize
 from ttdbeam.splitbeam import DirectionMap
 from ttdbeam.svgrender import render_config_heatmap, render_summary_charts
@@ -12,6 +12,22 @@ def test_heatmap_deterministic(cfg_small):
     a = render_config_heatmap(zero_config(16), cfg_small)
     b = render_config_heatmap(zero_config(16), cfg_small)
     assert a == b
+
+
+def test_heatmap_grey_levels_match_beampattern(cfg_small, rng):
+    phi = ArrayConfig(rng.uniform(-2e-10, 2e-10, 16), rng.uniform(-np.pi, np.pi, 16))
+    rows, max_cols = 41, 20
+    svg = render_config_heatmap(phi, cfg_small, psi_rows=rows, max_cols=max_cols)
+    cols = np.unique(np.linspace(0, cfg_small.n_subcarriers - 1, max_cols).astype(int))
+    gains = beampattern_of_config(phi, cfg_small, PsiGrid.uniform(rows)).gains[:, cols]
+    expected = (255.0 * np.clip(np.abs(gains) / np.sqrt(16), 0.0, 1.0)).round().astype(int)
+    # expand the run-length rects of the 760-px-wide plot, drawn row by row from psi = +1 down
+    plot = svg[svg.index('<g shape-rendering="crispEdges">') : svg.index("</g>")]
+    greys = []
+    for width, grey in re.findall(r'width="([0-9.]+)" height="[0-9.]+" fill="#([0-9a-f]{2})', plot):
+        greys += [int(grey, 16)] * round(float(width) / (760 / cols.size))
+    drawn = np.array(greys).reshape(rows, cols.size)[::-1]
+    np.testing.assert_array_equal(drawn, expected)
 
 
 def test_split_config_shows_distinct_bright_rows(small_dict, cfg_dict):
