@@ -97,7 +97,7 @@ class ArrayConfig:
             raise ValueError(
                 f"delay/phase length mismatch: {self.delays.shape} vs {self.phases.shape}"
             )
-        if not (np.all(np.isfinite(self.delays)) and np.all(np.isfinite(self.phases))):
+        if not (np.isfinite(self.delays).all() and np.isfinite(self.phases).all()):
             raise ValueError("delays and phases must be finite")
 
     @property

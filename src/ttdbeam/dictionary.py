@@ -78,7 +78,7 @@ class GeneratorDictionary:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         if self.offsets.ndim != 1 or self.offsets.size == 0:
             raise ValueError("offsets must be a non-empty vector")
-        if not (np.all(np.isfinite(self.offsets)) and np.all(np.diff(self.offsets) > 0)):
+        if not (np.isfinite(self.offsets).all() and (np.diff(self.offsets) > 0).all()):
             raise ValueError("offsets must be finite and strictly increasing")
         d = self.offsets.size
         n = self.meta.n_antennas
@@ -86,7 +86,7 @@ class GeneratorDictionary:
             raise ValueError(
                 f"config arrays must be ({d}, {n}), got {self.delays.shape} and {self.phases.shape}"
             )
-        if not (np.all(np.isfinite(self.delays)) and np.all(np.isfinite(self.phases))):
+        if not (np.isfinite(self.delays).all() and np.isfinite(self.phases).all()):
             raise ValueError("config rows must be finite")
 
     @property
@@ -259,8 +259,26 @@ def build_dictionary(
     )
 
 
+def _write_temp(path: str, data: bytes) -> str:
+    """Write ``data`` to a new file next to ``path`` and return its name; removed if the write fails."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
 def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
-    """Write the binary dictionary plus a JSON sidecar mirroring the header."""
+    """Write the binary dictionary plus a JSON sidecar mirroring the header.
+
+    Both files are first written in full to temporary files in the target
+    directory and only then moved over their targets with ``os.replace``, so
+    a write that fails leaves any previous dictionary and sidecar untouched.
+    """
     cfg = dictionary.meta
     header = _HEADER.pack(
         _MAGIC,
@@ -273,10 +291,7 @@ def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
         cfg.bandwidth,
     )
     rows = np.hstack([dictionary.delays, dictionary.phases]).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(dictionary.offsets.astype("<f8").tobytes())
-        fh.write(rows.tobytes())
+    binary = header + dictionary.offsets.astype("<f8").tobytes() + rows.tobytes()
     sidecar = {
         "magic": _MAGIC.decode("ascii"),
         "version": _VERSION,
@@ -287,9 +302,17 @@ def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
         "fc_hz": cfg.carrier_freq,
         "bw_hz": cfg.bandwidth,
     }
-    with open(f"{os.fspath(path)}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+    path = os.fspath(path)
+    binary_tmp = _write_temp(path, binary)
+    try:
+        sidecar_tmp = _write_temp(f"{path}.json", text)
+    except BaseException:
+        os.unlink(binary_tmp)
+        raise
+    os.replace(binary_tmp, path)
+    os.replace(sidecar_tmp, f"{path}.json")
 
 
 def load(path: str | os.PathLike) -> GeneratorDictionary:

@@ -46,6 +46,17 @@ class DictionaryCompatibilityError(Exception):
     """Dictionary metadata does not match the system being synthesized for."""
 
 
+def _forward_differences(directions: np.ndarray) -> np.ndarray:
+    """``[d0, d1 - d0, d2 - d1, ...]``, bit for bit ``np.diff(directions, prepend=0.0)``.
+
+    The copy keeps a -0.0 first direction as -0.0 (as ``-0.0 - 0.0`` does) and
+    skips the broadcast np.diff makes of its scalar ``prepend``.
+    """
+    out = directions.copy()
+    out[1:] -= directions[:-1]
+    return out
+
+
 def decompose(dmap: DirectionMap) -> np.ndarray:
     """Direction offsets whose running sum reproduces the target directions.
 
@@ -55,7 +66,7 @@ def decompose(dmap: DirectionMap) -> np.ndarray:
     (-1, 1].  The running sum stays congruent to the target mod 2 and every
     offset ends up with magnitude at most 1.
     """
-    deltas = np.diff(dmap.directions, prepend=0.0)
+    deltas = _forward_differences(dmap.directions)
     for g in range(1, deltas.size):
         if abs(deltas[g]) > 1.0:
             shift = 2.0 * round(deltas[g] / 2.0)
@@ -104,7 +115,7 @@ class GeneratorSet:
 def generator_set(dmap: DirectionMap, cfg: SystemConfig) -> GeneratorSet:
     g_count = dmap.n_subbands
     return GeneratorSet(
-        deltas=np.diff(dmap.directions, prepend=0.0),
+        deltas=_forward_differences(dmap.directions),
         bands=tuple(generator_bands(g, g_count, cfg) for g in range(1, g_count + 1)),
     )
 

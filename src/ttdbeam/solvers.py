@@ -12,6 +12,7 @@ exhaustive oracle exists only to validate it at desk scale.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -104,34 +105,42 @@ def objective(phi: ArrayConfig, v_target: np.ndarray, cfg: SystemConfig) -> floa
     return float(np.sum(d.real**2 + d.imag**2))
 
 
+@functools.lru_cache(maxsize=4)
+def _carrier_ramp(f0: float, max_delay: float, size: int) -> np.ndarray:
+    """Read-only exp(j*2*pi*f0*t_k) over the delay grid, shared by every fit on it."""
+    ramp = np.exp(1j * 2.0 * np.pi * f0 * delay_grid(max_delay, size))
+    ramp.setflags(write=False)
+    return ramp
+
+
 def _correlation_scores(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndarray,
                         max_delay: float) -> np.ndarray:
-    """c[k, n] = sum_m v_target[n, m] * exp(j*2*pi*f_m*t_k).
+    """c[n, k] = sum_m v_target[n, m] * exp(j*2*pi*f_m*t_k), one contiguous row per antenna.
 
     When the grid spans exactly one correlation period (max_delay = M/BW with
     grid spacing max_delay/size), the sum over m reduces to a DFT and is
-    evaluated by FFT; otherwise by direct (chunked) evaluation.
+    evaluated by an in-place FFT along each row; otherwise by direct (chunked)
+    evaluation.
     """
-    f = subcarrier_freqs(cfg)
     size = t_grid.size
     m_count = cfg.n_subcarriers
     ratio = max_delay * cfg.bandwidth / m_count
     if abs(ratio - 1.0) < 1e-12:
         # exponent 2*pi*m*BW*t_k/M == 2*pi*m*k/size: fold m onto m mod size
-        folded = np.zeros((size, v_target.shape[0]), dtype=np.complex128)
-        np.add.at(folded, np.arange(1, m_count + 1) % size, v_target.T)
-        scores = size * np.fft.ifft(folded, axis=0)
-        scores *= np.exp(
-            1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_grid
-        )[:, None]
+        scores = np.zeros((v_target.shape[0], size), dtype=np.complex128)
+        np.add.at(scores, (slice(None), np.arange(1, m_count + 1) % size), v_target)
+        # unnormalized inverse DFT: the "forward" norm puts the 1/size on the forward transform
+        np.fft.ifft(scores, axis=1, norm="forward", out=scores)
+        scores *= _carrier_ramp(cfg.carrier_freq - cfg.bandwidth / 2.0, max_delay, size)
         return scores
-    scores = np.empty((size, v_target.shape[0]), dtype=np.complex128)
+    f = subcarrier_freqs(cfg)
+    scores = np.empty((v_target.shape[0], size), dtype=np.complex128)
     chunk = max(1, min(size, 8 * 1024 * 1024 // max(m_count, 1)))
     vt = v_target.T
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
         e = np.exp(1j * 2.0 * np.pi * np.outer(t_grid[start:stop], f))
-        scores[start:stop] = e @ vt
+        scores[:, start:stop] = (e @ vt).T
     return scores
 
 
@@ -153,8 +162,8 @@ def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -
         raise ValueError(f"target shape {v_target.shape} does not match {expected}")
     t_grid = delay_grid(params.max_delay, params.delay_grid_size)
     scores = _correlation_scores(v_target, cfg, t_grid, params.max_delay)
-    best_k = np.argmax(np.abs(scores), axis=0)  # first max: smaller delay wins ties
-    return ArrayConfig(t_grid[best_k], np.angle(scores[best_k, np.arange(cfg.n_antennas)]))
+    best_k = np.argmax(np.abs(scores), axis=1)  # first max: smaller delay wins ties
+    return ArrayConfig(t_grid[best_k], np.angle(scores[np.arange(cfg.n_antennas), best_k]))
 
 
 def fold_delay_periods(phi: ArrayConfig, cfg: SystemConfig) -> ArrayConfig:

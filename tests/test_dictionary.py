@@ -1,8 +1,11 @@
+import errno
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from ttdbeam import dictionary as dictionary_module
 from ttdbeam.core import SystemConfig, zero_config
 from ttdbeam.dictionary import (
     DictionaryFormatError,
@@ -218,6 +221,46 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(DictionaryFormatError):
             load(path)
+
+    @pytest.mark.parametrize("failing", ["gen.ttdd", "gen.ttdd.json"])
+    def test_failed_write_keeps_previous_files(self, small_dict, cfg_dict, tmp_path, monkeypatch, failing):
+        path = tmp_path / "gen.ttdd"
+        previous = GeneratorDictionary(
+            offsets=offset_grid(2), delays=np.zeros((3, 16)), phases=np.zeros((3, 16)),
+            meta=cfg_dict, direction_grid_size=2,
+        )
+        save(previous, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.ttdd", "gen.ttdd.json"]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class DiskFull:
+            """A file that takes half of the first write, then runs out of space."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def open_failing(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            # the write of ``failing``, whatever temporary name it goes through
+            target = os.path.basename(file)
+            if target != failing:
+                target = target.rsplit(".", 2)[0]
+            return DiskFull(fh) if target == failing else fh
+
+        monkeypatch.setattr(dictionary_module, "open", open_failing, raising=False)
+        with pytest.raises(OSError):
+            save(small_dict, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_rerun_same_bytes(self, cfg_dict, tmp_path):
         params = SolverParams(max_delay=default_max_delay(cfg_dict), n_iterations=2, delay_grid_size=4096)

@@ -144,6 +144,16 @@ class TestSynthesize:
         np.testing.assert_allclose(np.cumsum(plan.deltas), dmap.directions, atol=1e-15)
         assert len(plan.bands) == 3
 
+    def test_plan_offsets_bitwise_numpy_diff(self, cfg_dict, rng):
+        grid = direction_grid(41)
+        for i in range(400):
+            g = int(rng.choice([1, 2, 3, 4, 6, 8]))
+            dirs = rng.choice(grid, g) if i % 2 else rng.uniform(-1.0, 1.0, g)
+            if i % 7 == 0:
+                dirs[0] = -0.0
+            plan = generator_set(DirectionMap(dirs), cfg_dict)
+            assert plan.deltas.tobytes() == np.diff(dirs, prepend=0.0).tobytes()
+
     def test_homomorphic_consistency(self, small_dict, cfg_dict):
         # the synthesized config's precoder equals the scaled elementwise
         # product of its generators' precoders, independent of entry quality

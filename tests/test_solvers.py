@@ -12,8 +12,11 @@ from ttdbeam.core import (
     subcarrier_freqs,
     zero_config,
 )
+from ttdbeam.dictionary import _two_subband_target
 from ttdbeam.solvers import (
     SolverParams,
+    _carrier_ramp,
+    _correlation_scores,
     constant_direction_config,
     default_max_delay,
     delay_grid,
@@ -99,14 +102,15 @@ class TestJptaApprox:
         assert abs(peaks[half // 2] - 0.0) <= 2 * grid.step + 1e-12
         assert abs(peaks[half + half // 2] - 0.2) <= 2 * grid.step + 1e-12
 
-    def test_descent_across_iterations(self, cfg_tiny, rng):
+    def test_iterations_have_no_effect(self, cfg_tiny, rng):
         v = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        objs = []
-        for iters in (1, 2, 3):
-            params = SolverParams(max_delay=default_max_delay(cfg_tiny), n_iterations=iters, delay_grid_size=128)
-            objs.append(objective(jpta_approx(v, params, cfg_tiny), v, cfg_tiny))
-        assert objs[0] >= objs[1] - 1e-12
-        assert objs[1] >= objs[2] - 1e-12
+        configs = [
+            jpta_approx(v, SolverParams(max_delay=default_max_delay(cfg_tiny), n_iterations=iters,
+                                        delay_grid_size=128), cfg_tiny)
+            for iters in (1, 3)
+        ]
+        assert configs[0].delays.tobytes() == configs[1].delays.tobytes()
+        assert configs[0].phases.tobytes() == configs[1].phases.tobytes()
 
     def test_deterministic(self, cfg_tiny, rng):
         v = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
@@ -118,15 +122,68 @@ class TestJptaApprox:
 
     def test_fft_path_matches_direct(self, cfg_tiny, rng):
         # max_delay == M/BW triggers the FFT evaluation; a slightly different
-        # max_delay forces the direct path; both must agree on the fine scale
+        # max_delay forces the direct path; both must agree on the fine scale.
+        # Off a power of two (3000) the unnormalized FFT may move the last bit.
         v = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        p_fft = SolverParams(max_delay=default_max_delay(cfg_tiny), n_iterations=1, delay_grid_size=512)
-        from ttdbeam.solvers import _correlation_scores
+        max_delay = default_max_delay(cfg_tiny)
+        for size in (512, 3000):
+            grid = delay_grid(max_delay, size)
+            s_fft = _correlation_scores(v, cfg_tiny, grid, max_delay)
+            s_direct = _correlation_scores(v, cfg_tiny, grid, max_delay * (1 + 1e-9))
+            assert s_fft.shape == s_direct.shape == (4, size)
+            assert np.max(np.abs(s_fft - s_direct)) < 1e-6
 
-        grid = delay_grid(p_fft.max_delay, 512)
-        s_fft = _correlation_scores(v, cfg_tiny, grid, p_fft.max_delay)
-        s_direct = _correlation_scores(v, cfg_tiny, grid, p_fft.max_delay * (1 + 1e-9))
-        assert np.max(np.abs(s_fft - s_direct)) < 1e-6
+
+def _strided_scores(v, cfg, size):
+    """The line search's correlation on the grid-major (size, N) layout: c[k, n]."""
+    t_grid = delay_grid(default_max_delay(cfg), size)
+    folded = np.zeros((size, cfg.n_antennas), dtype=np.complex128)
+    np.add.at(folded, np.arange(1, cfg.n_subcarriers + 1) % size, v.T)
+    scores = size * np.fft.ifft(folded, axis=0)
+    scores *= np.exp(1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_grid)[:, None]
+    return scores
+
+
+class TestCorrelationLayout:
+    @pytest.mark.parametrize("delta", [-1.7, -0.45, 0.05, 0.3, 1.0, 1.9])
+    def test_bitwise_equal_to_strided_search(self, cfg_dict, delta):
+        size = 65536
+        params = params_for(cfg_dict, size=size)
+        v = _two_subband_target(delta, cfg_dict)
+        reference = _strided_scores(v, cfg_dict, size)
+        scores = _correlation_scores(v, cfg_dict, delay_grid(params.max_delay, size), params.max_delay)
+        assert scores.shape == (16, size) and scores.flags.c_contiguous
+        assert scores.tobytes() == np.ascontiguousarray(reference.T).tobytes()
+        best_k = np.argmax(np.abs(reference), axis=0)
+        phi = jpta_approx(v, params, cfg_dict)
+        assert phi.delays.tobytes() == delay_grid(params.max_delay, size)[best_k].tobytes()
+        assert phi.phases.tobytes() == np.angle(reference[best_k, np.arange(16)]).tobytes()
+
+    def test_cached_ramp_read_only(self):
+        ramp = _carrier_ramp(26.5e9, 4e-7, 1024)
+        assert not ramp.flags.writeable
+        with pytest.raises(ValueError):
+            ramp[0] = 0.0
+        assert _carrier_ramp(26.5e9, 4e-7, 1024) is ramp
+
+    def test_ramp_not_shared_across_systems(self, rng):
+        # every (fc, BW, grid) change moves the ramp's key; each fit must use its own ramp
+        systems = [
+            (SystemConfig(4, 8, 28e9, 3e9), 256),
+            (SystemConfig(4, 8, 28e9, 2e9), 256),
+            (SystemConfig(4, 8, 30e9, 3e9), 256),
+            (SystemConfig(4, 8, 28e9, 3e9), 384),
+        ]
+        v = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        for cfg, size in systems + systems[::-1]:
+            max_delay = default_max_delay(cfg)
+            grid = delay_grid(max_delay, size)
+            s_fft = _correlation_scores(v, cfg, grid, max_delay)
+            s_direct = _correlation_scores(v, cfg, grid, max_delay * (1 + 1e-9))
+            assert np.max(np.abs(s_fft - s_direct)) < 1e-6
+        ramps = [_carrier_ramp(cfg.carrier_freq - cfg.bandwidth / 2.0, default_max_delay(cfg), size)
+                 for cfg, size in systems]
+        assert len({id(r) for r in ramps}) == len(systems)
 
 
 class TestExhaustiveOracle:
