@@ -48,7 +48,7 @@ def _directions_arg(raw: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {raw!r}")
     if values.size == 0:
         raise argparse.ArgumentTypeError("direction list is empty")
-    if np.any(np.abs(values) > 1.0):
+    if not (np.abs(values) <= 1.0).all():
         raise argparse.ArgumentTypeError("directions must lie in [-1, 1]")
     return values
 

@@ -264,7 +264,7 @@ def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: Sy
     psi = np.asarray(per_subcarrier_psi, dtype=np.float64)
     if psi.shape != (cfg.n_subcarriers,):
         raise ValueError(f"need one direction per subcarrier, got shape {psi.shape}")
-    if np.any(np.abs(psi) > 1.0):
+    if not (np.abs(psi) <= 1.0).all():
         raise ValueError("directions must lie in [-1, 1]")
     return _response(phi.delays, phi.phases, psi, subcarrier_freqs(cfg), cfg)
 

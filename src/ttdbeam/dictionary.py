@@ -3,11 +3,11 @@
 Entries are indexed by the direction offset between the two subbands.  The
 offset grid is the full set of pairwise differences of an A-point uniform
 direction grid on [-1, 1] (2A-1 values spanning [-2, 2]), so any difference
-of two on-grid directions is itself an offset with its own entry.  Offsets
-beyond [-1, 1] are kept unwrapped on purpose: a mod-2 direction shift is
-exact only at the carrier, so fitting the true (aliased) target keeps the
-composed beam on target at every subcarrier instead of drifting with the
-beam squint at the band edges.
+of two on-grid directions is itself an offset with its own entry; the
+constructor rejects any other offsets.  Offsets beyond [-1, 1] are kept
+unwrapped on purpose: a mod-2 direction shift is exact only at the carrier,
+so fitting the true (aliased) target keeps the composed beam on target at
+every subcarrier instead of drifting with the beam squint at the band edges.
 
 Binary layout (little-endian): 40-byte header (magic "TTDD", version,
 N, A, D, M as int32, fc and bw as float64), then D offsets as float64, then
@@ -63,7 +63,7 @@ class DictionaryFormatError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class GeneratorDictionary:
-    """Immutable offset-indexed table of two-subband array configs."""
+    """Immutable two-subband configs, one per offset; ``offsets`` is bitwise ``offset_grid(A)``."""
 
     offsets: np.ndarray
     delays: np.ndarray
@@ -76,11 +76,11 @@ class GeneratorDictionary:
     def __post_init__(self) -> None:
         for name in ("offsets", "delays", "phases"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if self.offsets.ndim != 1 or self.offsets.size == 0:
-            raise ValueError("offsets must be a non-empty vector")
-        if not (np.isfinite(self.offsets).all() and (np.diff(self.offsets) > 0).all()):
-            raise ValueError("offsets must be finite and strictly increasing")
-        d = self.offsets.size
+        a = self.direction_grid_size
+        d = 2 * a - 1
+        # the size test first, so a huge A is refused before its grid is built
+        if self.offsets.shape != (d,) or self.offsets.tobytes() != offset_grid(a).tobytes():
+            raise ValueError(f"offsets must be the {d}-point offset grid of a {a}-point direction grid")
         n = self.meta.n_antennas
         if self.delays.shape != (d, n) or self.phases.shape != (d, n):
             raise ValueError(
@@ -109,7 +109,6 @@ class GeneratorDictionary:
         return (
             self.meta == other.meta
             and self.direction_grid_size == other.direction_grid_size
-            and self.offsets.tobytes() == other.offsets.tobytes()
             and self.delays.tobytes() == other.delays.tobytes()
             and self.phases.tobytes() == other.phases.tobytes()
         )
@@ -237,8 +236,7 @@ def build_dictionary(
     if cfg.n_subcarriers % 2 != 0:
         raise ValueError("dictionary construction needs an even subcarrier count")
     offsets = offset_grid(direction_grid_size)
-    denom = direction_grid_size - 1
-    deltas = [2.0 * k / denom for k in range(-denom, denom + 1)]
+    deltas = offsets.tolist()
     args = (deltas, repeat(cfg), repeat(solver), repeat(direction_grid_size))
 
     n_workers = worker_count(workers)
@@ -280,19 +278,7 @@ def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
     a write that fails leaves any previous dictionary and sidecar untouched.
     """
     cfg = dictionary.meta
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        cfg.n_antennas,
-        dictionary.direction_grid_size,
-        dictionary.n_entries,
-        cfg.n_subcarriers,
-        cfg.carrier_freq,
-        cfg.bandwidth,
-    )
-    rows = np.hstack([dictionary.delays, dictionary.phases]).astype("<f8")
-    binary = header + dictionary.offsets.astype("<f8").tobytes() + rows.tobytes()
-    sidecar = {
+    sidecar = {  # header fields in header order; json.dumps sorts the keys
         "magic": _MAGIC.decode("ascii"),
         "version": _VERSION,
         "n": cfg.n_antennas,
@@ -302,6 +288,9 @@ def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
         "fc_hz": cfg.carrier_freq,
         "bw_hz": cfg.bandwidth,
     }
+    header = _HEADER.pack(_MAGIC, *list(sidecar.values())[1:])
+    rows = np.hstack([dictionary.delays, dictionary.phases]).astype("<f8")
+    binary = header + dictionary.offsets.astype("<f8").tobytes() + rows.tobytes()
     text = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     path = os.fspath(path)
@@ -318,9 +307,9 @@ def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
 def load(path: str | os.PathLike) -> GeneratorDictionary:
     """Read a dictionary written by :func:`save`; rejects corrupt files whole.
 
-    Beyond magic, version and payload length, the entry count must be 2A-1,
-    the offsets must be bitwise the A-point offset grid, the rows finite and
-    the header a valid system.
+    Beyond magic, version and payload length, the file must pass the
+    constructor's checks: offsets bitwise the A-point offset grid (so the
+    entry count is 2A-1), finite rows and a header that is a valid system.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -333,16 +322,12 @@ def load(path: str | os.PathLike) -> GeneratorDictionary:
         raise DictionaryFormatError(f"unsupported version {version}")
     if n < 1 or d < 1 or m < 1 or a < 2:
         raise DictionaryFormatError("implausible header counts")
-    if d != 2 * a - 1:
-        raise DictionaryFormatError(f"{d} entries do not fit a direction grid of {a} (need {2 * a - 1})")
     expected = _HEADER.size + d * 8 + d * 2 * n * 8
     if len(blob) != expected:
         raise DictionaryFormatError(
             f"payload length {len(blob)} does not match header (expected {expected})"
         )
     offsets = np.frombuffer(blob, dtype="<f8", count=d, offset=_HEADER.size).copy()
-    if offsets.tobytes() != offset_grid(a).astype("<f8").tobytes():
-        raise DictionaryFormatError(f"offsets are not the {d}-point offset grid")
     rows = (
         np.frombuffer(blob, dtype="<f8", count=d * 2 * n, offset=_HEADER.size + d * 8)
         .copy()

@@ -4,7 +4,8 @@ Each trial draws one direction per subband from a discrete uniform grid,
 synthesizes a config with the procedure under test, and scores every
 subcarrier as log2(1 + |gain at the assigned direction|^2 * SNR).  Trials are
 seeded independently from the master seed, so reports are byte-identical
-regardless of worker count or execution order.
+regardless of worker count or execution order.  A report stores the SE rows
+and directions only; its means and ECDF are computed from them when asked.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "spectral_efficiency",
     "upper_bound_se",
     "monte_carlo",
-    "ase_per_subband",
-    "ase_per_subcarrier",
     "ecdf",
     "runtime_bench",
     "report_csv_lines",
@@ -52,6 +51,8 @@ class EvalScenario:
     master_seed: int
 
     def __post_init__(self) -> None:
+        if self.n_subbands < 1:
+            raise ValueError(f"need at least one subband, got {self.n_subbands}")
         if self.cfg.n_subcarriers % self.n_subbands != 0:
             raise ValueError(
                 f"{self.n_subbands} subbands do not divide {self.cfg.n_subcarriers} subcarriers"
@@ -80,7 +81,6 @@ def spectral_efficiency(
     phi: ArrayConfig, dmap: DirectionMap, m: int, snr_linear: float, cfg: SystemConfig
 ) -> float:
     """log2(1 + |gain toward the subband's direction at subcarrier m|^2 * SNR)."""
-    dmap.validate_with(cfg)
     band = subband_of(m, dmap.n_subbands, cfg.n_subcarriers)
     g = gain_at(phi, float(dmap.directions[band - 1]), m, cfg)
     return float(np.log2(1.0 + (g.real**2 + g.imag**2) * snr_linear))
@@ -88,32 +88,37 @@ def spectral_efficiency(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-trial spectral efficiencies and their aggregates."""
+    """Per-trial spectral efficiencies; the aggregates are derived from them on demand."""
 
     se_per_subcarrier: np.ndarray  # (successful trials, M)
     trial_directions: np.ndarray  # (successful trials, G)
-    ase_per_subband: np.ndarray
-    ase_per_subcarrier: np.ndarray
-    ecdf_points: np.ndarray
     upper_bound: float
     synthesizer: str
     master_seed: int
-    rng_algorithm: str = RNG_ALGORITHM
     failures: tuple[tuple[int, str], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        for name in (
-            "se_per_subcarrier",
-            "trial_directions",
-            "ase_per_subband",
-            "ase_per_subcarrier",
-            "ecdf_points",
-        ):
+        for name in ("se_per_subcarrier", "trial_directions"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+        se, dirs = self.se_per_subcarrier.shape, self.trial_directions.shape
+        if len(se) != 2 or len(dirs) != 2 or se[0] != dirs[0] or dirs[1] < 1 or se[1] % dirs[1]:
+            raise ValueError(f"SE {se} and directions {dirs}: need equal trial counts, G dividing M")
 
     @property
     def n_trials(self) -> int:
         return self.se_per_subcarrier.shape[0]
+
+    @property
+    def ase_per_subband(self) -> np.ndarray:
+        """Mean SE over trials and subcarriers within each subband."""
+        trials, m_count = self.se_per_subcarrier.shape
+        g_count = self.trial_directions.shape[1]
+        return self.se_per_subcarrier.reshape(trials, g_count, m_count // g_count).mean(axis=(0, 2))
+
+    @property
+    def ase_per_subcarrier(self) -> np.ndarray:
+        """Mean SE over trials for each subcarrier."""
+        return self.se_per_subcarrier.mean(axis=0)
 
 
 def _run_trial(
@@ -169,37 +174,14 @@ def monte_carlo(
     if not rows:
         raise RuntimeError(f"every trial failed; first error: {failures[0][1]}")
 
-    se = np.stack(rows)
     return EvalReport(
-        se_per_subcarrier=se,
+        se_per_subcarrier=np.stack(rows),
         trial_directions=np.stack(dirs),
-        ase_per_subband=_ase_per_subband(se, scenario.n_subbands),
-        ase_per_subcarrier=se.mean(axis=0),
-        ecdf_points=np.sort(se.ravel()),
         upper_bound=upper_bound_se(scenario.cfg, scenario.snr_linear),
         synthesizer=getattr(synthesizer, "__name__", "custom"),
         master_seed=scenario.master_seed,
         failures=tuple(failures),
     )
-
-
-def _ase_per_subband(se: np.ndarray, n_subbands: int) -> np.ndarray:
-    trials, m_count = se.shape
-    return se.reshape(trials, n_subbands, m_count // n_subbands).mean(axis=(0, 2))
-
-
-def ase_per_subband(report: EvalReport, n_subbands: int) -> np.ndarray:
-    """Mean SE over trials and subcarriers within each subband."""
-    if report.se_per_subcarrier.size == 0:
-        raise ValueError("empty report")
-    return _ase_per_subband(report.se_per_subcarrier, n_subbands)
-
-
-def ase_per_subcarrier(report: EvalReport) -> np.ndarray:
-    """Mean SE over trials for each subcarrier."""
-    if report.se_per_subcarrier.size == 0:
-        raise ValueError("empty report")
-    return report.se_per_subcarrier.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -221,9 +203,10 @@ class Ecdf:
 
 
 def ecdf(report: EvalReport) -> Ecdf:
-    if report.ecdf_points.size == 0:
+    """Distribution of every (trial, subcarrier) SE value in the report."""
+    if report.se_per_subcarrier.size == 0:
         raise ValueError("empty report")
-    return Ecdf(report.ecdf_points)
+    return Ecdf(np.sort(report.se_per_subcarrier.ravel()))
 
 
 def runtime_bench(
@@ -278,7 +261,7 @@ def summary_dict(report: EvalReport, scenario: EvalScenario) -> dict:
     curve_q = np.linspace(0.0, 1.0, 101)
     return {
         "synthesizer": report.synthesizer,
-        "rng": report.rng_algorithm,
+        "rng": RNG_ALGORITHM,
         "master_seed": report.master_seed,
         "n_trials": report.n_trials,
         "failures": [list(f) for f in report.failures],

@@ -10,20 +10,20 @@ The target's config is just the sum of the generator configs.
 Two offset conventions coexist here.  :func:`decompose` reports offsets
 wrapped into the visible direction range, which is the natural invariant
 form (running sum congruent to the target mod 2, every offset within
-[-1, 1]).  :func:`synthesize` works with the raw, unwrapped differences
-instead: a mod-2 direction shift is a pattern symmetry only at the carrier,
-so wrapped offsets would steer band-edge subcarriers off target as the beam
-squints, while the raw offsets keep every subcarrier exactly on target.
+[-1, 1]).  :func:`synthesize` works with the raw, unwrapped differences of
+:func:`generator_set` instead: a mod-2 direction shift is a pattern symmetry
+only at the carrier, so wrapped offsets would steer band-edge subcarriers off
+target as the beam squints, while the raw offsets keep every subcarrier
+exactly on target; the dictionary carries entries for their full range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, _readonly, wrap_sine
+from .core import ArrayConfig, SystemConfig, wrap_sine
 from .solvers import SynthesisFn, constant_direction_config
 from .splitbeam import DirectionMap
 
@@ -31,7 +31,6 @@ if TYPE_CHECKING:
     from .dictionary import GeneratorDictionary
 
 __all__ = [
-    "GeneratorSet",
     "DictionaryCompatibilityError",
     "decompose",
     "generator_bands",
@@ -46,12 +45,14 @@ class DictionaryCompatibilityError(Exception):
     """Dictionary metadata does not match the system being synthesized for."""
 
 
-def _forward_differences(directions: np.ndarray) -> np.ndarray:
-    """``[d0, d1 - d0, d2 - d1, ...]``, bit for bit ``np.diff(directions, prepend=0.0)``.
+def generator_set(dmap: DirectionMap) -> np.ndarray:
+    """Raw generator offsets ``[d0, d1 - d0, ...]``, spanning [-2, 2], whose running sum is the target.
 
-    The copy keeps a -0.0 first direction as -0.0 (as ``-0.0 - 0.0`` does) and
-    skips the broadcast np.diff makes of its scalar ``prepend``.
+    Bit for bit ``np.diff(directions, prepend=0.0)``: the copy keeps a -0.0
+    first direction as -0.0 (as ``-0.0 - 0.0`` does) and skips the broadcast
+    np.diff makes of its scalar ``prepend``.
     """
+    directions = dmap.directions
     out = directions.copy()
     out[1:] -= directions[:-1]
     return out
@@ -66,7 +67,7 @@ def decompose(dmap: DirectionMap) -> np.ndarray:
     (-1, 1].  The running sum stays congruent to the target mod 2 and every
     offset ends up with magnitude at most 1.
     """
-    deltas = _forward_differences(dmap.directions)
+    deltas = generator_set(dmap)
     for g in range(1, deltas.size):
         if abs(deltas[g]) > 1.0:
             shift = 2.0 * round(deltas[g] / 2.0)
@@ -90,34 +91,6 @@ def generator_bands(g: int, n_subbands: int, cfg: SystemConfig) -> tuple[float, 
     fc_g = cfg.carrier_freq - cfg.bandwidth / 2.0 + (g - 1) * cfg.bandwidth / n_subbands
     bw_g = 2.0 * cfg.bandwidth * (n_subbands - 1) / n_subbands
     return fc_g, bw_g
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Synthesis plan for a split target: offsets plus per-generator bands.
-
-    The offsets here are the raw forward differences of the target
-    directions (first entry is the first direction itself), so they span
-    [-2, 2] and their running sum equals the target exactly.  Wrapping them
-    mod 2 would keep the beams on target only at the carrier; the dictionary
-    therefore carries entries for the full raw range.
-    """
-
-    deltas: np.ndarray
-    bands: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deltas", _readonly(self.deltas))
-        if len(self.bands) != self.deltas.size:
-            raise ValueError("need one band per generator")
-
-
-def generator_set(dmap: DirectionMap, cfg: SystemConfig) -> GeneratorSet:
-    g_count = dmap.n_subbands
-    return GeneratorSet(
-        deltas=_forward_differences(dmap.directions),
-        bands=tuple(generator_bands(g, g_count, cfg) for g in range(1, g_count + 1)),
-    )
 
 
 def scale_shift(phi: ArrayConfig, fc_new: float, bw_new: float, cfg: SystemConfig) -> ArrayConfig:
@@ -152,15 +125,14 @@ def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: Syste
             f"dictionary built for {dictionary.meta}, synthesizing for {cfg}"
         )
     dmap.validate_with(cfg)
-    plan = generator_set(dmap, cfg)
-    total = constant_direction_config(float(plan.deltas[0]), cfg)
-    boundaries = [band[0] for band in plan.bands[1:]]
-    if len(set(boundaries)) != len(boundaries):
+    g_count = dmap.n_subbands
+    deltas = generator_set(dmap)
+    bands = [generator_bands(g, g_count, cfg) for g in range(2, g_count + 1)]
+    if len({fc_g for fc_g, _ in bands}) != len(bands):
         raise AssertionError("generator subband boundaries must not coincide")
-    for g in range(2, dmap.n_subbands + 1):
-        entry = dictionary.lookup(float(plan.deltas[g - 1]))
-        fc_g, bw_g = plan.bands[g - 1]
-        total = total + scale_shift(entry, fc_g, bw_g, cfg)
+    total = constant_direction_config(float(deltas[0]), cfg)
+    for delta, (fc_g, bw_g) in zip(deltas[1:], bands):
+        total = total + scale_shift(dictionary.lookup(float(delta)), fc_g, bw_g, cfg)
     return total
 
 

@@ -35,7 +35,7 @@ class DirectionMap:
         object.__setattr__(self, "directions", d)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("need at least one direction")
-        if np.any(np.abs(d) > 1.0):
+        if not (np.abs(d) <= 1.0).all():
             raise ValueError("directions must lie in [-1, 1]")
 
     @property

@@ -83,6 +83,12 @@ class TestSynth:
             main(["synth", "--dict", str(built_dict), "--dirs", "0.1,oops", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
+    def test_nan_dirs_usage_error(self, built_dict, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--dict", str(built_dict), "--dirs", "0.2,nan", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "directions must lie in [-1, 1]" in capsys.readouterr().err
+
     def test_out_of_range_dirs_usage_error(self, built_dict, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--dict", str(built_dict), "--dirs", "1.5", "--out", str(tmp_path / "x.json")])
@@ -218,6 +224,16 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("command, ues", [("eval", "0"), ("eval", "-1"), ("bench", "0")])
+    def test_nonpositive_ues_usage_error(self, built_dict, tmp_path, capsys, command, ues):
+        if command == "eval":
+            extra = ["--trials", "2", "--out-prefix", str(tmp_path / "x")]
+        else:
+            extra = ["--hdb-calls", "2", "--jpta-calls", "1"]
+        assert main([command, "--dict", str(built_dict), "--ues", ues, *extra]) == 2
+        assert "at least one subband" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self):
         for sub in ("dict-build", "synth", "eval", "bench", "render"):

@@ -262,6 +262,13 @@ class TestGainAt:
         for m in (1, 25, 48):
             assert abs(gains[m - 1] - gain_at(phi, float(psi[m - 1]), m, cfg_small)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [1.5, np.nan])
+    def test_vectorized_range_checked(self, cfg_small, bad):
+        psi = np.zeros(cfg_small.n_subcarriers)
+        psi[7] = bad
+        with pytest.raises(ValueError, match="lie in"):
+            gain_at_directions(zero_config(16), psi, cfg_small)
+
 
 class TestResponse:
     @given(

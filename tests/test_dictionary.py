@@ -1,9 +1,13 @@
 import errno
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ttdbeam import dictionary as dictionary_module
 from ttdbeam.core import SystemConfig, zero_config
@@ -128,16 +132,17 @@ class TestLookup:
         np.testing.assert_array_equal(phi.delays, np.zeros(16))
 
     def test_midpoint_tie_takes_lower(self, cfg_dict):
-        # exactly representable offsets so the midpoint is a true tie
+        # offset_grid(5) steps by 0.5, so 0.25 is an exact tie between 0.0 and 0.5
         handmade = GeneratorDictionary(
-            offsets=np.array([0.0, 0.25, 0.75]),
-            delays=np.arange(3 * 16, dtype=float).reshape(3, 16),
-            phases=np.zeros((3, 16)),
+            offsets=offset_grid(5),
+            delays=np.arange(9 * 16, dtype=float).reshape(9, 16),
+            phases=np.zeros((9, 16)),
             meta=cfg_dict,
-            direction_grid_size=2,
+            direction_grid_size=5,
         )
-        phi = handmade.lookup(0.5)
-        np.testing.assert_array_equal(phi.delays, handmade.delays[1])
+        assert handmade.offsets[4] == 0.0 and handmade.offsets[5] == 0.5
+        phi = handmade.lookup(0.25)
+        np.testing.assert_array_equal(phi.delays, handmade.delays[4])
 
     def test_range_validation(self, small_dict):
         with pytest.raises(ValueError):
@@ -262,6 +267,24 @@ class TestPersistence:
             save(small_dict, path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @given(
+        a=st.integers(min_value=2, max_value=12),
+        n=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_identity(self, a, n, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        rows = [data.draw(hnp.arrays(np.float64, (2 * a - 1, n), elements=finite)) for _ in range(2)]
+        built = GeneratorDictionary(offset_grid(a), *rows, SystemConfig(n, 8, 28e9, 3e9), a)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "gen.ttdd")
+            save(built, path)
+            loaded = load(path)
+        assert loaded == built
+        for name in ("offsets", "delays", "phases"):
+            assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes()
+
     def test_rerun_same_bytes(self, cfg_dict, tmp_path):
         params = SolverParams(max_delay=default_max_delay(cfg_dict), n_iterations=2, delay_grid_size=4096)
         p1, p2 = tmp_path / "a.ttdd", tmp_path / "b.ttdd"
@@ -271,29 +294,43 @@ class TestPersistence:
 
 
 class TestValidation:
+    @staticmethod
+    def _make(cfg, a=2, offsets=None, delays=None):
+        offsets = offset_grid(a) if offsets is None else offsets
+        delays = np.zeros((offsets.size, 16)) if delays is None else delays
+        return GeneratorDictionary(
+            offsets=offsets, delays=delays, phases=np.zeros(delays.shape), meta=cfg, direction_grid_size=a
+        )
+
     def test_monotone_offsets_required(self, cfg_dict):
-        with pytest.raises(ValueError):
-            GeneratorDictionary(
-                offsets=np.array([0.1, 0.1]),
-                delays=np.zeros((2, 16)),
-                phases=np.zeros((2, 16)),
-                meta=cfg_dict,
-                direction_grid_size=2,
-            )
+        swapped = offset_grid(2)[[1, 0, 2]]
+        with pytest.raises(ValueError, match="offset grid"):
+            self._make(cfg_dict, offsets=swapped)
 
     @pytest.mark.parametrize("field", ["offsets", "delays"])
     def test_non_finite_values_rejected(self, cfg_dict, field):
-        arrays = {"offsets": np.array([0.0, 0.5]), "delays": np.zeros((2, 16))}
+        arrays = {"offsets": offset_grid(2), "delays": np.zeros((3, 16))}
         arrays[field][0] = np.nan
-        with pytest.raises(ValueError):
-            GeneratorDictionary(phases=np.zeros((2, 16)), meta=cfg_dict, direction_grid_size=2, **arrays)
+        reason = "offset grid" if field == "offsets" else "finite"
+        with pytest.raises(ValueError, match=reason):
+            self._make(cfg_dict, **arrays)
 
     def test_config_shape_checked(self, cfg_dict):
-        with pytest.raises(ValueError):
-            GeneratorDictionary(
-                offsets=np.array([0.0, 0.5]),
-                delays=np.zeros((2, 3)),
-                phases=np.zeros((2, 3)),
-                meta=cfg_dict,
-                direction_grid_size=2,
-            )
+        with pytest.raises(ValueError, match="config arrays"):
+            self._make(cfg_dict, delays=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "a, offsets",
+        [
+            (2, np.array([0.0, 0.5])),  # increasing, but D != 2A - 1
+            (2, np.array([-1.0, 0.0, 1.0])),  # D = 2A - 1, but not the grid
+            (2, offset_grid(3)),  # the grid of another A
+            (3, np.nextafter(offset_grid(3), 3.0)),  # one ulp off
+            (2, np.array([-2.0, -0.0, 2.0])),  # -0.0 is not bitwise the grid
+            (2**40, offset_grid(2)),  # refused before the 2**41-point grid is built
+        ],
+        ids=["entry_count", "off_grid", "other_grid", "one_ulp", "negative_zero", "huge_a"],
+    )
+    def test_offsets_must_be_the_grid(self, cfg_dict, a, offsets):
+        with pytest.raises(ValueError, match="offset grid"):
+            self._make(cfg_dict, a=a, offsets=offsets)

@@ -6,8 +6,6 @@ from ttdbeam.evaluation import (
     Ecdf,
     EvalReport,
     EvalScenario,
-    ase_per_subband,
-    ase_per_subcarrier,
     direction_grid,
     ecdf,
     monte_carlo,
@@ -132,21 +130,29 @@ class TestAggregates:
                 for m in range(b * block, (b + 1) * block):
                     acc += se[t, m]
                     count += 1
-            assert ase_per_subband(report, 3)[b] == pytest.approx(acc / count, rel=1e-12)
+            assert report.ase_per_subband[b] == pytest.approx(acc / count, rel=1e-12)
 
     def test_constant_matrix_mean(self, cfg_dict):
         report = EvalReport(
             se_per_subcarrier=np.full((4, 120), 3.5),
             trial_directions=np.zeros((4, 3)),
-            ase_per_subband=np.full(3, 3.5),
-            ase_per_subcarrier=np.full(120, 3.5),
-            ecdf_points=np.full(480, 3.5),
             upper_bound=7.0,
             synthesizer="x",
             master_seed=0,
         )
-        np.testing.assert_allclose(ase_per_subband(report, 3), 3.5)
-        np.testing.assert_allclose(ase_per_subcarrier(report), 3.5)
+        np.testing.assert_allclose(report.ase_per_subband, 3.5)
+        assert report.ase_per_subband.shape == (3,)
+        np.testing.assert_allclose(report.ase_per_subcarrier, 3.5)
+        assert report.ase_per_subcarrier.shape == (120,)
+
+    @pytest.mark.parametrize(
+        "se_shape, dirs_shape",
+        [((4, 120), (3, 3)), ((4, 120), (4, 7)), ((4, 120), (4, 0)), ((480,), (4, 3))],
+        ids=["trial_count", "indivisible", "no_subbands", "flat_se"],
+    )
+    def test_inconsistent_shapes_rejected(self, se_shape, dirs_shape):
+        with pytest.raises(ValueError):
+            EvalReport(np.zeros(se_shape), np.zeros(dirs_shape), upper_bound=7.0, synthesizer="x", master_seed=0)
 
 
 class TestEcdf:
@@ -176,6 +182,12 @@ class TestEcdf:
         dist = ecdf(report)
         assert dist.values.size == 3 * cfg_dict.n_subcarriers
         assert np.all(np.diff(dist.values) >= 0)
+        np.testing.assert_array_equal(dist.values, np.sort(report.se_per_subcarrier, axis=None))
+
+    def test_empty_report_rejected(self):
+        empty = EvalReport(np.zeros((0, 120)), np.zeros((0, 3)), upper_bound=7.0, synthesizer="x", master_seed=0)
+        with pytest.raises(ValueError, match="empty report"):
+            ecdf(empty)
 
 
 class TestBenchAndOutputs:
@@ -228,12 +240,18 @@ class TestBenchAndOutputs:
         assert len(doc["ase_per_subband"]) == 3
         assert len(doc["ecdf_curve"]) == 101
         assert doc["config"]["n"] == 16
+        assert doc["rng"] == "pcg64-seedsequence(master_seed, trial)"
 
 
 class TestScenarioValidation:
     def test_divisibility(self, cfg_dict):
         with pytest.raises(ValueError):
             EvalScenario(cfg=cfg_dict, n_subbands=7, snr_linear=10.0, direction_grid_size=41, n_trials=5, master_seed=0)
+
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_at_least_one_subband(self, cfg_dict, g):
+        with pytest.raises(ValueError, match="at least one subband"):
+            EvalScenario(cfg=cfg_dict, n_subbands=g, snr_linear=10.0, direction_grid_size=41, n_trials=5, master_seed=0)
 
     def test_positive_snr(self, cfg_dict):
         with pytest.raises(ValueError):

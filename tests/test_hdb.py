@@ -12,7 +12,7 @@ from ttdbeam.core import (
     precoder_matrix,
     wrap_sine,
 )
-from ttdbeam.dictionary import _gain_profile
+from ttdbeam.dictionary import GeneratorDictionary, _gain_profile, offset_grid
 from ttdbeam.evaluation import direction_grid
 from ttdbeam.hdb import (
     DictionaryCompatibilityError,
@@ -138,11 +138,18 @@ class TestSynthesize:
         with pytest.raises(DictionaryCompatibilityError):
             synthesize(DirectionMap(np.array([0.0, 0.2])), small_dict, other)
 
+    def test_coinciding_band_boundaries_rejected(self):
+        # valid but extreme: at 1e20 Hz the float band boundaries 1/3 Hz apart collide
+        cfg = SystemConfig(4, 6, 1e20, 1.0)
+        flat = GeneratorDictionary(offset_grid(2), np.zeros((3, 4)), np.zeros((3, 4)), cfg, 2)
+        with pytest.raises(AssertionError, match="coincide"):
+            synthesize(DirectionMap(np.array([0.0, 0.5, 0.0])), flat, cfg)
+
     def test_generator_set_sums_to_targets(self, cfg_dict):
         dmap = DirectionMap(np.array([0.9, -0.9, 0.3]))
-        plan = generator_set(dmap, cfg_dict)
-        np.testing.assert_allclose(np.cumsum(plan.deltas), dmap.directions, atol=1e-15)
-        assert len(plan.bands) == 3
+        deltas = generator_set(dmap)
+        np.testing.assert_allclose(np.cumsum(deltas), dmap.directions, atol=1e-15)
+        assert deltas.shape == (3,)
 
     def test_plan_offsets_bitwise_numpy_diff(self, cfg_dict, rng):
         grid = direction_grid(41)
@@ -151,18 +158,18 @@ class TestSynthesize:
             dirs = rng.choice(grid, g) if i % 2 else rng.uniform(-1.0, 1.0, g)
             if i % 7 == 0:
                 dirs[0] = -0.0
-            plan = generator_set(DirectionMap(dirs), cfg_dict)
-            assert plan.deltas.tobytes() == np.diff(dirs, prepend=0.0).tobytes()
+            deltas = generator_set(DirectionMap(dirs))
+            assert deltas.tobytes() == np.diff(dirs, prepend=0.0).tobytes()
 
     def test_homomorphic_consistency(self, small_dict, cfg_dict):
         # the synthesized config's precoder equals the scaled elementwise
         # product of its generators' precoders, independent of entry quality
         dmap = DirectionMap(np.array([-0.3, 0.5, 0.1]))
-        plan = generator_set(dmap, cfg_dict)
-        parts = [constant_direction_config(float(plan.deltas[0]), cfg_dict)]
+        deltas = generator_set(dmap)
+        parts = [constant_direction_config(float(deltas[0]), cfg_dict)]
         for g in (2, 3):
-            entry = small_dict.lookup(float(plan.deltas[g - 1]))
-            parts.append(scale_shift(entry, *plan.bands[g - 1], cfg_dict))
+            entry = small_dict.lookup(float(deltas[g - 1]))
+            parts.append(scale_shift(entry, *generator_bands(g, 3, cfg_dict), cfg_dict))
         total = synthesize(dmap, small_dict, cfg_dict)
         lhs = precoder_matrix(total, cfg_dict)
         rhs = precoder_matrix(parts[0], cfg_dict)

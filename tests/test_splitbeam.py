@@ -25,6 +25,10 @@ class TestDirectionMap:
         with pytest.raises(ValueError):
             DirectionMap(np.array([0.0, 1.2]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="lie in"):
+            DirectionMap(np.array([0.2, np.nan]))
+
     def test_divisibility_enforced(self):
         cfg = SystemConfig(4, 10, 1e9, 1e8)
         with pytest.raises(ValueError):
