@@ -64,8 +64,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="delay search range in seconds (default M/BW)",
     )
     p.add_argument(
-        "--delay-grid", type=int, default=65536,
-        help="delay search grid size (default 65536)",
+        "--delay-grid", type=int, default=SolverParams.delay_grid_size,
+        help="delay search grid size (default %(default)s)",
     )
 
 

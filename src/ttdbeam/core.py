@@ -22,6 +22,7 @@ __all__ = [
     "SystemConfig",
     "ArrayConfig",
     "PsiGrid",
+    "direction_grid",
     "Beampattern",
     "subcarrier_freqs",
     "precoder_matrix",
@@ -120,6 +121,13 @@ def zero_config(n_antennas: int) -> ArrayConfig:
     return ArrayConfig(z, z)
 
 
+def direction_grid(size: int) -> np.ndarray:
+    """Uniform sine-space grid: point a is -1 + 2a/(size-1), endpoints exactly +-1."""
+    if size < 2:
+        raise ValueError("direction grid needs at least 2 points")
+    return -1.0 + 2.0 * np.arange(size, dtype=np.float64) / (size - 1)
+
+
 @dataclass(frozen=True)
 class PsiGrid:
     """Strictly increasing sample points in sine space, within [-1, 1]."""
@@ -137,7 +145,7 @@ class PsiGrid:
 
     @classmethod
     def uniform(cls, n_points: int = 1001) -> "PsiGrid":
-        return cls(np.linspace(-1.0, 1.0, n_points))
+        return cls(direction_grid(n_points))
 
     @property
     def step(self) -> float:
@@ -251,8 +259,7 @@ def gain_at(phi: ArrayConfig, psi: float, m: int, cfg: SystemConfig) -> complex:
         raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
     if phi.n_antennas != cfg.n_antennas:
         raise ValueError("config/system antenna count mismatch")
-    f_m = cfg.carrier_freq + m * (cfg.bandwidth / cfg.n_subcarriers) - cfg.bandwidth / 2.0
-    return complex(_response(phi.delays, phi.phases, psi, [f_m], cfg)[0])
+    return complex(_response(phi.delays, phi.phases, psi, subcarrier_freqs(cfg)[m - 1 : m], cfg)[0])
 
 
 def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:

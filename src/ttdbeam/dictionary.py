@@ -145,15 +145,14 @@ def _center_params(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[f
     subcarrier.
     """
     m_count = cfg.n_subcarriers
-    m1 = int(np.argmax(_gain_profile(phi, 0.0, cfg))) + 1
-    m2 = int(np.argmax(_gain_profile(phi, delta, cfg))) + 1
+    m1 = int(np.argmax(_gain_profile(phi, 0.0, cfg)))
+    m2 = int(np.argmax(_gain_profile(phi, delta, cfg)))
     if m1 == m2:
         return None
     alpha = m_count / (2.0 * abs(m2 - m1))
     bw_new = cfg.bandwidth * alpha
-    f1 = cfg.carrier_freq + m1 * cfg.bandwidth / m_count - cfg.bandwidth / 2.0
-    f2 = cfg.carrier_freq + m2 * cfg.bandwidth / m_count - cfg.bandwidth / 2.0
-    fc_new = cfg.carrier_freq - ((f1 + f2) / 2.0 - cfg.carrier_freq) * alpha
+    f = subcarrier_freqs(cfg)
+    fc_new = cfg.carrier_freq - ((f[m1] + f[m2]) / 2.0 - cfg.carrier_freq) * alpha
     return fc_new, bw_new
 
 

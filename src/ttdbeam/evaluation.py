@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, _readonly, gain_at, gain_at_directions
+from .core import ArrayConfig, SystemConfig, _readonly, direction_grid, gain_at, gain_at_directions
 from .parallel import worker_count
 from .solvers import SynthesisFn
 from .splitbeam import DirectionMap, expand_directions, subband_of
@@ -63,13 +63,6 @@ class EvalScenario:
             raise ValueError("direction grid needs at least 2 points")
         if self.n_trials < 1:
             raise ValueError("need at least one trial")
-
-
-def direction_grid(size: int) -> np.ndarray:
-    """Uniform sine-space grid: point a is -1 + 2a/(size-1), endpoints exactly +-1."""
-    if size < 2:
-        raise ValueError("direction grid needs at least 2 points")
-    return -1.0 + 2.0 * np.arange(size, dtype=np.float64) / (size - 1)
 
 
 def upper_bound_se(cfg: SystemConfig, snr_linear: float) -> float:
@@ -122,12 +115,11 @@ class EvalReport:
 
 
 def _run_trial(
-    scenario: EvalScenario, synth: SynthesisFn, trial: int
+    scenario: EvalScenario, synth: SynthesisFn, grid: np.ndarray, trial: int
 ) -> tuple[np.ndarray, np.ndarray]:
     seq = np.random.SeedSequence(scenario.master_seed, spawn_key=(trial,))
     rng = np.random.default_rng(seq)
-    idx = rng.integers(0, scenario.direction_grid_size, size=scenario.n_subbands)
-    grid = direction_grid(scenario.direction_grid_size)
+    idx = rng.integers(0, grid.size, size=scenario.n_subbands)
     dmap = DirectionMap(grid[idx])
     phi = synth(dmap, scenario.cfg)
     psi = expand_directions(dmap, scenario.cfg)
@@ -146,14 +138,17 @@ def monte_carlo(
 
     Trial t derives its seed from (master_seed, t) alone, and results are
     assembled in trial order, so the report is reproducible bit-for-bit for
-    any worker count.  A failing trial is recorded and skipped, not fatal.
+    any worker count.  A trial that fails with a ValueError or an
+    ArithmeticError is recorded and skipped, not fatal; any other exception
+    propagates.
     """
     n_workers = min(worker_count(workers), scenario.n_trials)
+    grid = direction_grid(scenario.direction_grid_size)
 
     def run(trial: int) -> tuple[np.ndarray, np.ndarray] | Exception:
         try:
-            return _run_trial(scenario, synthesizer, trial)
-        except Exception as exc:  # recorded per trial, not fatal
+            return _run_trial(scenario, synthesizer, grid, trial)
+        except (ValueError, ArithmeticError) as exc:  # recorded per trial, not fatal
             return exc
 
     if n_workers > 1:

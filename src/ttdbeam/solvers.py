@@ -12,7 +12,6 @@ exhaustive oracle exists only to validate it at desk scale.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -50,7 +49,7 @@ class SolverParams:
 
     max_delay: float
     n_iterations: int = 30
-    delay_grid_size: int = 1024
+    delay_grid_size: int = 65536
 
     def __post_init__(self) -> None:
         if not self.max_delay > 0.0:
@@ -105,22 +104,17 @@ def objective(phi: ArrayConfig, v_target: np.ndarray, cfg: SystemConfig) -> floa
     return float(np.sum(d.real**2 + d.imag**2))
 
 
-@functools.lru_cache(maxsize=4)
-def _carrier_ramp(f0: float, max_delay: float, size: int) -> np.ndarray:
-    """Read-only exp(j*2*pi*f0*t_k) over the delay grid, shared by every fit on it."""
-    ramp = np.exp(1j * 2.0 * np.pi * f0 * delay_grid(max_delay, size))
-    ramp.setflags(write=False)
-    return ramp
-
-
 def _correlation_scores(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndarray,
                         max_delay: float) -> np.ndarray:
-    """c[n, k] = sum_m v_target[n, m] * exp(j*2*pi*f_m*t_k), one contiguous row per antenna.
+    """Baseband correlation c[n, k] = sum_m v_target[n, m] * exp(j*2*pi*(f_m - f0)*t_k).
 
-    When the grid spans exactly one correlation period (max_delay = M/BW with
-    grid spacing max_delay/size), the sum over m reduces to a DFT and is
-    evaluated by an in-place FFT along each row; otherwise by direct (chunked)
-    evaluation.
+    f0 = fc - BW/2 is the band edge, so f_m - f0 = m*BW/M.  The carrier
+    factor exp(j*2*pi*f0*t_k) has unit modulus and cannot move a row's
+    argmax; :func:`jpta_approx` applies it to the winning delays only.
+    One contiguous row per antenna.  When the grid spans exactly one
+    correlation period (max_delay = M/BW with grid spacing max_delay/size),
+    the sum over m is a DFT and is evaluated by an in-place FFT along each
+    row; otherwise by direct (chunked) evaluation.
     """
     size = t_grid.size
     m_count = cfg.n_subcarriers
@@ -131,9 +125,8 @@ def _correlation_scores(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndar
         np.add.at(scores, (slice(None), np.arange(1, m_count + 1) % size), v_target)
         # unnormalized inverse DFT: the "forward" norm puts the 1/size on the forward transform
         np.fft.ifft(scores, axis=1, norm="forward", out=scores)
-        scores *= _carrier_ramp(cfg.carrier_freq - cfg.bandwidth / 2.0, max_delay, size)
         return scores
-    f = subcarrier_freqs(cfg)
+    f = subcarrier_freqs(cfg) - (cfg.carrier_freq - cfg.bandwidth / 2.0)
     scores = np.empty((v_target.shape[0], size), dtype=np.complex128)
     chunk = max(1, min(size, 8 * 1024 * 1024 // max(m_count, 1)))
     vt = v_target.T
@@ -150,7 +143,9 @@ def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -
     Each antenna independently searches its delay over a uniform grid in
     [0, max_delay), pairing every candidate with its closed-form optimal
     phase (the argument of the target correlation at that delay), and keeps
-    the best pair.  Ties break toward the smaller delay.
+    the best pair.  Ties break toward the smaller delay.  The search runs on
+    the baseband correlation; the carrier phase 2*pi*(fc - BW/2)*t is added
+    to the N winning correlations only.
 
     The objective separates across antennas, so this one search is the grid
     optimum of the whole fit; ``params.n_iterations`` has no effect.
@@ -163,7 +158,10 @@ def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -
     t_grid = delay_grid(params.max_delay, params.delay_grid_size)
     scores = _correlation_scores(v_target, cfg, t_grid, params.max_delay)
     best_k = np.argmax(np.abs(scores), axis=1)  # first max: smaller delay wins ties
-    return ArrayConfig(t_grid[best_k], np.angle(scores[np.arange(cfg.n_antennas), best_k]))
+    t_best = t_grid[best_k]
+    best = scores[np.arange(cfg.n_antennas), best_k]
+    best *= np.exp(1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_best)
+    return ArrayConfig(t_best, np.angle(best))
 
 
 def fold_delay_periods(phi: ArrayConfig, cfg: SystemConfig) -> ArrayConfig:

@@ -86,9 +86,8 @@ def dirichlet_gain(psi_offset: float, m: int, cfg: SystemConfig) -> complex:
     """
     if not 1 <= m <= cfg.n_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
-    f_m = cfg.carrier_freq + m * (cfg.bandwidth / cfg.n_subcarriers) - cfg.bandwidth / 2.0
     zero = np.zeros(cfg.n_antennas)
-    return complex(_response(zero, zero, psi_offset, [f_m], cfg)[0])
+    return complex(_response(zero, zero, psi_offset, subcarrier_freqs(cfg)[m - 1 : m], cfg)[0])
 
 
 def subband_of(m: int, n_subbands: int, n_subcarriers: int) -> int:

@@ -14,6 +14,7 @@ from ttdbeam.core import (
     compose,
     config_from_json_dict,
     config_to_json_dict,
+    direction_grid,
     gain_at,
     gain_at_directions,
     precoder_matrix,
@@ -310,6 +311,14 @@ class TestPsiGrid:
         g = PsiGrid.uniform()
         assert len(g) == 1001
         assert g.points[0] == -1.0 and g.points[-1] == 1.0
+
+    @pytest.mark.parametrize("n", [2, 5, 41, 61, 499, 1001])
+    def test_uniform_is_direction_grid(self, n):
+        # one formula for the A-point grid: bitwise, with an exact +0.0 midpoint at odd n
+        points = PsiGrid.uniform(n).points
+        assert points.tobytes() == direction_grid(n).tobytes()
+        if n % 2:
+            assert points[n // 2] == 0.0 and not np.signbit(points[n // 2])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from ttdbeam.evaluation import (
     summary_dict,
     upper_bound_se,
 )
-from ttdbeam.hdb import make_hdb_synthesizer
+from ttdbeam.hdb import DictionaryCompatibilityError, make_hdb_synthesizer
 from ttdbeam.solvers import constant_direction_config
 from ttdbeam.splitbeam import DirectionMap
 
@@ -102,7 +102,7 @@ class TestMonteCarlo:
         def flaky(dmap, cfg):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("injected")
+                raise ValueError("injected")
             return constant_direction_config(float(dmap.directions[0]), cfg)
 
         scen = scenario_for(cfg_dict, small_dict, trials=4, g=1)
@@ -111,6 +111,21 @@ class TestMonteCarlo:
         assert len(report.failures) == 1
         assert report.failures[0][0] == 1
         assert "injected" in report.failures[0][1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_programming_errors_propagate(self, small_dict, cfg_dict, workers):
+        def broken(dmap, cfg):
+            raise TypeError("injected")
+
+        scen = scenario_for(cfg_dict, small_dict, trials=4, g=1)
+        with pytest.raises(TypeError, match="injected"):
+            monte_carlo(scen, broken, workers=workers)
+
+    def test_incompatible_dictionary_propagates(self, small_dict):
+        other = SystemConfig(16, 120, 27e9, 3e9)
+        scen = scenario_for(other, small_dict, trials=2)
+        with pytest.raises(DictionaryCompatibilityError):
+            monte_carlo(scen, make_hdb_synthesizer(small_dict), workers=1)
 
     def test_report_names_synthesizer(self, small_dict, cfg_dict):
         scen = scenario_for(cfg_dict, small_dict, trials=3)

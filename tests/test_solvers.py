@@ -15,7 +15,6 @@ from ttdbeam.core import (
 from ttdbeam.dictionary import _two_subband_target
 from ttdbeam.solvers import (
     SolverParams,
-    _carrier_ramp,
     _correlation_scores,
     constant_direction_config,
     default_max_delay,
@@ -135,13 +134,15 @@ class TestJptaApprox:
 
 
 def _strided_scores(v, cfg, size):
-    """The line search's correlation on the grid-major (size, N) layout: c[k, n]."""
-    t_grid = delay_grid(default_max_delay(cfg), size)
+    """The line search's baseband correlation on the grid-major (size, N) layout: c[k, n]."""
     folded = np.zeros((size, cfg.n_antennas), dtype=np.complex128)
     np.add.at(folded, np.arange(1, cfg.n_subcarriers + 1) % size, v.T)
-    scores = size * np.fft.ifft(folded, axis=0)
-    scores *= np.exp(1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_grid)[:, None]
-    return scores
+    return size * np.fft.ifft(folded, axis=0)
+
+
+def _absolute_scores(v, cfg, t_grid):
+    """Correlation at the absolute subcarrier frequencies, by one exp-matmul: c[n, k]."""
+    return v @ np.exp(1j * 2.0 * np.pi * np.outer(subcarrier_freqs(cfg), t_grid))
 
 
 class TestCorrelationLayout:
@@ -149,25 +150,21 @@ class TestCorrelationLayout:
     def test_bitwise_equal_to_strided_search(self, cfg_dict, delta):
         size = 65536
         params = params_for(cfg_dict, size=size)
+        t_grid = delay_grid(params.max_delay, size)
         v = _two_subband_target(delta, cfg_dict)
-        reference = _strided_scores(v, cfg_dict, size)
-        scores = _correlation_scores(v, cfg_dict, delay_grid(params.max_delay, size), params.max_delay)
+        baseband = _strided_scores(v, cfg_dict, size)
+        scores = _correlation_scores(v, cfg_dict, t_grid, params.max_delay)
         assert scores.shape == (16, size) and scores.flags.c_contiguous
-        assert scores.tobytes() == np.ascontiguousarray(reference.T).tobytes()
+        assert scores.tobytes() == np.ascontiguousarray(baseband.T).tobytes()
+        # absolute-frequency correlation: the baseband times the carrier factor exp(j*2*pi*f0*t_k)
+        f0 = cfg_dict.carrier_freq - cfg_dict.bandwidth / 2.0
+        reference = baseband * np.exp(1j * 2.0 * np.pi * f0 * t_grid)[:, None]
         best_k = np.argmax(np.abs(reference), axis=0)
         phi = jpta_approx(v, params, cfg_dict)
-        assert phi.delays.tobytes() == delay_grid(params.max_delay, size)[best_k].tobytes()
+        assert phi.delays.tobytes() == t_grid[best_k].tobytes()
         assert phi.phases.tobytes() == np.angle(reference[best_k, np.arange(16)]).tobytes()
 
-    def test_cached_ramp_read_only(self):
-        ramp = _carrier_ramp(26.5e9, 4e-7, 1024)
-        assert not ramp.flags.writeable
-        with pytest.raises(ValueError):
-            ramp[0] = 0.0
-        assert _carrier_ramp(26.5e9, 4e-7, 1024) is ramp
-
-    def test_ramp_not_shared_across_systems(self, rng):
-        # every (fc, BW, grid) change moves the ramp's key; each fit must use its own ramp
+    def test_fft_matches_direct_across_systems(self, rng):
         systems = [
             (SystemConfig(4, 8, 28e9, 3e9), 256),
             (SystemConfig(4, 8, 28e9, 2e9), 256),
@@ -181,9 +178,21 @@ class TestCorrelationLayout:
             s_fft = _correlation_scores(v, cfg, grid, max_delay)
             s_direct = _correlation_scores(v, cfg, grid, max_delay * (1 + 1e-9))
             assert np.max(np.abs(s_fft - s_direct)) < 1e-6
-        ramps = [_carrier_ramp(cfg.carrier_freq - cfg.bandwidth / 2.0, default_max_delay(cfg), size)
-                 for cfg, size in systems]
-        assert len({id(r) for r in ramps}) == len(systems)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.7])
+    def test_direct_path_matches_absolute_frequency_oracle(self, cfg_dict, rng, ratio):
+        params = SolverParams(max_delay=ratio * default_max_delay(cfg_dict), delay_grid_size=4096)
+        t_grid = delay_grid(params.max_delay, params.delay_grid_size)
+        rows = np.arange(cfg_dict.n_antennas)
+        for _ in range(3):
+            dmap = DirectionMap(rng.uniform(-1.0, 1.0, size=3))
+            v = ideal_split_precoder(dmap, cfg_dict)
+            oracle = _absolute_scores(v, cfg_dict, t_grid)
+            best_k = np.argmax(np.abs(oracle), axis=1)
+            phi = jpta_approx(v, params, cfg_dict)
+            np.testing.assert_array_equal(phi.delays, t_grid[best_k])
+            dphase = np.angle(np.exp(1j * (phi.phases - np.angle(oracle[rows, best_k]))))
+            assert np.max(np.abs(dphase)) < 1e-9
 
 
 class TestExhaustiveOracle:
