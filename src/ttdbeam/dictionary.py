@@ -9,6 +9,17 @@ unwrapped on purpose: a mod-2 direction shift is exact only at the carrier,
 so fitting the true (aliased) target keeps the composed beam on target at
 every subcarrier instead of drifting with the beam squint at the band edges.
 
+Only the offsets delta >= 0 are fitted.  Entry -delta is entry delta with
+delays and phases negated (no phase wrapping), so the table is exactly
+mirror-symmetric.  A direct fit for -delta gives the same config up to
+rounding and whole turns of phase: the target for -delta is the complex
+conjugate of the target for delta, and every later step is odd in (delays,
+phases).  Conjugating target and precoder leaves the fit objective unchanged
+and the default one-period delay grid is symmetric modulo its period; the
+fold maps a negated delay to the negated folded one; the re-centring reads
+|gain| profiles, equal for a config toward psi and its negation toward -psi,
+and applies the linear ``hdb.scale_shift``.
+
 Binary layout (little-endian): 40-byte header (magic "TTDD", version,
 N, A, D, M as int32, fc and bw as float64), then D offsets as float64, then
 D rows of 2N float64 (N delays followed by N phases).  A JSON sidecar
@@ -172,15 +183,25 @@ def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> Arr
 
 def _build_one(
     delta: float, cfg: SystemConfig, solver: SolverParams, direction_grid_size: int
-) -> tuple[ArrayConfig, bool, list[str]]:
-    """Build and check a single offset entry; returns (config, degenerate, warnings)."""
+) -> tuple[ArrayConfig, bool, list[str], list[str]]:
+    """Build the entry for an offset delta >= 0 and check it and its mirror at -delta.
+
+    Returns (config, degenerate, warnings for -delta, warnings for +delta);
+    the -delta entry is the config negated, degenerate exactly when it is.
+    """
     if delta == 0.0:
-        return zero_config(cfg.n_antennas), False, []
+        return zero_config(cfg.n_antennas), False, [], []
     phi = fold_delay_periods(jpta_approx(_two_subband_target(delta, cfg), solver, cfg), cfg)
     out = postprocess_center(phi, delta, cfg)
     if out is phi:
-        return phi, True, []
-    return out, False, _entry_diagnostics(delta, out, cfg, direction_grid_size)
+        return phi, True, [], []
+    mirror = ArrayConfig(-out.delays, -out.phases)
+    return (
+        out,
+        False,
+        _entry_diagnostics(-delta, mirror, cfg, direction_grid_size),
+        _entry_diagnostics(delta, out, cfg, direction_grid_size),
+    )
 
 
 def _entry_diagnostics(
@@ -223,19 +244,23 @@ def build_dictionary(
 ) -> GeneratorDictionary:
     """Build the offset-indexed config table for a system.
 
-    Each offset gets the two-subband config fitted against the ideal
-    [0, offset] target, delay-folded, then re-centered; the zero offset is
-    the zero config by construction.  Entries are independent and may build
-    in parallel; the result is identical regardless of worker count.
-    Fidelity diagnostics run per entry, in the workers, right after the
-    entry is built.  Their findings are attached as ``build_warnings`` and
-    degenerate entries listed in ``degenerate``; neither affects equality or
-    persistence.
+    Each offset delta >= 0 gets the two-subband config fitted against the
+    ideal [0, delta] target, delay-folded, then re-centered; the zero offset
+    is the zero config by construction.  Entry -delta is entry delta
+    negated: target(-delta) = conj(target(delta)) and every later step is
+    odd in (delays, phases) (see the module docstring).  The A fitted
+    entries are independent and may build in parallel; the result is
+    identical regardless of worker count.  Fidelity diagnostics for delta
+    and -delta run in the workers, right after the entry is built.  Their
+    findings are attached as ``build_warnings`` and degenerate entries
+    listed in ``degenerate``, both in ascending offset order; neither
+    affects equality or persistence.
     """
     if cfg.n_subcarriers % 2 != 0:
         raise ValueError("dictionary construction needs an even subcarrier count")
     offsets = offset_grid(direction_grid_size)
-    deltas = offsets.tolist()
+    zero = direction_grid_size - 1  # index of offset 0; offsets[zero + k] = -offsets[zero - k]
+    deltas = offsets[zero:].tolist()
     args = (deltas, repeat(cfg), repeat(solver), repeat(direction_grid_size))
 
     n_workers = worker_count(workers)
@@ -245,14 +270,18 @@ def build_dictionary(
     else:
         built = list(map(_build_one, *args))
 
+    configs, degenerate, mirror_warnings, warnings = zip(*built)
+    delays = np.array([phi.delays for phi in configs])
+    phases = np.array([phi.phases for phi in configs])
+    flagged = [k for k, bad in enumerate(degenerate) if bad]
     return GeneratorDictionary(
         offsets=offsets,
-        delays=np.array([phi.delays for phi, _, _ in built]),
-        phases=np.array([phi.phases for phi, _, _ in built]),
+        delays=np.concatenate([-delays[:0:-1], delays]),
+        phases=np.concatenate([-phases[:0:-1], phases]),
         meta=cfg,
         direction_grid_size=direction_grid_size,
-        degenerate=tuple(i for i, (_, flagged, _) in enumerate(built) if flagged),
-        build_warnings=tuple(w for _, _, found in built for w in found),
+        degenerate=tuple([zero - k for k in reversed(flagged)] + [zero + k for k in flagged]),
+        build_warnings=tuple(w for found in (*mirror_warnings[::-1], *warnings) for w in found),
     )
 
 

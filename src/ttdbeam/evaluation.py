@@ -239,15 +239,15 @@ def runtime_bench(
 def report_csv_lines(report: EvalReport, scenario: EvalScenario):
     """Rows ``trial,m,subband,direction,se_bps_hz`` (1-based trial and m)."""
     yield "trial,m,subband,direction,se_bps_hz"
-    g_count = scenario.n_subbands
     m_count = scenario.cfg.n_subcarriers
-    block = m_count // g_count
-    for t in range(report.n_trials):
-        dirs = [repr(float(x)) for x in report.trial_directions[t]]
-        row = report.se_per_subcarrier[t]
-        for m in range(1, m_count + 1):
-            band = (m - 1) // block + 1
-            yield f"{t + 1},{m},{band},{dirs[band - 1]},{float(row[m - 1])!r}"
+    block = m_count // scenario.n_subbands
+    bands = [m // block for m in range(m_count)]  # 0-based subband of each subcarrier
+    middles = [f",{m + 1},{b + 1}," for m, b in enumerate(bands)]
+    rows = zip(report.trial_directions, report.se_per_subcarrier)
+    for trial, (directions, se_row) in enumerate(rows, start=1):
+        dirs = [repr(x) for x in directions.tolist()]
+        for middle, b, se in zip(middles, bands, se_row.tolist()):
+            yield f"{trial}{middle}{dirs[b]},{se!r}"
 
 
 def summary_dict(report: EvalReport, scenario: EvalScenario) -> dict:

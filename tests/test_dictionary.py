@@ -14,7 +14,10 @@ from ttdbeam.core import SystemConfig, zero_config
 from ttdbeam.dictionary import (
     DictionaryFormatError,
     GeneratorDictionary,
+    _build_one,
+    _entry_diagnostics,
     _gain_profile,
+    _two_subband_target,
     build_dictionary,
     load,
     offset_grid,
@@ -22,7 +25,7 @@ from ttdbeam.dictionary import (
     save,
 )
 from ttdbeam.hdb import scale_shift
-from ttdbeam.solvers import SolverParams, default_max_delay
+from ttdbeam.solvers import SolverParams, default_max_delay, fold_delay_periods, jpta_approx
 
 
 class TestOffsetGrid:
@@ -79,6 +82,74 @@ class TestBuild:
         cfg = SystemConfig(4, 9, 1e9, 1e8)
         with pytest.raises(ValueError):
             build_dictionary(cfg, 5, SolverParams(max_delay=9e-9, n_iterations=1, delay_grid_size=16))
+
+
+def _wrapped(x):
+    return np.abs(np.angle(np.exp(1j * x)))
+
+
+class TestMirror:
+    @pytest.fixture(scope="class", params=[2, 3, 5, 9])
+    def built(self, request, cfg_dict):
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
+        return build_dictionary(cfg_dict, request.param, params, workers=1), params
+
+    def test_rows_negate_bitwise(self, built):
+        d, _ = built
+        zero = d.direction_grid_size - 1
+        for rows in (d.delays, d.phases):
+            assert rows[:zero].tobytes() == (-rows[:zero:-1]).tobytes()
+            assert rows[zero].tobytes() == np.zeros(16).tobytes()
+
+    def test_nonnegative_rows_are_build_one_configs(self, built, cfg_dict):
+        d, params = built
+        a = d.direction_grid_size
+        for i in range(a - 1, 2 * a - 1):
+            phi = _build_one(float(d.offsets[i]), cfg_dict, params, a)[0]
+            assert d.delays[i].tobytes() == phi.delays.tobytes()
+            assert d.phases[i].tobytes() == phi.phases.tobytes()
+
+    def test_warnings_are_per_offset_diagnostics_in_offset_order(self, small_dict, cfg_dict):
+        a = small_dict.direction_grid_size
+        expected = tuple(
+            w
+            for i, delta in enumerate(small_dict.offsets)
+            if delta != 0.0 and i not in small_dict.degenerate
+            for w in _entry_diagnostics(float(delta), small_dict.config(i), cfg_dict, a)
+        )
+        assert len({w.split(":")[0] for w in expected}) >= 4  # two or more +/- pairs warn
+        assert small_dict.build_warnings == expected
+
+    @pytest.mark.parametrize("delta", [0.35, 1.0, 1.55])
+    def test_mirrored_row_matches_a_direct_fit(self, small_dict, cfg_dict, delta):
+        # fit, fold and re-centre for -delta from scratch, with small_dict's solver
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=65536)
+        i = int(np.argmin(np.abs(small_dict.offsets + delta)))
+        neg = float(small_dict.offsets[i])
+        assert neg < 0.0
+        phi = fold_delay_periods(jpta_approx(_two_subband_target(neg, cfg_dict), params, cfg_dict), cfg_dict)
+        direct = postprocess_center(phi, neg, cfg_dict)
+        assert np.max(np.abs(direct.delays - small_dict.delays[i])) <= 1e-21
+        assert np.max(_wrapped(direct.phases - small_dict.phases[i])) <= 1e-9
+
+    def test_degenerate_offset_flags_both_signs(self, cfg_dict, monkeypatch):
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
+        normal = build_dictionary(cfg_dict, 9, params, workers=1)
+        real = dictionary_module.postprocess_center
+        monkeypatch.setattr(
+            dictionary_module,
+            "postprocess_center",
+            lambda phi, delta, cfg: phi if delta == 0.5 else real(phi, delta, cfg),
+        )
+        built = build_dictionary(cfg_dict, 9, params, workers=1)
+        assert built.offsets[6] == -0.5 and built.offsets[10] == 0.5
+        assert built.degenerate == (6, 10)
+        assert built.delays[6].tobytes() == (-built.delays[10]).tobytes()
+        assert built.build_warnings == normal.build_warnings
+        assert [w.split(":")[0] for w in built.build_warnings] == [
+            "offset -1.000000",
+            "offset +1.000000",
+        ]
 
 
 class TestPostprocessCenter:

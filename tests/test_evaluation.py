@@ -246,6 +246,31 @@ class TestBenchAndOutputs:
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1" and first[2] == "1"
 
+    @pytest.mark.parametrize("g", [3, 8])
+    def test_csv_bytes_match_row_by_row_formatter(self, cfg_dict, rng, g):
+        # the plain per-row formatter the CSV format was defined by
+        def oracle(report, scenario):
+            yield "trial,m,subband,direction,se_bps_hz"
+            m_count = scenario.cfg.n_subcarriers
+            block = m_count // scenario.n_subbands
+            for t in range(report.n_trials):
+                dirs = [repr(float(x)) for x in report.trial_directions[t]]
+                row = report.se_per_subcarrier[t]
+                for m in range(1, m_count + 1):
+                    band = (m - 1) // block + 1
+                    yield f"{t + 1},{m},{band},{dirs[band - 1]},{float(row[m - 1])!r}"
+
+        trials = 11
+        dirs = rng.uniform(-1.0, 1.0, size=(trials, g))
+        dirs[0, 0], dirs[1, -1], dirs[2, 1] = -0.0, 1.0, 1e-300
+        se = rng.exponential(4.0, size=(trials, cfg_dict.n_subcarriers))
+        se[0, :3] = (0.0, 5e-324, 1e22)
+        report = EvalReport(se, dirs, upper_bound=7.0, synthesizer="hdb", master_seed=3)
+        scen = EvalScenario(cfg_dict, g, 10.0, 41, trials, 3)
+        new = "\n".join(report_csv_lines(report, scen)).encode("ascii")
+        assert new == "\n".join(oracle(report, scen)).encode("ascii")
+        assert ",-0.0," in new.decode("ascii").splitlines()[1]
+
     def test_summary_contents(self, small_dict, cfg_dict):
         scen = scenario_for(cfg_dict, small_dict, trials=2)
         report = monte_carlo(scen, make_hdb_synthesizer(small_dict), workers=1)
