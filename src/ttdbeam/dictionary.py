@@ -20,6 +20,13 @@ fold maps a negated delay to the negated folded one; the re-centring reads
 |gain| profiles, equal for a config toward psi and its negation toward -psi,
 and applies the linear ``hdb.scale_shift``.
 
+The fit itself has a closed form on the default delay grid, which spans one
+correlation period M/BW: each antenna's correlation with the two-subband
+target is a sum of two geometric series, so it is evaluated in Dirichlet
+form on the grid points of their two main lobes only, and its maximum is
+the grid optimum the general FFT line search of ``jpta_approx`` would find.
+Any other delay range is fitted by ``jpta_approx``.
+
 Binary layout (little-endian): 40-byte header (magic "TTDD", version,
 N, A, D, M as int32, fc and bw as float64), then D offsets as float64, then
 D rows of 2N float64 (N delays followed by N phases).  A JSON sidecar
@@ -49,7 +56,13 @@ from .core import (
     zero_config,
 )
 from .parallel import worker_count
-from .solvers import SolverParams, fold_delay_periods, jpta_approx
+from .solvers import (
+    SolverParams,
+    _spans_one_period,
+    _winning_config,
+    fold_delay_periods,
+    jpta_approx,
+)
 from .splitbeam import _steering_precoder
 
 __all__ = [
@@ -144,6 +157,63 @@ def _two_subband_target(delta: float, cfg: SystemConfig) -> np.ndarray:
     return _steering_precoder(np.repeat([0.0, delta], cfg.n_subcarriers // 2), cfg)
 
 
+def _geometric_sum(phi: np.ndarray, first: int, count: int) -> np.ndarray:
+    """sum_{m=first}^{first+count-1} exp(j*m*phi) in Dirichlet form, elementwise.
+
+    phi is first reduced to [-pi, pi]: near a whole turn sin(phi/2) would
+    otherwise be a rounding residue (about 1e-16 at 2*pi) instead of 0.
+    """
+    phi = phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
+    den = np.sin(phi / 2.0)
+    ratio = np.divide(np.sin(count * phi / 2.0), den, out=np.full(phi.shape, float(count)),
+                      where=den != 0.0)
+    return np.exp(1j * (first + (count - 1) / 2.0) * phi) * ratio
+
+
+def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> ArrayConfig:
+    """The config ``jpta_approx`` fits to :func:`_two_subband_target`, in closed form where one exists.
+
+    On a delay grid spanning one correlation period (t_k = k*M/(BW*K)),
+    antenna n's baseband correlation with the target at theta = 2*pi*k/K is
+    two geometric series,
+
+        c_n(theta) = (sum_{m=1..H} e^{j*m*theta}
+                      + e^{j*pi*n*delta*f0/fc} * sum_{m=H+1..M} e^{j*m*(theta + s_n)}) / sqrt(N),
+
+    with H = M/2, f0 = fc - BW/2 and s_n = pi*n*delta*BW/(M*fc).  Its grid
+    maximum lies in the main lobe of one series, around k = 0 or around
+    k = -s_n*K/(2*pi) (mod K); a lobe reaches 2K/M steps either side.  Only
+    those two windows are evaluated, in ascending k so that ties keep the
+    smaller delay as in ``jpta_approx``.  A grid too coarse to resolve the
+    lobes (K < 2M), or one the windows cover anyway, is evaluated whole.
+    The delays are the FFT search's except where two grid points tie
+    exactly (rational fc/BW, delta and K can place both lobe peaks on the
+    grid): rounding then picks the winner, and may pick the other optimum.
+    Any other delay range goes through ``jpta_approx``.
+    """
+    if not _spans_one_period(solver.max_delay, cfg):
+        return jpta_approx(_two_subband_target(delta, cfg), solver, cfg)
+    n_count, m_count, size = cfg.n_antennas, cfg.n_subcarriers, solver.delay_grid_size
+    half = m_count // 2
+    n = np.arange(n_count)
+    s = np.pi * n * delta * cfg.bandwidth / (m_count * cfg.carrier_freq)
+    reach = -(-2 * size // m_count) + 1
+    if size < 2 * m_count or 2 * (2 * reach + 1) >= size:
+        k = np.broadcast_to(np.arange(size), (n_count, size))
+    else:
+        steps = np.arange(-reach, reach + 1)
+        centers = np.rint(-s * size / (2.0 * np.pi)).astype(np.int64)
+        k = np.sort(np.hstack([np.broadcast_to(steps, (n_count, steps.size)),
+                               centers[:, None] + steps]) % size, axis=1)
+    theta = 2.0 * np.pi * k / size
+    jump = np.exp(1j * np.pi * n * delta * (cfg.carrier_freq - cfg.bandwidth / 2.0) / cfg.carrier_freq)
+    # the common 1/sqrt(N) moves neither the argmax nor the phase and is left out
+    c = _geometric_sum(theta, 1, half) + jump[:, None] * _geometric_sum(theta + s[:, None], half + 1, half)
+    best = np.argmax(np.abs(c), axis=1)  # first max: smaller delay wins ties
+    t_best = k[n, best] * (solver.max_delay / size)
+    return _winning_config(t_best, c[n, best], cfg)
+
+
 def _gain_profile(phi: ArrayConfig, psi: float, cfg: SystemConfig) -> np.ndarray:
     """|gain| toward one (possibly out-of-range) direction at every subcarrier."""
     return np.abs(_response(phi.delays, phi.phases, psi, subcarrier_freqs(cfg), cfg))
@@ -191,38 +261,60 @@ def _build_one(
     """
     if delta == 0.0:
         return zero_config(cfg.n_antennas), False, [], []
-    phi = fold_delay_periods(jpta_approx(_two_subband_target(delta, cfg), solver, cfg), cfg)
+    phi = fold_delay_periods(_two_subband_fit(delta, solver, cfg), cfg)
     out = postprocess_center(phi, delta, cfg)
     if out is phi:
         return phi, True, [], []
     mirror = ArrayConfig(-out.delays, -out.phases)
+    minima = _band_minima(out, delta, cfg)
     return (
         out,
         False,
-        _entry_diagnostics(-delta, mirror, cfg, direction_grid_size),
-        _entry_diagnostics(delta, out, cfg, direction_grid_size),
+        _entry_diagnostics(-delta, mirror, cfg, direction_grid_size, minima),
+        _entry_diagnostics(delta, out, cfg, direction_grid_size, minima),
+    )
+
+
+def _band_minima(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[float, float]:
+    """Smallest |gain| of each half band toward its own direction (0, then delta).
+
+    The negated config toward -delta has bitwise the same |gain| profiles,
+    so a mirrored entry reuses these.
+    """
+    half = cfg.n_subcarriers // 2
+    return (
+        float(_gain_profile(phi, 0.0, cfg)[:half].min()),
+        float(_gain_profile(phi, delta, cfg)[half:].min()),
     )
 
 
 def _entry_diagnostics(
-    dictionary_delta: float, phi: ArrayConfig, cfg: SystemConfig, direction_grid_size: int
+    dictionary_delta: float,
+    phi: ArrayConfig,
+    cfg: SystemConfig,
+    direction_grid_size: int,
+    band_minima: tuple[float, float] | None = None,
 ) -> list[str]:
-    """Fidelity checks for one non-degenerate entry: peak placement and minimum gain."""
+    """Fidelity checks for one non-degenerate entry: peak placement and minimum gain.
+
+    ``band_minima`` are the entry's :func:`_band_minima`, computed here when
+    not given.
+    """
     warnings: list[str] = []
     m_count = cfg.n_subcarriers
     half = m_count // 2
     targets = (0.0, dictionary_delta)
+    if band_minima is None:
+        band_minima = _band_minima(phi, dictionary_delta, cfg)
     floor = _GAIN_THRESHOLD * np.sqrt(cfg.n_antennas)
     grid = PsiGrid.uniform(direction_grid_size)
     step = grid.step
     centers = (half // 2, half + half // 2)  # 0-based subband-center subcarriers
     f = subcarrier_freqs(cfg)
-    for band, (target, center_m) in enumerate(zip(targets, centers), start=1):
-        band_gains = _gain_profile(phi, target, cfg)[(band - 1) * half : band * half]
-        if band_gains.min() < floor:
+    for band, (target, center_m, low) in enumerate(zip(targets, centers, band_minima), start=1):
+        if low < floor:
             warnings.append(
-                f"offset {dictionary_delta:+.6f}: subband {band} gain dips to "
-                f"{band_gains.min():.3f} (< {floor:.3f})"
+                f"offset {dictionary_delta:+.6f}: subband {band} gain dips to {low:.3f} (< {floor:.3f})"
             )
         f_m = f[center_m]
         column = _response(phi.delays, phi.phases, grid.points, f_m, cfg)
@@ -246,9 +338,12 @@ def build_dictionary(
 
     Each offset delta >= 0 gets the two-subband config fitted against the
     ideal [0, delta] target, delay-folded, then re-centered; the zero offset
-    is the zero config by construction.  Entry -delta is entry delta
-    negated: target(-delta) = conj(target(delta)) and every later step is
-    odd in (delays, phases) (see the module docstring).  The A fitted
+    is the zero config by construction.  When ``solver.max_delay`` is one
+    correlation period M/BW (the default) the fit is evaluated in closed
+    form on the two main lobes of each antenna's correlation; any other
+    range runs the ``jpta_approx`` grid search on the target.  Entry -delta
+    is entry delta negated: target(-delta) = conj(target(delta)) and every
+    later step is odd in (delays, phases) (see the module docstring).  The A fitted
     entries are independent and may build in parallel; the result is
     identical regardless of worker count.  Fidelity diagnostics for delta
     and -delta run in the workers, right after the entry is built.  Their

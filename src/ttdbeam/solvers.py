@@ -6,8 +6,10 @@ antennas and subcarriers.  That objective separates across antennas, so each
 antenna can be solved independently: for a fixed delay the optimal phase has
 a closed form, and the delay is found by search over a uniform grid.
 
-`jpta_approx` is the workhorse used to build dictionary entries; the
-exhaustive oracle exists only to validate it at desk scale.
+`jpta_approx` is the direct synthesis baseline, and the dictionary build's
+fit for delay ranges other than one correlation period (the default range
+has a closed form, see ``dictionary``); the exhaustive oracle exists only to
+validate it at desk scale.
 """
 
 from __future__ import annotations
@@ -104,6 +106,21 @@ def objective(phi: ArrayConfig, v_target: np.ndarray, cfg: SystemConfig) -> floa
     return float(np.sum(d.real**2 + d.imag**2))
 
 
+def _spans_one_period(max_delay: float, cfg: SystemConfig) -> bool:
+    """Whether a delay grid over [0, max_delay) spans exactly one correlation period, M/BW."""
+    return abs(max_delay * cfg.bandwidth / cfg.n_subcarriers - 1.0) < 1e-12
+
+
+def _winning_config(t_best: np.ndarray, best: np.ndarray, cfg: SystemConfig) -> ArrayConfig:
+    """Config from each antenna's winning delay and baseband correlation there.
+
+    The phase is the argument of the correlation once the carrier factor
+    exp(j*2*pi*(fc - BW/2)*t) is put back.
+    """
+    best = best * np.exp(1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_best)
+    return ArrayConfig(t_best, np.angle(best))
+
+
 def _correlation_scores(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndarray,
                         max_delay: float) -> np.ndarray:
     """Baseband correlation c[n, k] = sum_m v_target[n, m] * exp(j*2*pi*(f_m - f0)*t_k).
@@ -118,8 +135,7 @@ def _correlation_scores(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndar
     """
     size = t_grid.size
     m_count = cfg.n_subcarriers
-    ratio = max_delay * cfg.bandwidth / m_count
-    if abs(ratio - 1.0) < 1e-12:
+    if _spans_one_period(max_delay, cfg):
         # exponent 2*pi*m*BW*t_k/M == 2*pi*m*k/size: fold m onto m mod size
         scores = np.zeros((v_target.shape[0], size), dtype=np.complex128)
         np.add.at(scores, (slice(None), np.arange(1, m_count + 1) % size), v_target)
@@ -158,10 +174,7 @@ def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -
     t_grid = delay_grid(params.max_delay, params.delay_grid_size)
     scores = _correlation_scores(v_target, cfg, t_grid, params.max_delay)
     best_k = np.argmax(np.abs(scores), axis=1)  # first max: smaller delay wins ties
-    t_best = t_grid[best_k]
-    best = scores[np.arange(cfg.n_antennas), best_k]
-    best *= np.exp(1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_best)
-    return ArrayConfig(t_best, np.angle(best))
+    return _winning_config(t_grid[best_k], scores[np.arange(cfg.n_antennas), best_k], cfg)
 
 
 def fold_delay_periods(phi: ArrayConfig, cfg: SystemConfig) -> ArrayConfig:

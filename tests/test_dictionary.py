@@ -5,18 +5,20 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ttdbeam import dictionary as dictionary_module
-from ttdbeam.core import SystemConfig, zero_config
+from ttdbeam.core import ArrayConfig, SystemConfig, zero_config
 from ttdbeam.dictionary import (
     DictionaryFormatError,
     GeneratorDictionary,
+    _band_minima,
     _build_one,
     _entry_diagnostics,
     _gain_profile,
+    _two_subband_fit,
     _two_subband_target,
     build_dictionary,
     load,
@@ -25,7 +27,14 @@ from ttdbeam.dictionary import (
     save,
 )
 from ttdbeam.hdb import scale_shift
-from ttdbeam.solvers import SolverParams, default_max_delay, fold_delay_periods, jpta_approx
+from ttdbeam.solvers import (
+    SolverParams,
+    _correlation_scores,
+    default_max_delay,
+    delay_grid,
+    fold_delay_periods,
+    jpta_approx,
+)
 
 
 class TestOffsetGrid:
@@ -150,6 +159,111 @@ class TestMirror:
             "offset -1.000000",
             "offset +1.000000",
         ]
+
+    @pytest.mark.parametrize("delta", [0.05, 0.5, 1.0, 1.9])
+    def test_reused_minima_give_fresh_mirror_diagnostics(self, small_dict, cfg_dict, delta):
+        # small_dict warns at +-1.0 (peak) and +-1.9 (gain dip), not at 0.05 or 0.5
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=65536)
+        a = small_dict.direction_grid_size
+        out, degenerate, mirror_warnings, _ = _build_one(delta, cfg_dict, params, a)
+        mirror = ArrayConfig(-out.delays, -out.phases)
+        assert not degenerate
+        assert _band_minima(mirror, -delta, cfg_dict) == _band_minima(out, delta, cfg_dict)
+        assert mirror_warnings == _entry_diagnostics(-delta, mirror, cfg_dict, a)
+        expected = {1.0: ["offset -1.000000: subband 2 peak at"],
+                    1.9: ["offset -1.900000: subband 1 gain dips to"]}.get(delta, [])
+        assert [w[: len(e)] for w, e in zip(mirror_warnings, expected)] == expected
+        assert len(mirror_warnings) == len(expected)
+
+
+def _differs_from_line_search(delta, params, cfg):
+    """Antennas where the closed-form fit and ``jpta_approx`` of the target pick different delays.
+
+    Every other antenna's phase agrees within 1e-9 rad.  A differing antenna
+    must be an exact tie broken by rounding: the line search's correlation
+    has the same magnitude, within 1e-12, at both delays.
+    """
+    v = _two_subband_target(delta, cfg)
+    ref = jpta_approx(v, params, cfg)
+    got = _two_subband_fit(delta, params, cfg)
+    differs = got.delays != ref.delays
+    assert np.max(_wrapped(got.phases - ref.phases)[~differs], initial=0.0) <= 1e-9
+    if differs.any():
+        t_grid = delay_grid(params.max_delay, params.delay_grid_size)
+        scores = np.abs(_correlation_scores(v, cfg, t_grid, params.max_delay))[differs]
+        k = np.searchsorted(t_grid, got.delays[differs])
+        assert t_grid[k].tobytes() == got.delays[differs].tobytes()
+        np.testing.assert_allclose(scores[np.arange(k.size), k], scores.max(axis=1), rtol=1e-12)
+    return differs
+
+
+class TestClosedFormFit:
+    @given(
+        n=st.integers(min_value=1, max_value=16),
+        half=st.integers(min_value=2, max_value=160),
+        log_k=st.integers(min_value=4, max_value=13),
+        ratio=st.floats(min_value=1.05, max_value=40.0, exclude_min=True, exclude_max=True),
+        a=st.integers(min_value=2, max_value=60),
+        j=st.integers(min_value=0, max_value=59),
+    )
+    # M = 16, K = 32, fc = 1.5*BW/2, delta = 1.5: antenna 10's correlation has equal
+    # magnitude at k = 0 and k = 12, and rounding decides which delay wins
+    @example(n=16, half=8, log_k=5, ratio=1.5, a=5, j=3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_line_search(self, n, half, log_k, ratio, a, j):
+        # only fc/BW enters the fit: BW fixes the time scale alone
+        cfg = SystemConfig(n, 2 * half, ratio * 0.5e9, 1e9)
+        delta = float(offset_grid(a)[a - 1 + j % a])  # an offset >= 0
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=2**log_k)
+        _differs_from_line_search(delta, params, cfg)
+
+    def test_coarse_grid_evaluated_whole(self, cfg_dict):
+        # K = 64 < 2M: the grid cannot resolve the main lobes
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=64)
+        for delta in offset_grid(41)[40:]:
+            assert not _differs_from_line_search(float(delta), params, cfg_dict).any()
+
+    def test_whole_turn_reduced(self, cfg_dict):
+        # antenna 15 has theta + s_n one rounding step off 2*pi here
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=1024)
+        assert not _differs_from_line_search(7.0 / 6.0, params, cfg_dict).any()
+
+    def test_full_scale_offsets(self):
+        cfg = SystemConfig(16, 1200, 28e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=65536)
+        for delta in offset_grid(499)[498::25]:
+            assert not _differs_from_line_search(float(delta), params, cfg).any()
+
+    def test_ties_keep_the_smaller_delay(self, cfg_dict, monkeypatch):
+        # flat series: every candidate of an antenna ties, including those left of k = 0 (mod K)
+        monkeypatch.setattr(dictionary_module, "_geometric_sum", lambda phi, first, count: np.ones(phi.shape))
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=65536)
+        assert _two_subband_fit(0.5, params, cfg_dict).delays.tobytes() == np.zeros(16).tobytes()
+
+    def test_default_range_skips_the_line_search(self, cfg_dict, monkeypatch):
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
+        monkeypatch.setattr(dictionary_module, "jpta_approx", None)
+        assert build_dictionary(cfg_dict, 5, params, workers=1).n_entries == 9
+
+    @pytest.mark.parametrize("periods", [0.5, 1.5])
+    def test_other_delay_ranges_keep_the_line_search(self, cfg_dict, monkeypatch, periods):
+        params = SolverParams(max_delay=periods * default_max_delay(cfg_dict), delay_grid_size=4096)
+        real = dictionary_module.jpta_approx
+        calls = []
+
+        def counted(v, solver, cfg):
+            calls.append(solver)
+            return real(v, solver, cfg)
+
+        monkeypatch.setattr(dictionary_module, "jpta_approx", counted)
+        built = build_dictionary(cfg_dict, 5, params, workers=1)
+        assert calls == [params] * 4  # offsets 0.5, 1.0, 1.5, 2.0
+        for i in range(5, 9):
+            delta = float(built.offsets[i])
+            fit = fold_delay_periods(real(_two_subband_target(delta, cfg_dict), params, cfg_dict), cfg_dict)
+            row = postprocess_center(fit, delta, cfg_dict)
+            assert built.delays[i].tobytes() == row.delays.tobytes()
+            assert built.phases[i].tobytes() == row.phases.tobytes()
 
 
 class TestPostprocessCenter:
