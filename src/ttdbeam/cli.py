@@ -25,7 +25,7 @@ from .evaluation import (
     runtime_bench,
     summary_dict,
 )
-from .hdb import DictionaryCompatibilityError, make_hdb_synthesizer, synthesize
+from .hdb import DictionaryCompatibilityError, generator_set, make_hdb_synthesizer, synthesize
 from .solvers import (
     SolverParams,
     default_max_delay,
@@ -100,6 +100,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    deltas = generator_set(dmap).tolist()
+    print(f"generator 1: offset {deltas[0]:+.6f}, closed form (exact)")
+    for g, delta in enumerate(deltas[1:], start=2):
+        snapped = float(built.offsets[built.index(delta)])
+        print(f"generator {g}: offset {delta:+.6f} snapped to {snapped:+.6f}, "
+              f"error {abs(snapped - delta):.3g}")
     gains = np.abs(gain_at_directions(phi, expand_directions(dmap, cfg), cfg))
     block = cfg.n_subcarriers // dmap.n_subbands
     peak = np.sqrt(cfg.n_antennas)

@@ -120,12 +120,24 @@ class GeneratorDictionary:
     def config(self, index: int) -> ArrayConfig:
         return ArrayConfig(self.delays[index], self.phases[index])
 
-    def lookup(self, delta: float) -> ArrayConfig:
-        """Nearest-neighbor entry for a direction offset; ties take the smaller offset."""
+    def index(self, delta: float) -> int:
+        """Row of the nearest offset to delta; ties take the smaller offset.
+
+        Bitwise ``argmin(abs(offsets - delta))`` in O(1): the grid formula
+        offsets[i] = 2(i - (A-1))/(A-1) names the candidate row, and the
+        first minimum of abs(offsets[j] - delta) over its neighbours decides.
+        """
         if not -2.0 <= delta <= 2.0:
             raise ValueError(f"offset must lie in [-2, 2], got {delta}")
-        idx = int(np.argmin(np.abs(self.offsets - delta)))
-        return self.config(idx)
+        denom = self.direction_grid_size - 1
+        guess = min(max(round(delta * denom / 2.0) + denom, 1), 2 * denom - 1)
+        below, at, above = self.offsets[guess - 1 : guess + 2].tolist()
+        errors = (abs(below - delta), abs(at - delta), abs(above - delta))
+        return guess - 1 + errors.index(min(errors))
+
+    def lookup(self, delta: float) -> ArrayConfig:
+        """Nearest-neighbor entry for a direction offset; ties take the smaller offset."""
+        return self.config(self.index(delta))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorDictionary):

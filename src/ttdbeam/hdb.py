@@ -7,6 +7,13 @@ direction (closed form) plus G-1 two-subband offsets read from a precomputed
 dictionary, each rescaled onto its own sub-band of the system bandwidth.
 The target's config is just the sum of the generator configs.
 
+:func:`synthesize` composes that sum on raw arrays: per generator one
+dictionary lookup and a few length-N array operations, with one
+:class:`ArrayConfig` built at the end of the call.  The closed-form delays and
+the band rescaling come from the same helpers as
+:func:`~ttdbeam.solvers.constant_direction_config` and :func:`scale_shift`, so
+the result is bitwise the sum of those configs under ``ArrayConfig.__add__``.
+
 Two offset conventions coexist here.  :func:`decompose` reports offsets
 wrapped into the visible direction range, which is the natural invariant
 form (running sum congruent to the target mod 2, every offset within
@@ -24,7 +31,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import ArrayConfig, SystemConfig, wrap_sine
-from .solvers import SynthesisFn, constant_direction_config
+# constant_direction_config is no longer called here but stays importable as
+# hdb.constant_direction_config, the path perfbench/tracer.py wraps
+from .solvers import SynthesisFn, constant_direction_config, constant_direction_delays  # noqa: F401
 from .splitbeam import DirectionMap
 
 if TYPE_CHECKING:
@@ -93,6 +102,20 @@ def generator_bands(g: int, n_subbands: int, cfg: SystemConfig) -> tuple[float, 
     return fc_g, bw_g
 
 
+def _rescale(
+    delays: np.ndarray, phases: np.ndarray, fc_new: float, bw_new: float, cfg: SystemConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """New (delays, phases) arrays of :func:`scale_shift`."""
+    if not bw_new > 0.0:
+        raise ValueError(f"new bandwidth must be positive, got {bw_new}")
+    alpha = bw_new / cfg.bandwidth
+    return delays / alpha, (
+        phases
+        - 2.0 * np.pi * cfg.carrier_freq * delays
+        + (2.0 * np.pi * fc_new / alpha) * delays
+    )
+
+
 def scale_shift(phi: ArrayConfig, fc_new: float, bw_new: float, cfg: SystemConfig) -> ArrayConfig:
     """Remap a config onto a band of width bw_new centered at fc_new.
 
@@ -100,25 +123,19 @@ def scale_shift(phi: ArrayConfig, fc_new: float, bw_new: float, cfg: SystemConfi
     the input responded at the original band's subcarrier k: delays shrink by
     the bandwidth ratio and phases absorb the carrier shift.
     """
-    if not bw_new > 0.0:
-        raise ValueError(f"new bandwidth must be positive, got {bw_new}")
-    alpha = bw_new / cfg.bandwidth
-    delays = phi.delays / alpha
-    phases = (
-        phi.phases
-        - 2.0 * np.pi * cfg.carrier_freq * phi.delays
-        + (2.0 * np.pi * fc_new / alpha) * phi.delays
-    )
-    return ArrayConfig(delays, phases)
+    return ArrayConfig(*_rescale(phi.delays, phi.phases, fc_new, bw_new, cfg))
 
 
 def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: SystemConfig) -> ArrayConfig:
     """Config for a split target: sum of its generator configs.
 
     Uses the raw direction differences, whose running sum reproduces the
-    target exactly at every subcarrier (see the module docstring).  One
-    dictionary read and one length-N linear pass per generator, O(N*G)
-    total.  Requires a dictionary built for the same (N, M, fc, BW).
+    target exactly at every subcarrier (see the module docstring).  Per
+    generator one O(1) ``dictionary.lookup`` and a few length-N array
+    operations, summed left to right into two length-N vectors; one
+    ``ArrayConfig`` per call, O(N*G) total.  Bitwise equal to
+    ``constant_direction_config(d_1) + sum(scale_shift(lookup(d_g), *generator_bands(g)))``.
+    Requires a dictionary built for the same (N, M, fc, BW).
     """
     if dictionary.meta != cfg:
         raise DictionaryCompatibilityError(
@@ -130,10 +147,14 @@ def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: Syste
     bands = [generator_bands(g, g_count, cfg) for g in range(2, g_count + 1)]
     if len({fc_g for fc_g, _ in bands}) != len(bands):
         raise AssertionError("generator subband boundaries must not coincide")
-    total = constant_direction_config(float(deltas[0]), cfg)
-    for delta, (fc_g, bw_g) in zip(deltas[1:], bands):
-        total = total + scale_shift(dictionary.lookup(float(delta)), fc_g, bw_g, cfg)
-    return total
+    delays = constant_direction_delays(float(deltas[0]), cfg)
+    phases = np.zeros(cfg.n_antennas)
+    for delta, (fc_g, bw_g) in zip(deltas[1:].tolist(), bands):
+        entry = dictionary.lookup(delta)
+        entry_delays, entry_phases = _rescale(entry.delays, entry.phases, fc_g, bw_g, cfg)
+        delays += entry_delays
+        phases += entry_phases
+    return ArrayConfig(delays, phases)
 
 
 def make_hdb_synthesizer(dictionary: "GeneratorDictionary") -> SynthesisFn:

@@ -26,6 +26,7 @@ __all__ = [
     "SolverParams",
     "default_max_delay",
     "delay_grid",
+    "constant_direction_delays",
     "constant_direction_config",
     "objective",
     "jpta_approx",
@@ -81,6 +82,14 @@ def delay_grid(max_delay: float, size: int) -> np.ndarray:
     return np.arange(size, dtype=np.float64) * (max_delay / size)
 
 
+def constant_direction_delays(delta: float, cfg: SystemConfig) -> np.ndarray:
+    """Delays ``t_n = -delta*n/(2*fc)`` of :func:`constant_direction_config`, as a new array."""
+    if not -1.0 <= delta <= 1.0:
+        raise ValueError(f"direction must lie in [-1, 1], got {delta}")
+    n = np.arange(cfg.n_antennas, dtype=np.float64)
+    return -delta * n / (2.0 * cfg.carrier_freq)
+
+
 def constant_direction_config(delta: float, cfg: SystemConfig) -> ArrayConfig:
     """Closed-form config steering every subcarrier at direction delta.
 
@@ -90,10 +99,7 @@ def constant_direction_config(delta: float, cfg: SystemConfig) -> ArrayConfig:
     Accepts the closed interval [-1, 1]: -1 and +1 are distinct configs
     (their patterns coincide only at the carrier).
     """
-    if not -1.0 <= delta <= 1.0:
-        raise ValueError(f"direction must lie in [-1, 1], got {delta}")
-    n = np.arange(cfg.n_antennas, dtype=np.float64)
-    return ArrayConfig(-delta * n / (2.0 * cfg.carrier_freq), np.zeros(cfg.n_antennas))
+    return ArrayConfig(constant_direction_delays(delta, cfg), np.zeros(cfg.n_antennas))
 
 
 def objective(phi: ArrayConfig, v_target: np.ndarray, cfg: SystemConfig) -> float:

@@ -71,6 +71,17 @@ class TestSynth:
         captured = capsys.readouterr()
         assert "subband 1" in captured.out
 
+    @pytest.mark.parametrize("dirs, error", [("0,-0.6", 0.1), ("0,-0.5", 0.0)])
+    def test_reports_snap_error(self, built_dict, tmp_path, capsys, dirs, error):
+        # the A = 9 dictionary's offsets are multiples of 0.25: -0.6 snaps to -0.5
+        assert main(["synth", "--dict", str(built_dict), "--dirs", dirs, "--out", str(tmp_path / "c.json")]) == 0
+        out = capsys.readouterr().out
+        assert "generator 1: offset +0.000000, closed form (exact)" in out
+        line = next(ln for ln in out.splitlines() if ln.startswith("generator 2:"))
+        assert "snapped to -0.500000" in line
+        printed = float(line.rsplit("error ", 1)[1])
+        assert printed == pytest.approx(error, abs=1e-12) and (printed == 0.0) == (error == 0.0)
+
     def test_broadside_is_closed_form(self, built_dict, tmp_path):
         out = tmp_path / "cfg0.json"
         assert main(["synth", "--dict", str(built_dict), "--dirs", "0", "--out", str(out)]) == 0

@@ -77,9 +77,13 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             z.delays[0] = 1.0
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            ArrayConfig(np.array([np.nan]), np.array([0.0]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["delays", "phases"])
+    def test_nonfinite_rejected(self, bad, field):
+        vectors = {"delays": np.zeros(5), "phases": np.zeros(5)}
+        vectors[field][3] = bad
+        with pytest.raises(ValueError, match="delays and phases must be finite"):
+            ArrayConfig(**vectors)
 
 
 class TestPrecoder:

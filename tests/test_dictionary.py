@@ -110,6 +110,23 @@ class TestMirror:
             assert rows[:zero].tobytes() == (-rows[:zero:-1]).tobytes()
             assert rows[zero].tobytes() == np.zeros(16).tobytes()
 
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(2, 12).map(lambda h: 2 * h),
+        a=st.integers(2, 9),
+        fc_over_bw=st.sampled_from([0.75, 1.5, 28.0 / 3.0, 25.0]),
+        grid=st.integers(2, 1024),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_negate_bitwise_property(self, n, m, a, fc_over_bw, grid):
+        cfg = SystemConfig(n, m, fc_over_bw * 3e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=grid)
+        d = build_dictionary(cfg, a, params, workers=1)
+        zero = a - 1
+        for rows in (d.delays, d.phases):
+            assert rows[:zero].tobytes() == (-rows[:zero:-1]).tobytes()
+            assert rows[zero].tobytes() == np.zeros(n).tobytes()
+
     def test_nonnegative_rows_are_build_one_configs(self, built, cfg_dict):
         d, params = built
         a = d.direction_grid_size
@@ -332,6 +349,34 @@ class TestLookup:
     def test_range_validation(self, small_dict):
         with pytest.raises(ValueError):
             small_dict.lookup(2.5)
+
+    @pytest.mark.parametrize("a", [2, 3, 5, 41, 61, 499])
+    def test_index_is_the_argmin(self, a):
+        # row i holds i, so a served row names its index
+        d = 2 * a - 1
+        rows = np.arange(d, dtype=float)[:, None]
+        table = GeneratorDictionary(offset_grid(a), rows, np.zeros((d, 1)), SystemConfig(1, 4, 28e9, 3e9), a)
+        offsets = table.offsets
+        mids = (offsets[:-1] + offsets[1:]) / 2.0
+        probes = np.concatenate([
+            offsets,
+            mids,
+            np.nextafter(mids, -np.inf),
+            np.nextafter(mids, np.inf),
+            [-2.0, 2.0],
+            np.random.default_rng(a).uniform(-2.0, 2.0, 2000),
+        ])
+        for delta in probes.tolist():
+            expected = int(np.argmin(np.abs(offsets - delta)))
+            assert table.index(delta) == expected, delta
+            assert table.lookup(delta).delays.tobytes() == rows[expected].tobytes()
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 2.0000001, -2.5])
+    def test_index_rejects_out_of_range(self, small_dict, delta):
+        with pytest.raises(ValueError, match=r"offset must lie in \[-2, 2\]"):
+            small_dict.index(delta)
+        with pytest.raises(ValueError, match=r"offset must lie in \[-2, 2\]"):
+            small_dict.lookup(delta)
 
 
 class TestPersistence:

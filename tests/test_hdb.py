@@ -216,6 +216,29 @@ class TestSynthesize:
                 hits += ok
         assert hits >= 0.95 * trials * 3
 
+    @pytest.mark.parametrize("a", [5, 61])
+    def test_bitwise_the_config_sum(self, a):
+        # oracle: the composition on ArrayConfig objects, summed with ArrayConfig.__add__
+        cfg = SystemConfig(16, 840, 28e9, 3e9)  # 840 subcarriers split into any G <= 8
+        rng = np.random.default_rng(a)
+        d = 2 * a - 1
+        table = GeneratorDictionary(
+            offset_grid(a), rng.normal(0.0, 3e-10, (d, 16)), rng.uniform(-7.0, 7.0, (d, 16)), cfg, a
+        )
+        grid = direction_grid(a)
+        for i in range(1000):
+            g_count = int(rng.integers(1, 9))
+            dirs = grid[rng.integers(0, a, g_count)] if i % 2 else rng.uniform(-1.0, 1.0, g_count)
+            dmap = DirectionMap(dirs)
+            deltas = generator_set(dmap)
+            oracle = constant_direction_config(float(deltas[0]), cfg)
+            for g in range(2, g_count + 1):
+                entry = table.lookup(float(deltas[g - 1]))
+                oracle = oracle + scale_shift(entry, *generator_bands(g, g_count, cfg), cfg)
+            phi = synthesize(dmap, table, cfg)
+            assert phi.delays.tobytes() == oracle.delays.tobytes()
+            assert phi.phases.tobytes() == oracle.phases.tobytes()
+
     def test_hdb_synthesizer_wrapper(self, small_dict, cfg_dict):
         fn = make_hdb_synthesizer(small_dict)
         dmap = DirectionMap(np.array([0.1, -0.2]))

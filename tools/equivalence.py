@@ -10,6 +10,8 @@ same bytes diffs this output against the parent commit's.
 The dictionaries are built through the API so that their ``build_warnings``
 and ``degenerate`` lists can be hashed too (the CLI prints only their
 counts); ``ttdbeam dict-build`` runs as well at A=61 to cover the CLI path.
+After each scale's CLI runs, one more line hashes the delays and phases bytes
+of ``hdb.synthesize`` over a seeded stream of targets on that dictionary.
 All work happens in a temporary directory that is removed on exit.
 """
 
@@ -26,10 +28,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+import numpy as np  # noqa: E402
+
 from ttdbeam import cli  # noqa: E402
-from ttdbeam.core import SystemConfig  # noqa: E402
+from ttdbeam.core import SystemConfig, direction_grid  # noqa: E402
 from ttdbeam.dictionary import build_dictionary, save  # noqa: E402
+from ttdbeam.hdb import synthesize  # noqa: E402
 from ttdbeam.solvers import SolverParams, default_max_delay  # noqa: E402
+from ttdbeam.splitbeam import DirectionMap  # noqa: E402
 
 SYSTEM = SystemConfig(n_antennas=16, n_subcarriers=1200, carrier_freq=28e9, bandwidth=3e9)
 SYSTEM_FLAGS = ["--n", "16", "--fc", "28e9", "--bw", "3e9", "--m", "1200"]
@@ -61,6 +67,27 @@ RUNS = (
           "--seed", "5", "--out-prefix", "{out}"], (".csv", ".summary.json")),
     ]),
 )
+
+
+# dictionary grid size -> (targets, user counts drawn from, on the A-point grid?, seed)
+STREAMS = {
+    61: (2000, (1, 2, 3, 4, 5, 6, 8), False, 61),
+    499: (1000, (3,), True, 499),
+}
+
+
+def _synth_stream_sha256(built, count: int, user_counts: tuple, on_grid: bool, seed: int) -> str:
+    """sha256 of delays then phases bytes of every synthesized config of a seeded target stream."""
+    rng = np.random.default_rng(seed)
+    grid = direction_grid(built.direction_grid_size)
+    digest = hashlib.sha256()
+    for _ in range(count):
+        g = int(rng.choice(user_counts))
+        dirs = grid[rng.integers(0, grid.size, g)] if on_grid else rng.uniform(-1.0, 1.0, g)
+        phi = synthesize(DirectionMap(dirs), built, SYSTEM)
+        digest.update(phi.delays.tobytes())
+        digest.update(phi.phases.tobytes())
+    return digest.hexdigest()
 
 
 def _sha256(path: Path) -> str:
@@ -99,6 +126,10 @@ def main() -> None:
                 for suffix in suffixes:
                     print(f"{_sha256(Path(f'{out}{suffix}'))}  {scale} {label} {suffix}")
                 prev = out
+            count, user_counts, on_grid, seed = STREAMS[grid]
+            kind = "on-grid" if on_grid else "off-grid"
+            print(f"{_synth_stream_sha256(built, count, user_counts, on_grid, seed)}  {scale} "
+                  f"hdb.synthesize {count} {kind} targets, G in {set(user_counts)}, seed {seed}")
             sys.stdout.flush()
 
 
