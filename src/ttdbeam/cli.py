@@ -1,7 +1,8 @@
 """Command-line interface: dictionary builds, synthesis, evaluation, benchmarks, plots.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 incompatible data,
-5 unparseable input.  TTDBEAM_THREADS caps worker counts (0 = auto).
+5 unparseable input.  TTDBEAM_THREADS caps the dictionary build's worker
+count (0 = auto); evaluation runs its trials on the calling thread.
 """
 
 from __future__ import annotations
@@ -126,10 +127,14 @@ def _jpta_synthesizer(args: argparse.Namespace, built):
 def _cmd_eval(args: argparse.Namespace) -> int:
     built = dict_io.load(args.dict)
     synth = make_hdb_synthesizer(built) if args.synth == "hdb" else _jpta_synthesizer(args, built)
+    try:
+        snr_linear = 10.0 ** (args.snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"--snr-db {args.snr_db} overflows the linear SNR") from None
     scenario = EvalScenario(
         cfg=built.meta,
         n_subbands=args.ues,
-        snr_linear=10.0 ** (args.snr_db / 10.0),
+        snr_linear=snr_linear,
         direction_grid_size=built.direction_grid_size,
         n_trials=args.trials,
         master_seed=args.seed,

@@ -174,19 +174,28 @@ class Beampattern:
             )
 
 
+def _weights(delays: np.ndarray, phases, f: np.ndarray) -> np.ndarray:
+    """Unnormalized weights exp(j*(phases_n - 2*pi*f*t_n)), antennas by frequencies; phases may be a scalar."""
+    return np.exp(1j * (np.reshape(phases, (-1, 1)) - 2.0 * np.pi * np.outer(delays, f)))
+
+
 def precoder_matrix(phi: ArrayConfig, cfg: SystemConfig) -> np.ndarray:
     """N x M per-subcarrier beamforming weights realized by the hardware.
 
     Entry (n, m) is ``exp(j*(-2*pi*f_m*t_n + phi_n)) / sqrt(N)``; every entry
-    has magnitude 1/sqrt(N).
+    has magnitude 1/sqrt(N).  With Q the largest divisor of M up to sqrt(M)
+    and m = 1 + Q*p + q, f_m = f_{1+Q*p} + q*BW/M: the weights are P coarse
+    times Q fine columns per antenna, N*(P+Q) exponentials instead of N*M.
     """
     if phi.n_antennas != cfg.n_antennas:
         raise ValueError(
             f"config has {phi.n_antennas} antennas, system expects {cfg.n_antennas}"
         )
-    f = subcarrier_freqs(cfg)
-    phase = -2.0 * np.pi * np.outer(phi.delays, f) + phi.phases[:, None]
-    return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
+    n_count, m_count = cfg.n_antennas, cfg.n_subcarriers
+    q = max(d for d in range(1, math.isqrt(m_count) + 1) if m_count % d == 0)
+    coarse = _weights(phi.delays, phi.phases, subcarrier_freqs(cfg)[::q])
+    fine = _weights(phi.delays, 0.0, np.arange(q) * (cfg.bandwidth / m_count)) / np.sqrt(n_count)
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(n_count, m_count)
 
 
 def beampattern_of_precoder(v: np.ndarray, cfg: SystemConfig, grid: PsiGrid) -> Beampattern:
@@ -200,16 +209,19 @@ def beampattern_of_precoder(v: np.ndarray, cfg: SystemConfig, grid: PsiGrid) -> 
             f"precoder shape {v.shape} does not match (N, M)="
             f"({cfg.n_antennas}, {cfg.n_subcarriers})"
         )
-    return Beampattern(_pattern(v, grid.points, subcarrier_freqs(cfg), cfg.carrier_freq), grid)
+    return Beampattern(_pattern(v, grid.points[:, None], subcarrier_freqs(cfg), cfg.carrier_freq), grid)
 
 
-def _pattern(v: np.ndarray, psi: np.ndarray, f: np.ndarray, fc: float) -> np.ndarray:
-    """(psi, column) array response of precoder columns ``v`` at frequencies ``f``.
+def _pattern(v: np.ndarray, psi, f, fc: float) -> np.ndarray:
+    """Array response sum_n v[n] * exp(-j*n*pi*psi*f/fc) of precoder columns ``v``.
 
-    Horner evaluation in z = exp(-j*pi*psi*f/fc): avoids the (grid, N, M) cube.
+    ``psi`` broadcasts against ``f``: ``psi[:, None]`` gives a (psi, column)
+    grid.  Horner evaluation in z = exp(-j*pi*psi*f/fc), elementwise and in
+    a fixed order, so results do not depend on BLAS threading.  No range
+    checks: directions outside [-1, 1] are evaluated as their aliases.
     """
-    z = np.exp(-1j * np.pi * np.outer(psi, f / fc))
-    acc = np.broadcast_to(v[-1], z.shape).copy()
+    z = np.exp(-1j * np.pi * (psi * (f / fc)))
+    acc = np.broadcast_to(v[-1], z.shape).astype(np.complex128)
     for n in range(v.shape[0] - 2, -1, -1):
         acc *= z
         acc += v[n]
@@ -232,24 +244,6 @@ def compose(phi1: ArrayConfig, phi2: ArrayConfig, cfg: SystemConfig, grid: PsiGr
     return beampattern_of_config(phi1 + phi2, cfg, grid)
 
 
-def _response(delays: np.ndarray, phases: np.ndarray, psi, f, cfg: SystemConfig) -> np.ndarray:
-    """Response sum_n exp(j*(-2*pi*f*t_n + phi_n - n*pi*psi*f/fc)) / sqrt(N).
-
-    ``psi`` broadcasts against ``f`` (both at most 1-D).  No range checks:
-    directions outside [-1, 1] are evaluated as their aliases.  Uses only
-    elementwise ops and a fixed-order sum, so results do not depend on BLAS
-    threading.
-    """
-    psi, f = np.broadcast_arrays(np.asarray(psi, dtype=np.float64), np.asarray(f, dtype=np.float64))
-    n = np.arange(delays.shape[0])
-    phase = (
-        -2.0 * np.pi * np.outer(delays, f)
-        + phases[:, None]
-        - np.pi * np.outer(n, psi * f / cfg.carrier_freq)
-    )
-    return np.exp(1j * phase).sum(axis=0) / np.sqrt(cfg.n_antennas)
-
-
 def gain_at(phi: ArrayConfig, psi: float, m: int, cfg: SystemConfig) -> complex:
     """Pattern value at a single (psi, m) point in O(N) time.
 
@@ -261,7 +255,9 @@ def gain_at(phi: ArrayConfig, psi: float, m: int, cfg: SystemConfig) -> complex:
         raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
     if phi.n_antennas != cfg.n_antennas:
         raise ValueError("config/system antenna count mismatch")
-    return complex(_response(phi.delays, phi.phases, psi, subcarrier_freqs(cfg)[m - 1 : m], cfg)[0])
+    f = subcarrier_freqs(cfg)[m - 1 : m]
+    v = _weights(phi.delays, phi.phases, f) / np.sqrt(cfg.n_antennas)
+    return complex(_pattern(v, psi, f, cfg.carrier_freq)[0])
 
 
 def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -275,7 +271,7 @@ def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: Sy
         raise ValueError(f"need one direction per subcarrier, got shape {psi.shape}")
     if not (np.abs(psi) <= 1.0).all():
         raise ValueError("directions must lie in [-1, 1]")
-    return _response(phi.delays, phi.phases, psi, subcarrier_freqs(cfg), cfg)
+    return _pattern(precoder_matrix(phi, cfg), psi, subcarrier_freqs(cfg), cfg.carrier_freq)
 
 
 def argmax_directions(pattern: Beampattern) -> np.ndarray:

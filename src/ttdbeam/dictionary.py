@@ -48,10 +48,12 @@ import numpy as np
 from . import hdb
 from .core import (
     ArrayConfig,
-    PsiGrid,
     SystemConfig,
+    _pattern,
     _readonly,
-    _response,
+    _weights,
+    direction_grid,
+    precoder_matrix,
     subcarrier_freqs,
     zero_config,
 )
@@ -226,9 +228,12 @@ def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> A
     return _winning_config(t_best, c[n, best], cfg)
 
 
-def _gain_profile(phi: ArrayConfig, psi: float, cfg: SystemConfig) -> np.ndarray:
-    """|gain| toward one (possibly out-of-range) direction at every subcarrier."""
-    return np.abs(_response(phi.delays, phi.phases, psi, subcarrier_freqs(cfg), cfg))
+def _gain_profile(phi: ArrayConfig, psi, cfg: SystemConfig) -> np.ndarray:
+    """|gain| toward a (possibly out-of-range) direction at every subcarrier.
+
+    ``psi`` is one direction, or a column of them for one profile per row.
+    """
+    return np.abs(_pattern(precoder_matrix(phi, cfg), psi, subcarrier_freqs(cfg), cfg.carrier_freq))
 
 
 def _center_params(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[float, float] | None:
@@ -238,8 +243,7 @@ def _center_params(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[f
     subcarrier.
     """
     m_count = cfg.n_subcarriers
-    m1 = int(np.argmax(_gain_profile(phi, 0.0, cfg)))
-    m2 = int(np.argmax(_gain_profile(phi, delta, cfg)))
+    m1, m2 = np.argmax(_gain_profile(phi, np.array([[0.0], [delta]]), cfg), axis=1).tolist()
     if m1 == m2:
         return None
     alpha = m_count / (2.0 * abs(m2 - m1))
@@ -294,10 +298,8 @@ def _band_minima(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[flo
     so a mirrored entry reuses these.
     """
     half = cfg.n_subcarriers // 2
-    return (
-        float(_gain_profile(phi, 0.0, cfg)[:half].min()),
-        float(_gain_profile(phi, delta, cfg)[half:].min()),
-    )
+    low, high = _gain_profile(phi, np.array([[0.0], [delta]]), cfg)
+    return float(low[:half].min()), float(high[half:].min())
 
 
 def _entry_diagnostics(
@@ -310,27 +312,24 @@ def _entry_diagnostics(
     """Fidelity checks for one non-degenerate entry: peak placement and minimum gain.
 
     ``band_minima`` are the entry's :func:`_band_minima`, computed here when
-    not given.
+    not given.  Peaks are read at each subband's centre subcarrier.
     """
     warnings: list[str] = []
-    m_count = cfg.n_subcarriers
-    half = m_count // 2
+    half = cfg.n_subcarriers // 2
     targets = (0.0, dictionary_delta)
     if band_minima is None:
         band_minima = _band_minima(phi, dictionary_delta, cfg)
+    points = direction_grid(direction_grid_size)
+    step = points[1] - points[0]
     floor = _GAIN_THRESHOLD * np.sqrt(cfg.n_antennas)
-    grid = PsiGrid.uniform(direction_grid_size)
-    step = grid.step
-    centers = (half // 2, half + half // 2)  # 0-based subband-center subcarriers
-    f = subcarrier_freqs(cfg)
-    for band, (target, center_m, low) in enumerate(zip(targets, centers, band_minima), start=1):
+    f_c = subcarrier_freqs(cfg)[[half // 2, half + half // 2]]  # subband-centre frequencies
+    v = _weights(phi.delays, phi.phases, f_c) / np.sqrt(cfg.n_antennas)
+    peaks = points[np.argmax(np.abs(_pattern(v, points[:, None], f_c, cfg.carrier_freq)), axis=0)]
+    for band, (target, f_m, peak, low) in enumerate(zip(targets, f_c, peaks, band_minima), start=1):
         if low < floor:
             warnings.append(
                 f"offset {dictionary_delta:+.6f}: subband {band} gain dips to {low:.3f} (< {floor:.3f})"
             )
-        f_m = f[center_m]
-        column = _response(phi.delays, phi.phases, grid.points, f_m, cfg)
-        peak = grid.points[int(np.argmax(np.abs(column)))]
         # the visible peak of direction d at frequency f_m is its alias
         # d - 2k*fc/f_m brought into [-1, 1]
         k = round(target * f_m / (2.0 * cfg.carrier_freq))

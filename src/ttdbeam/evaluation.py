@@ -3,16 +3,16 @@
 Each trial draws one direction per subband from a discrete uniform grid,
 synthesizes a config with the procedure under test, and scores every
 subcarrier as log2(1 + |gain at the assigned direction|^2 * SNR).  Trials are
-seeded independently from the master seed, so reports are byte-identical
-regardless of worker count or execution order.  A report stores the SE rows
-and directions only; its means and ECDF are computed from them when asked.
+seeded independently from the master seed and run in order on the calling
+thread, so a report is byte-identical from run to run.  A report stores the
+SE rows and directions only; its means and ECDF are computed from them when
+asked.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +57,8 @@ class EvalScenario:
             raise ValueError(
                 f"{self.n_subbands} subbands do not divide {self.cfg.n_subcarriers} subcarriers"
             )
-        if not self.snr_linear > 0.0:
-            raise ValueError("snr_linear must be positive")
+        if not 0.0 < self.snr_linear < np.inf:
+            raise ValueError(f"snr_linear must be positive and finite, got {self.snr_linear}")
         if self.direction_grid_size < 2:
             raise ValueError("direction grid needs at least 2 points")
         if self.n_trials < 1:
@@ -136,36 +136,26 @@ def monte_carlo(
 ) -> EvalReport:
     """Run all trials of ``synthesizer`` and aggregate; the report names it by ``__name__``.
 
-    Trial t derives its seed from (master_seed, t) alone, and results are
-    assembled in trial order, so the report is reproducible bit-for-bit for
-    any worker count.  A trial that fails with a ValueError or an
-    ArithmeticError is recorded and skipped, not fatal; any other exception
-    propagates.
+    Trial t derives its seed from (master_seed, t) alone, and the trials run
+    in order on the calling thread, so the report is reproducible
+    bit-for-bit.  ``workers`` is validated (>= 1 when given) and has no
+    effect.  A trial that fails with a ValueError or an ArithmeticError is
+    recorded and skipped, not fatal; any other exception propagates.
     """
-    n_workers = min(worker_count(workers), scenario.n_trials)
+    if workers is not None:
+        worker_count(workers)
     grid = direction_grid(scenario.direction_grid_size)
-
-    def run(trial: int) -> tuple[np.ndarray, np.ndarray] | Exception:
-        try:
-            return _run_trial(scenario, synthesizer, grid, trial)
-        except (ValueError, ArithmeticError) as exc:  # recorded per trial, not fatal
-            return exc
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, range(scenario.n_trials)))
-    else:
-        results = [run(trial) for trial in range(scenario.n_trials)]
-
     rows: list[np.ndarray] = []
     dirs: list[np.ndarray] = []
     failures: list[tuple[int, str]] = []
-    for trial, outcome in enumerate(results):
-        if isinstance(outcome, Exception):
-            failures.append((trial, f"{type(outcome).__name__}: {outcome}"))
-        else:
-            dirs.append(outcome[0])
-            rows.append(outcome[1])
+    for trial in range(scenario.n_trials):
+        try:
+            directions, se = _run_trial(scenario, synthesizer, grid, trial)
+        except (ValueError, ArithmeticError) as exc:  # recorded per trial, not fatal
+            failures.append((trial, f"{type(exc).__name__}: {exc}"))
+            continue
+        dirs.append(directions)
+        rows.append(se)
     if not rows:
         raise RuntimeError(f"every trial failed; first error: {failures[0][1]}")
 

@@ -1,4 +1,4 @@
-"""Worker-count resolution shared by the dictionary builder and the evaluator."""
+"""Worker-count resolution for the dictionary builder; the evaluator only validates its count."""
 
 from __future__ import annotations
 

@@ -55,8 +55,8 @@ class SolverParams:
     delay_grid_size: int = 65536
 
     def __post_init__(self) -> None:
-        if not self.max_delay > 0.0:
-            raise ValueError(f"max_delay must be positive, got {self.max_delay}")
+        if not 0.0 < self.max_delay < np.inf:
+            raise ValueError(f"max_delay must be positive and finite, got {self.max_delay}")
         if self.n_iterations < 1:
             raise ValueError(f"n_iterations must be >= 1, got {self.n_iterations}")
         if self.delay_grid_size < 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemConfig, _readonly, _response, subcarrier_freqs
+from .core import SystemConfig, _pattern, _readonly, subcarrier_freqs
 
 __all__ = [
     "DirectionMap",
@@ -86,8 +86,8 @@ def dirichlet_gain(psi_offset: float, m: int, cfg: SystemConfig) -> complex:
     """
     if not 1 <= m <= cfg.n_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
-    zero = np.zeros(cfg.n_antennas)
-    return complex(_response(zero, zero, psi_offset, subcarrier_freqs(cfg)[m - 1 : m], cfg)[0])
+    v = np.full((cfg.n_antennas, 1), 1.0 / np.sqrt(cfg.n_antennas))  # the zero config's weights
+    return complex(_pattern(v, psi_offset, subcarrier_freqs(cfg)[m - 1 : m], cfg.carrier_freq)[0])
 
 
 def subband_of(m: int, n_subbands: int, n_subcarriers: int) -> int:

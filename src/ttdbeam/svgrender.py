@@ -44,7 +44,7 @@ def render_config_heatmap(
     )
     psi = PsiGrid.uniform(psi_rows).points
     v = precoder_matrix(phi, cfg)[:, cols]
-    gains = _pattern(v, psi, subcarrier_freqs(cfg)[cols], cfg.carrier_freq)
+    gains = _pattern(v, psi[:, None], subcarrier_freqs(cfg)[cols], cfg.carrier_freq)
     level = np.clip(np.abs(gains) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
 
     plot_w = _W - _ML - _MR

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ttdbeam import cli
 from ttdbeam.cli import main
 from ttdbeam.core import config_from_json_dict
 from ttdbeam.solvers import constant_direction_config
@@ -244,6 +245,41 @@ class TestExitCodes:
             extra = ["--hdb-calls", "2", "--jpta-calls", "1"]
         assert main([command, "--dict", str(built_dict), "--ues", ues, *extra]) == 2
         assert "at least one subband" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("snr_db, message", [("inf", "positive and finite"), ("1e10", "overflows")])
+    def test_unusable_snr_usage_error(self, built_dict, tmp_path, capsys, snr_db, message):
+        rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2",
+                   "--snr-db", snr_db, "--out-prefix", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_tmax_dict_build_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the build ran")
+
+        monkeypatch.setattr(cli, "build_dictionary", no_build)
+        rc = main(["dict-build", "--n", "4", "--fc", "28e9", "--bw", "3e9", "--m", "8",
+                   "--grid", "3", "--tmax-s", "inf", "--out", str(tmp_path / "d.ttdd")])
+        assert rc == 2
+        assert "max_delay must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_infinite_tmax_jpta_usage_error(self, built_dict, tmp_path, capsys, monkeypatch, command):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the trials ran")
+
+        monkeypatch.setattr(cli, "monte_carlo", no_trials)
+        monkeypatch.setattr(cli, "runtime_bench", no_trials)
+        if command == "eval":
+            extra = ["--synth", "jpta", "--trials", "2", "--out-prefix", str(tmp_path / "x")]
+        else:
+            extra = ["--hdb-calls", "2", "--jpta-calls", "1"]
+        assert main([command, "--dict", str(built_dict), "--ues", "2", "--tmax-s", "inf", *extra]) == 2
+        assert "max_delay must be positive and finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self):

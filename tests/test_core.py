@@ -7,7 +7,7 @@ from ttdbeam.core import (
     ArrayConfig,
     PsiGrid,
     SystemConfig,
-    _response,
+    _pattern,
     argmax_directions,
     beampattern_of_config,
     beampattern_of_precoder,
@@ -23,7 +23,22 @@ from ttdbeam.core import (
     zero_config,
 )
 from ttdbeam.solvers import constant_direction_config
-from ttdbeam.splitbeam import DirectionMap, ideal_split_precoder
+from ttdbeam.splitbeam import DirectionMap, dirichlet_gain, ideal_split_precoder
+
+
+def direct_response(delays, phases, psi, f, cfg):
+    """Oracle: sum_n exp(j*(-2*pi*f*t_n + phi_n - n*pi*psi*f/fc)) / sqrt(N), one exponential per term.
+
+    ``psi`` broadcasts against ``f`` (both at most 1-D).
+    """
+    psi, f = np.broadcast_arrays(np.asarray(psi, dtype=np.float64), np.asarray(f, dtype=np.float64))
+    n = np.arange(delays.shape[0])
+    phase = (
+        -2.0 * np.pi * np.outer(delays, f)
+        + phases[:, None]
+        - np.pi * np.outer(n, psi * f / cfg.carrier_freq)
+    )
+    return np.exp(1j * phase).sum(axis=0) / np.sqrt(cfg.n_antennas)
 
 
 def random_config(rng, n, delay_scale=2e-9):
@@ -289,9 +304,67 @@ class TestResponse:
         phi = random_config(np.random.default_rng(seed), n)
         f = subcarrier_freqs(cfg)
         steering = np.exp(1j * np.pi * np.outer(np.arange(n), psi * f / cfg.carrier_freq)) / np.sqrt(n)
-        expected = np.sqrt(n) * np.sum(precoder_matrix(phi, cfg) * np.conj(steering), axis=0)
-        got = _response(phi.delays, phi.phases, psi, f, cfg)
-        assert np.max(np.abs(got - expected)) < 1e-9
+        v = precoder_matrix(phi, cfg)
+        expected = np.sqrt(n) * np.sum(v * np.conj(steering), axis=0)
+        for got in (direct_response(phi.delays, phi.phases, psi, f, cfg), _pattern(v, psi, f, cfg.carrier_freq)):
+            assert np.max(np.abs(got - expected)) < 1e-9
+
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        # even, odd and prime comb sizes; a prime M has no divisor Q > 1 to split on
+        m=st.sampled_from([1, 2, 7, 9, 11, 12, 13, 15, 16]),
+        block_constant=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_gain_matches_the_direct_sum(self, n, m, block_constant, seed):
+        # M <= 16 keeps the phases 2*pi*f*t below about 1e3 rad, where both
+        # formulas round to well within 1e-12
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        period = m / cfg.bandwidth
+        phi = ArrayConfig(rng.uniform(-period, period, n), rng.uniform(-2 * np.pi, 2 * np.pi, n))
+        if block_constant:
+            blocks = int(rng.choice([g for g in range(1, m + 1) if m % g == 0]))
+            psi = np.repeat(rng.uniform(-1.0, 1.0, blocks), m // blocks)
+        else:
+            psi = rng.uniform(-1.0, 1.0, m)
+        f = subcarrier_freqs(cfg)
+        tol = 1e-12 * np.sqrt(n)
+
+        expected = direct_response(phi.delays, phi.phases, psi, f, cfg)
+        assert np.max(np.abs(gain_at_directions(phi, psi, cfg) - expected)) <= tol
+        zero = np.zeros(n)
+        for k in range(m):
+            assert abs(gain_at(phi, float(psi[k]), k + 1, cfg) - expected[k]) <= tol
+            offset = 2.0 * float(psi[k])
+            kernel = direct_response(zero, zero, offset, f[k : k + 1], cfg)[0]
+            assert abs(dirichlet_gain(offset, k + 1, cfg) - kernel) <= tol
+
+        weights = np.exp(1j * (phi.phases[:, None] - 2.0 * np.pi * np.outer(phi.delays, f))) / np.sqrt(n)
+        assert np.max(np.abs(precoder_matrix(phi, cfg) - weights)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("blocks", [3, 1200])
+    def test_full_scale_comb_matches_the_direct_sum(self, seed, blocks):
+        # the production split, Q = 30 and P = 40 at M = 1200, with delays up
+        # to +-M/BW: the phase 2*pi*f*t reaches about 7e4 rad, and float64
+        # rounds it, in either formula, to about eps times that
+        cfg = SystemConfig(16, 1200, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        period = cfg.n_subcarriers / cfg.bandwidth
+        phi = ArrayConfig(rng.uniform(-period, period, 16), rng.uniform(-2 * np.pi, 2 * np.pi, 16))
+        psi = np.repeat(rng.uniform(-1.0, 1.0, blocks), cfg.n_subcarriers // blocks)
+        f = subcarrier_freqs(cfg)
+        max_phase = 2.0 * np.pi * f.max() * np.abs(phi.delays).max()
+        tol = 8.0 * np.finfo(np.float64).eps * (1.0 + max_phase)
+
+        weights = np.exp(1j * (phi.phases[:, None] - 2.0 * np.pi * np.outer(phi.delays, f))) / 4.0
+        assert np.max(np.abs(precoder_matrix(phi, cfg) - weights)) <= tol
+        expected = direct_response(phi.delays, phi.phases, psi, f, cfg)
+        assert np.max(np.abs(gain_at_directions(phi, psi, cfg) - expected)) <= 4.0 * tol
+        for k in (0, 29, 30, 599, 600, 1199):
+            assert abs(gain_at(phi, float(psi[k]), k + 1, cfg) - expected[k]) <= 4.0 * tol
 
 
 class TestWrapSine:

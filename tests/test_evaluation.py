@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,25 @@ class TestMonteCarlo:
         lines1 = list(report_csv_lines(r1, scen))
         lines2 = list(report_csv_lines(r2, scen))
         assert lines1 == lines2
+
+    def test_trials_run_in_order_on_the_calling_thread(self, small_dict, cfg_dict):
+        seen = []
+        hdb = make_hdb_synthesizer(small_dict)
+
+        def recording(dmap, cfg):
+            seen.append((threading.get_ident(), float(dmap.directions[0])))
+            return hdb(dmap, cfg)
+
+        scen = scenario_for(cfg_dict, small_dict, trials=6)
+        report = monte_carlo(scen, recording, workers=2)
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
+        assert [d for _, d in seen] == report.trial_directions[:, 0].tolist()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_validated(self, small_dict, cfg_dict, workers):
+        scen = scenario_for(cfg_dict, small_dict, trials=2)
+        with pytest.raises(ValueError, match="worker count"):
+            monte_carlo(scen, make_hdb_synthesizer(small_dict), workers=workers)
 
     def test_single_user_near_bound(self, small_dict, cfg_dict):
         # one subband is exact closed-form steering: near the bound everywhere
@@ -296,3 +317,8 @@ class TestScenarioValidation:
     def test_positive_snr(self, cfg_dict):
         with pytest.raises(ValueError):
             EvalScenario(cfg=cfg_dict, n_subbands=3, snr_linear=0.0, direction_grid_size=41, n_trials=5, master_seed=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_finite_snr(self, cfg_dict, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EvalScenario(cfg=cfg_dict, n_subbands=3, snr_linear=bad, direction_grid_size=41, n_trials=5, master_seed=0)

@@ -306,3 +306,8 @@ class TestSolverParams:
             SolverParams(max_delay=1e-7, n_iterations=0)
         with pytest.raises(ValueError):
             SolverParams(max_delay=1e-7, delay_grid_size=1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_nonfinite_max_delay_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverParams(max_delay=bad)
