@@ -175,27 +175,39 @@ class Beampattern:
 
 
 def _weights(delays: np.ndarray, phases, f: np.ndarray) -> np.ndarray:
-    """Unnormalized weights exp(j*(phases_n - 2*pi*f*t_n)), antennas by frequencies; phases may be a scalar."""
-    return np.exp(1j * (np.reshape(phases, (-1, 1)) - 2.0 * np.pi * np.outer(delays, f)))
+    """Unnormalized weights exp(j*(phases_n - 2*pi*f*t_n)), antennas by frequencies.
+
+    Delays (..., N) give (..., N, F); phases broadcast and may be a scalar.
+    """
+    return np.exp(1j * (np.asarray(phases)[..., None] - 2.0 * np.pi * (delays[..., None] * f)))
+
+
+def _comb_factors(delays: np.ndarray, phases, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse (..., N, P) and fine (..., N, Q) factors of the normalized weights.
+
+    With Q the largest divisor of M up to sqrt(M) and m = 1 + Q*p + q,
+    f_m = f_{1+Q*p} + q*BW/M, so weight (n, m) is coarse[n, p] * fine[n, q]:
+    N*(P+Q) exponentials instead of N*M.  Fine carries the 1/sqrt(N).
+    """
+    m_count = cfg.n_subcarriers
+    q = max(d for d in range(1, math.isqrt(m_count) + 1) if m_count % d == 0)
+    coarse = _weights(delays, phases, subcarrier_freqs(cfg)[::q])
+    fine = _weights(delays, 0.0, np.arange(q) * (cfg.bandwidth / m_count)) / np.sqrt(cfg.n_antennas)
+    return coarse, fine
 
 
 def precoder_matrix(phi: ArrayConfig, cfg: SystemConfig) -> np.ndarray:
     """N x M per-subcarrier beamforming weights realized by the hardware.
 
     Entry (n, m) is ``exp(j*(-2*pi*f_m*t_n + phi_n)) / sqrt(N)``; every entry
-    has magnitude 1/sqrt(N).  With Q the largest divisor of M up to sqrt(M)
-    and m = 1 + Q*p + q, f_m = f_{1+Q*p} + q*BW/M: the weights are P coarse
-    times Q fine columns per antenna, N*(P+Q) exponentials instead of N*M.
+    has magnitude 1/sqrt(N); built from the :func:`_comb_factors`.
     """
     if phi.n_antennas != cfg.n_antennas:
         raise ValueError(
             f"config has {phi.n_antennas} antennas, system expects {cfg.n_antennas}"
         )
-    n_count, m_count = cfg.n_antennas, cfg.n_subcarriers
-    q = max(d for d in range(1, math.isqrt(m_count) + 1) if m_count % d == 0)
-    coarse = _weights(phi.delays, phi.phases, subcarrier_freqs(cfg)[::q])
-    fine = _weights(phi.delays, 0.0, np.arange(q) * (cfg.bandwidth / m_count)) / np.sqrt(n_count)
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(n_count, m_count)
+    coarse, fine = _comb_factors(phi.delays, phi.phases, cfg)
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(cfg.n_antennas, cfg.n_subcarriers)
 
 
 def beampattern_of_precoder(v: np.ndarray, cfg: SystemConfig, grid: PsiGrid) -> Beampattern:

@@ -49,11 +49,11 @@ from . import hdb
 from .core import (
     ArrayConfig,
     SystemConfig,
+    _comb_factors,
     _pattern,
     _readonly,
     _weights,
     direction_grid,
-    precoder_matrix,
     subcarrier_freqs,
     zero_config,
 )
@@ -232,8 +232,18 @@ def _gain_profile(phi: ArrayConfig, psi, cfg: SystemConfig) -> np.ndarray:
     """|gain| toward a (possibly out-of-range) direction at every subcarrier.
 
     ``psi`` is one direction, or a column of them for one profile per row.
+    Steering toward a constant psi is adding a constant-direction config:
+    the gain at f_m is sum_n exp(j*(phi_n - 2*pi*f_m*(t_n + n*psi/(2*fc)))) / sqrt(N),
+    the broadside response of phi with its delays shifted by n*psi/(2*fc).
+    So a profile is sum_n coarse[n, p] * fine[n, q] over the
+    ``_comb_factors`` of the shifted delays, one (P x N) @ (N x Q) product
+    per row.
     """
-    return np.abs(_pattern(precoder_matrix(phi, cfg), psi, subcarrier_freqs(cfg), cfg.carrier_freq))
+    psi = np.asarray(psi, dtype=np.float64)
+    shift = np.arange(cfg.n_antennas) * (psi.reshape(-1, 1) / (2.0 * cfg.carrier_freq))
+    coarse, fine = _comb_factors(phi.delays + shift, phi.phases, cfg)
+    gains = np.matmul(np.swapaxes(coarse, 1, 2), fine)
+    return np.abs(gains).reshape(psi.shape[:-1] + (cfg.n_subcarriers,))
 
 
 def _center_params(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[float, float] | None:
@@ -281,14 +291,7 @@ def _build_one(
     out = postprocess_center(phi, delta, cfg)
     if out is phi:
         return phi, True, [], []
-    mirror = ArrayConfig(-out.delays, -out.phases)
-    minima = _band_minima(out, delta, cfg)
-    return (
-        out,
-        False,
-        _entry_diagnostics(-delta, mirror, cfg, direction_grid_size, minima),
-        _entry_diagnostics(delta, out, cfg, direction_grid_size, minima),
-    )
+    return (out, False, *_entry_diagnostics(delta, out, cfg, direction_grid_size))
 
 
 def _band_minima(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[float, float]:
@@ -303,43 +306,43 @@ def _band_minima(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[flo
 
 
 def _entry_diagnostics(
-    dictionary_delta: float,
-    phi: ArrayConfig,
-    cfg: SystemConfig,
-    direction_grid_size: int,
-    band_minima: tuple[float, float] | None = None,
-) -> list[str]:
-    """Fidelity checks for one non-degenerate entry: peak placement and minimum gain.
+    delta: float, phi: ArrayConfig, cfg: SystemConfig, direction_grid_size: int
+) -> tuple[list[str], list[str]]:
+    """Fidelity checks, peak placement and minimum gain, for a non-degenerate entry and its mirror.
 
-    ``band_minima`` are the entry's :func:`_band_minima`, computed here when
-    not given.  Peaks are read at each subband's centre subcarrier.
+    Returns (warnings for the config negated at -delta, warnings for the
+    config at delta).  Both use this entry's :func:`_band_minima`.  Peaks
+    are read at each subband's centre subcarrier, for both configs in one
+    elementwise Horner evaluation.
     """
-    warnings: list[str] = []
     half = cfg.n_subcarriers // 2
-    targets = (0.0, dictionary_delta)
-    if band_minima is None:
-        band_minima = _band_minima(phi, dictionary_delta, cfg)
+    band_minima = _band_minima(phi, delta, cfg)
     points = direction_grid(direction_grid_size)
     step = points[1] - points[0]
     floor = _GAIN_THRESHOLD * np.sqrt(cfg.n_antennas)
     f_c = subcarrier_freqs(cfg)[[half // 2, half + half // 2]]  # subband-centre frequencies
-    v = _weights(phi.delays, phi.phases, f_c) / np.sqrt(cfg.n_antennas)
-    peaks = points[np.argmax(np.abs(_pattern(v, points[:, None], f_c, cfg.carrier_freq)), axis=0)]
-    for band, (target, f_m, peak, low) in enumerate(zip(targets, f_c, peaks, band_minima), start=1):
-        if low < floor:
-            warnings.append(
-                f"offset {dictionary_delta:+.6f}: subband {band} gain dips to {low:.3f} (< {floor:.3f})"
-            )
-        # the visible peak of direction d at frequency f_m is its alias
-        # d - 2k*fc/f_m brought into [-1, 1]
-        k = round(target * f_m / (2.0 * cfg.carrier_freq))
-        expected = target - 2.0 * k * cfg.carrier_freq / f_m
-        if abs(peak - expected) > 2.0 * step + 1e-12:
-            warnings.append(
-                f"offset {dictionary_delta:+.6f}: subband {band} peak at {peak:+.6f}, "
-                f"{abs(peak - expected) / step:.1f} grid steps from expected {expected:+.6f}"
-            )
-    return warnings
+    sign = np.array([[-1.0], [1.0]])  # the mirror, then the entry
+    v = _weights(sign * phi.delays, sign * phi.phases, f_c) / np.sqrt(cfg.n_antennas)
+    # one row of directions per (config, subband), so each Horner step runs along the grid
+    f = np.tile(f_c, (2, 1))[..., None]
+    gains = _pattern(np.moveaxis(v, 1, 0)[..., None], points, f, cfg.carrier_freq)
+    found: tuple[list[str], list[str]] = ([], [])
+    for offset, peaks, warnings in zip((-delta, delta), points[np.argmax(np.abs(gains), axis=-1)], found):
+        for band, (target, f_m, peak, low) in enumerate(zip((0.0, offset), f_c, peaks, band_minima), start=1):
+            if low < floor:
+                warnings.append(
+                    f"offset {offset:+.6f}: subband {band} gain dips to {low:.3f} (< {floor:.3f})"
+                )
+            # the visible peak of direction d at frequency f_m is its alias
+            # d - 2k*fc/f_m brought into [-1, 1]
+            k = round(target * f_m / (2.0 * cfg.carrier_freq))
+            expected = target - 2.0 * k * cfg.carrier_freq / f_m
+            if abs(peak - expected) > 2.0 * step + 1e-12:
+                warnings.append(
+                    f"offset {offset:+.6f}: subband {band} peak at {peak:+.6f}, "
+                    f"{abs(peak - expected) / step:.1f} grid steps from expected {expected:+.6f}"
+                )
+    return found
 
 
 def build_dictionary(

@@ -1,7 +1,10 @@
 import errno
 import os
 import struct
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ttdbeam import dictionary as dictionary_module
-from ttdbeam.core import ArrayConfig, SystemConfig, zero_config
+from ttdbeam.core import ArrayConfig, SystemConfig, _pattern, precoder_matrix, subcarrier_freqs, zero_config
 from ttdbeam.dictionary import (
     DictionaryFormatError,
     GeneratorDictionary,
@@ -87,6 +90,22 @@ class TestBuild:
         assert one.build_warnings == two.build_warnings
         assert one.degenerate == two.degenerate
 
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 12).map(lambda h: 2 * h),
+        a=st.integers(5, 9),  # A > 4 offsets >= 0, so two workers take the process pool
+        fc_over_bw=st.sampled_from([0.75, 1.5, 28.0 / 3.0, 25.0]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_worker_count_independence_property(self, n, m, a, fc_over_bw):
+        cfg = SystemConfig(n, m, fc_over_bw * 3e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=4096)
+        one = build_dictionary(cfg, a, params, workers=1)
+        two = build_dictionary(cfg, a, params, workers=2)
+        assert one == two
+        assert one.build_warnings == two.build_warnings
+        assert one.degenerate == two.degenerate
+
     def test_odd_subcarrier_count_rejected(self):
         cfg = SystemConfig(4, 9, 1e9, 1e8)
         with pytest.raises(ValueError):
@@ -141,7 +160,7 @@ class TestMirror:
             w
             for i, delta in enumerate(small_dict.offsets)
             if delta != 0.0 and i not in small_dict.degenerate
-            for w in _entry_diagnostics(float(delta), small_dict.config(i), cfg_dict, a)
+            for w in _entry_diagnostics(float(delta), small_dict.config(i), cfg_dict, a)[1]
         )
         assert len({w.split(":")[0] for w in expected}) >= 4  # two or more +/- pairs warn
         assert small_dict.build_warnings == expected
@@ -186,11 +205,92 @@ class TestMirror:
         mirror = ArrayConfig(-out.delays, -out.phases)
         assert not degenerate
         assert _band_minima(mirror, -delta, cfg_dict) == _band_minima(out, delta, cfg_dict)
-        assert mirror_warnings == _entry_diagnostics(-delta, mirror, cfg_dict, a)
+        assert mirror_warnings == _entry_diagnostics(-delta, mirror, cfg_dict, a)[1]
         expected = {1.0: ["offset -1.000000: subband 2 peak at"],
                     1.9: ["offset -1.900000: subband 1 gain dips to"]}.get(delta, [])
         assert [w[: len(e)] for w, e in zip(mirror_warnings, expected)] == expected
         assert len(mirror_warnings) == len(expected)
+
+
+def _random_config(rng, n, cfg):
+    period = cfg.n_subcarriers / cfg.bandwidth
+    return ArrayConfig(rng.uniform(-period, period, n), rng.uniform(-2 * np.pi, 2 * np.pi, n))
+
+
+# hashes _gain_profile on fixed configs and a small serial build; run under
+# different OPENBLAS_NUM_THREADS, it must print the same digest
+_BLAS_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from ttdbeam.core import ArrayConfig, SystemConfig
+from ttdbeam.dictionary import _gain_profile, build_dictionary
+from ttdbeam.solvers import SolverParams, default_max_delay
+
+h = hashlib.sha256()
+rng = np.random.default_rng(12)
+for m in (1200, 120):
+    cfg = SystemConfig(16, m, 28e9, 3e9)
+    period = m / cfg.bandwidth
+    for _ in range(4):
+        phi = ArrayConfig(rng.uniform(-period, period, 16), rng.uniform(-2 * np.pi, 2 * np.pi, 16))
+        h.update(_gain_profile(phi, rng.uniform(-2.0, 2.0, (3, 1)), cfg).tobytes())
+cfg = SystemConfig(16, 120, 28e9, 3e9)
+d = build_dictionary(cfg, 9, SolverParams(max_delay=default_max_delay(cfg)), workers=1)
+h.update(d.delays.tobytes() + d.phases.tobytes())
+h.update(repr((d.build_warnings, d.degenerate)).encode())
+print(h.hexdigest())
+"""
+
+
+class TestGainProfile:
+    @given(
+        n=st.integers(1, 16),
+        # Q = 30 by P = 40, Q = 10 by P = 12, and combs whose largest divisor up to sqrt(M) is 2 or 1
+        m=st.sampled_from([1200, 120, 14, 13]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_horner_sum(self, n, m, seed):
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        phi = _random_config(rng, n, cfg)
+        f = subcarrier_freqs(cfg)
+        # as in test_full_scale_comb_matches_the_direct_sum: delays reach +-M/BW
+        max_phase = 2.0 * np.pi * f.max() * np.abs(phi.delays).max()
+        tol = 8.0 * np.finfo(np.float64).eps * (1.0 + max_phase)
+        # offsets reach +-2, beyond the visible range
+        for psi in (float(rng.uniform(-2.0, 2.0)), rng.uniform(-2.0, 2.0, (3, 1))):
+            expected = np.abs(_pattern(precoder_matrix(phi, cfg), psi, f, cfg.carrier_freq))
+            got = _gain_profile(phi, psi, cfg)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 4.0 * tol
+
+    @given(
+        n=st.integers(1, 16),
+        m=st.sampled_from([1200, 120, 14, 13]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_negated_config_toward_negated_psi_is_bitwise_equal(self, n, m, seed):
+        # _build_one reuses an entry's band minima for its mirror entry
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        phi = _random_config(rng, n, cfg)
+        psi = rng.uniform(-2.0, 2.0, (3, 1))
+        mirror = ArrayConfig(-phi.delays, -phi.phases)
+        assert _gain_profile(mirror, -psi, cfg).tobytes() == _gain_profile(phi, psi, cfg).tobytes()
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            run = subprocess.run([sys.executable, "-c", _BLAS_HASH_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout)
+        assert len(digests[0]) == 65
+        assert digests[0] == digests[1]
 
 
 def _differs_from_line_search(delta, params, cfg):
