@@ -20,12 +20,12 @@ fold maps a negated delay to the negated folded one; the re-centring reads
 |gain| profiles, equal for a config toward psi and its negation toward -psi,
 and applies the linear ``hdb.scale_shift``.
 
-The fit itself has a closed form on the default delay grid, which spans one
-correlation period M/BW: each antenna's correlation with the two-subband
-target is a sum of two geometric series, so it is evaluated in Dirichlet
-form on the grid points of their two main lobes only, and its maximum is
-the grid optimum the general FFT line search of ``jpta_approx`` would find.
-Any other delay range is fitted by ``jpta_approx``.
+The fit itself has a closed form for every delay range: each antenna's
+correlation with the two-subband target is a sum of two geometric series in
+the delay, so it is evaluated in Dirichlet form on the delay grid, and its
+maximum is the grid optimum the line search of ``jpta_approx`` would find on
+the built N x M target.  On the default grid, which spans one correlation
+period M/BW, only the grid points of the two main lobes are evaluated.
 
 Binary layout (little-endian): 40-byte header (magic "TTDD", version,
 N, A, D, M as int32, fc and bw as float64), then D offsets as float64, then
@@ -58,14 +58,13 @@ from .core import (
     zero_config,
 )
 from .parallel import worker_count
-from .solvers import (
+from .solvers import (  # noqa: F401  jpta_approx is unused here; perfbench/tracer.py wraps this name
     SolverParams,
     _spans_one_period,
     _winning_config,
     fold_delay_periods,
     jpta_approx,
 )
-from .splitbeam import _steering_precoder
 
 __all__ = [
     "GeneratorDictionary",
@@ -161,16 +160,6 @@ def offset_grid(direction_grid_size: int) -> np.ndarray:
     return 2.0 * k / denom
 
 
-def _two_subband_target(delta: float, cfg: SystemConfig) -> np.ndarray:
-    """Ideal precoder steering the lower half-band at 0 and the upper at delta.
-
-    Unlike user-facing direction maps, delta may exceed the visible range
-    [-1, 1]: the steering formula extends smoothly and the out-of-range
-    direction appears in-range through the pattern's aliasing.
-    """
-    return _steering_precoder(np.repeat([0.0, delta], cfg.n_subcarriers // 2), cfg)
-
-
 def _geometric_sum(phi: np.ndarray, first: int, count: int) -> np.ndarray:
     """sum_{m=first}^{first+count-1} exp(j*m*phi) in Dirichlet form, elementwise.
 
@@ -185,41 +174,41 @@ def _geometric_sum(phi: np.ndarray, first: int, count: int) -> np.ndarray:
 
 
 def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> ArrayConfig:
-    """The config ``jpta_approx`` fits to :func:`_two_subband_target`, in closed form where one exists.
+    """The config ``jpta_approx`` fits to the ideal [0, delta] two-subband target, in closed form.
 
-    On a delay grid spanning one correlation period (t_k = k*M/(BW*K)),
-    antenna n's baseband correlation with the target at theta = 2*pi*k/K is
-    two geometric series,
+    At grid delay t_k = k*max_delay/K, antenna n's baseband correlation with
+    the target is two geometric series in theta = 2*pi*BW*t_k/M,
 
         c_n(theta) = (sum_{m=1..H} e^{j*m*theta}
                       + e^{j*pi*n*delta*f0/fc} * sum_{m=H+1..M} e^{j*m*(theta + s_n)}) / sqrt(N),
 
-    with H = M/2, f0 = fc - BW/2 and s_n = pi*n*delta*BW/(M*fc).  Its grid
-    maximum lies in the main lobe of one series, around k = 0 or around
-    k = -s_n*K/(2*pi) (mod K); a lobe reaches 2K/M steps either side.  Only
-    those two windows are evaluated, in ascending k so that ties keep the
-    smaller delay as in ``jpta_approx``.  A grid too coarse to resolve the
-    lobes (K < 2M), or one the windows cover anyway, is evaluated whole.
-    The delays are the FFT search's except where two grid points tie
-    exactly (rational fc/BW, delta and K can place both lobe peaks on the
-    grid): rounding then picks the winner, and may pick the other optimum.
-    Any other delay range goes through ``jpta_approx``.
+    with H = M/2, f0 = fc - BW/2 and s_n = pi*n*delta*BW/(M*fc).  On a grid
+    spanning one correlation period (max_delay = M/BW) the grid maximum lies
+    in the main lobe of one series, around k = 0 or around k = -s_n*K/(2*pi)
+    (mod K); a lobe reaches 2K/M steps either side.  Only those two windows
+    are evaluated, in ascending k so that ties keep the smaller delay as in
+    ``jpta_approx``.  Any other range, a grid too coarse to resolve the lobes
+    (K < 2M), or one the windows cover anyway, is evaluated whole.  The
+    delays are the line search's except where two grid points tie exactly
+    (rational fc/BW, delta and K can place both lobe peaks on the grid; a
+    range of whole periods meets each peak more than once): rounding then
+    picks the winner, and may pick the other optimum.
     """
-    if not _spans_one_period(solver.max_delay, cfg):
-        return jpta_approx(_two_subband_target(delta, cfg), solver, cfg)
     n_count, m_count, size = cfg.n_antennas, cfg.n_subcarriers, solver.delay_grid_size
+    one_period = _spans_one_period(solver.max_delay, cfg)
+    periods = 1.0 if one_period else solver.max_delay * cfg.bandwidth / m_count  # range in periods M/BW
     half = m_count // 2
     n = np.arange(n_count)
     s = np.pi * n * delta * cfg.bandwidth / (m_count * cfg.carrier_freq)
     reach = -(-2 * size // m_count) + 1
-    if size < 2 * m_count or 2 * (2 * reach + 1) >= size:
+    if not one_period or size < 2 * m_count or 2 * (2 * reach + 1) >= size:
         k = np.broadcast_to(np.arange(size), (n_count, size))
     else:
         steps = np.arange(-reach, reach + 1)
         centers = np.rint(-s * size / (2.0 * np.pi)).astype(np.int64)
         k = np.sort(np.hstack([np.broadcast_to(steps, (n_count, steps.size)),
                                centers[:, None] + steps]) % size, axis=1)
-    theta = 2.0 * np.pi * k / size
+    theta = 2.0 * np.pi * k * periods / size
     jump = np.exp(1j * np.pi * n * delta * (cfg.carrier_freq - cfg.bandwidth / 2.0) / cfg.carrier_freq)
     # the common 1/sqrt(N) moves neither the argmax nor the phase and is left out
     c = _geometric_sum(theta, 1, half) + jump[:, None] * _geometric_sum(theta + s[:, None], half + 1, half)
@@ -352,18 +341,16 @@ def build_dictionary(
 
     Each offset delta >= 0 gets the two-subband config fitted against the
     ideal [0, delta] target, delay-folded, then re-centered; the zero offset
-    is the zero config by construction.  When ``solver.max_delay`` is one
-    correlation period M/BW (the default) the fit is evaluated in closed
-    form on the two main lobes of each antenna's correlation; any other
-    range runs the ``jpta_approx`` grid search on the target.  Entry -delta
-    is entry delta negated: target(-delta) = conj(target(delta)) and every
-    later step is odd in (delays, phases) (see the module docstring).  The A fitted
-    entries are independent and may build in parallel; the result is
-    identical regardless of worker count.  Fidelity diagnostics for delta
-    and -delta run in the workers, right after the entry is built.  Their
-    findings are attached as ``build_warnings`` and degenerate entries
-    listed in ``degenerate``, both in ascending offset order; neither
-    affects equality or persistence.
+    is the zero config by construction.  The fit is the closed form of
+    :func:`_two_subband_fit` for every ``solver.max_delay``; no target is
+    built.  Entry -delta is entry delta negated: target(-delta) =
+    conj(target(delta)) and every later step is odd in (delays, phases) (see
+    the module docstring).  The A fitted entries are independent and may
+    build in parallel; the result is identical regardless of worker count.
+    Fidelity diagnostics for delta and -delta run in the workers, right
+    after the entry is built.  Their findings are attached as
+    ``build_warnings`` and degenerate entries listed in ``degenerate``, both
+    in ascending offset order; neither affects equality or persistence.
     """
     if cfg.n_subcarriers % 2 != 0:
         raise ValueError("dictionary construction needs an even subcarrier count")

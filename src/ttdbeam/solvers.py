@@ -6,10 +6,10 @@ antennas and subcarriers.  That objective separates across antennas, so each
 antenna can be solved independently: for a fixed delay the optimal phase has
 a closed form, and the delay is found by search over a uniform grid.
 
-`jpta_approx` is the direct synthesis baseline, and the dictionary build's
-fit for delay ranges other than one correlation period (the default range
-has a closed form, see ``dictionary``); the exhaustive oracle exists only to
-validate it at desk scale.
+`jpta_approx` is the direct synthesis baseline.  The dictionary build does
+not call it: its two-subband targets have a closed-form correlation for
+every delay range (see ``dictionary``), which finds the same grid optimum.
+The exhaustive oracle exists only to validate the search at desk scale.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _ORACLE_MAX_EVALS = 4_000_000
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Delay-grid settings for the :func:`jpta_approx` grid search.
+    """Delay grid of the :func:`jpta_approx` search and the dictionary's closed-form fit.
 
     ``n_iterations`` is validated but has no effect: one search reaches the
     grid optimum.

@@ -89,10 +89,13 @@ def render_config_heatmap(
 
 
 def render_summary_charts(summary: dict) -> str:
-    """Per-subband ASE bars plus the SE distribution polyline from a summary."""
-    ase = summary["ase_per_subband"]
-    curve = summary["ecdf_curve"]
+    """Per-subband ASE bars plus the SE distribution polyline from a summary; ValueError if malformed."""
+    ase = [float(v) for v in summary["ase_per_subband"]]
+    curve = [float(v) for v in summary["ecdf_curve"]]
     bound = float(summary["upper_bound"])
+    if not (ase and len(curve) >= 2 and bound > 0.0 and np.isfinite(ase + curve + [bound]).all()):
+        raise ValueError("a summary needs a non-empty ase_per_subband, an ecdf_curve of at least "
+                         "2 points and a positive upper_bound, all finite")
     out = _header(
         f'{summary.get("synthesizer", "?")} summary, {summary.get("n_trials", "?")} trials'
     )

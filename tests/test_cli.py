@@ -6,8 +6,9 @@ import pytest
 
 from ttdbeam import cli
 from ttdbeam.cli import main
-from ttdbeam.core import config_from_json_dict
-from ttdbeam.solvers import constant_direction_config
+from ttdbeam.core import SystemConfig, config_from_json_dict
+from ttdbeam.dictionary import build_dictionary, load
+from ttdbeam.solvers import SolverParams, constant_direction_config, default_max_delay
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,21 @@ class TestDictBuild:
         assert rc == 0
         doc = json.loads((tmp_path / "min.ttdd.json").read_text())
         assert doc["d"] == 3
+
+    def test_other_delay_range_matches_the_library_build(self, tmp_path):
+        cfg = SystemConfig(16, 48, 28e9, 3e9)
+        params = SolverParams(max_delay=0.9 * default_max_delay(cfg), delay_grid_size=8192)
+        out = tmp_path / "range.ttdd"
+        rc = main(
+            [
+                "dict-build",
+                "--n", "16", "--fc", "28e9", "--bw", "3e9", "--m", "48",
+                "--grid", "9", "--delay-grid", "8192", "--tmax-s", repr(params.max_delay),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert load(out) == build_dictionary(cfg, 9, params)
 
 
 class TestSynth:
@@ -203,9 +219,24 @@ class TestRender:
         assert main(["render", "--summary", str(bad), "--out", str(tmp_path / "x.svg")]) == 5
 
     def test_wrong_schema_exit_5(self, tmp_path):
-        bad = tmp_path / "bad2.json"
-        bad.write_text('{"unrelated": 1}')
-        assert main(["render", "--summary", str(bad), "--out", str(tmp_path / "x.svg")]) == 5
+        good = {"ase_per_subband": [1.0, 2.0], "ecdf_curve": [0.5, 1.0, 2.0], "upper_bound": 8.0}
+        bad_docs = [
+            {"unrelated": 1},
+            {**good, "ecdf_curve": [1.0]},
+            {**good, "ecdf_curve": [0.5, float("nan"), 2.0]},
+            {**good, "ase_per_subband": []},
+            {**good, "ase_per_subband": [1.0, float("nan")]},
+            {**good, "upper_bound": float("inf")},
+            {**good, "upper_bound": float("nan")},
+            {**good, "upper_bound": 0.0},
+        ]
+        out = tmp_path / "x.svg"
+        for doc in [good, *bad_docs]:
+            path = tmp_path / "bad2.json"
+            path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+            rc = main(["render", "--summary", str(path), "--out", str(out)])
+            assert (rc, out.exists()) == ((0, True) if doc is good else (5, False)), doc
+            out.unlink(missing_ok=True)
 
 
 class TestExitCodes:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ttdbeam import dictionary as dictionary_module
+from ttdbeam import solvers as solvers_module
 from ttdbeam.core import ArrayConfig, SystemConfig, _pattern, precoder_matrix, subcarrier_freqs, zero_config
 from ttdbeam.dictionary import (
     DictionaryFormatError,
@@ -22,7 +23,6 @@ from ttdbeam.dictionary import (
     _entry_diagnostics,
     _gain_profile,
     _two_subband_fit,
-    _two_subband_target,
     build_dictionary,
     load,
     offset_grid,
@@ -38,6 +38,12 @@ from ttdbeam.solvers import (
     fold_delay_periods,
     jpta_approx,
 )
+from ttdbeam.splitbeam import _steering_precoder
+
+
+def _two_subband_target(delta, cfg):
+    """The N x M target a dictionary entry fits: lower half-band steered at 0, upper at delta."""
+    return _steering_precoder(np.repeat([0.0, delta], cfg.n_subcarriers // 2), cfg)
 
 
 class TestOffsetGrid:
@@ -322,16 +328,20 @@ class TestClosedFormFit:
         ratio=st.floats(min_value=1.05, max_value=40.0, exclude_min=True, exclude_max=True),
         a=st.integers(min_value=2, max_value=60),
         j=st.integers(min_value=0, max_value=59),
+        # the delay range in correlation periods M/BW; 1.0 is the default range
+        periods=st.sampled_from([0.25, 0.5, 0.9, 1.0, 1.5, 2.0, 3.7]),
     )
     # M = 16, K = 32, fc = 1.5*BW/2, delta = 1.5: antenna 10's correlation has equal
     # magnitude at k = 0 and k = 12, and rounding decides which delay wins
-    @example(n=16, half=8, log_k=5, ratio=1.5, a=5, j=3)
+    @example(n=16, half=8, log_k=5, ratio=1.5, a=5, j=3, periods=1.0)
+    # two whole periods: every peak is on the grid twice, and rounding picks the alias
+    @example(n=16, half=60, log_k=12, ratio=56.0 / 3.0, a=5, j=3, periods=2.0)
     @settings(max_examples=150, deadline=None)
-    def test_matches_line_search(self, n, half, log_k, ratio, a, j):
+    def test_matches_line_search(self, n, half, log_k, ratio, a, j, periods):
         # only fc/BW enters the fit: BW fixes the time scale alone
         cfg = SystemConfig(n, 2 * half, ratio * 0.5e9, 1e9)
         delta = float(offset_grid(a)[a - 1 + j % a])  # an offset >= 0
-        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=2**log_k)
+        params = SolverParams(max_delay=periods * default_max_delay(cfg), delay_grid_size=2**log_k)
         _differs_from_line_search(delta, params, cfg)
 
     def test_coarse_grid_evaluated_whole(self, cfg_dict):
@@ -357,30 +367,23 @@ class TestClosedFormFit:
         params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=65536)
         assert _two_subband_fit(0.5, params, cfg_dict).delays.tobytes() == np.zeros(16).tobytes()
 
-    def test_default_range_skips_the_line_search(self, cfg_dict, monkeypatch):
-        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
+    @pytest.mark.parametrize("periods", [0.5, 1.0, 1.5])
+    def test_build_skips_the_line_search(self, cfg_dict, monkeypatch, periods):
+        params = SolverParams(max_delay=periods * default_max_delay(cfg_dict), delay_grid_size=4096)
         monkeypatch.setattr(dictionary_module, "jpta_approx", None)
+        monkeypatch.setattr(solvers_module, "_correlation_scores", None)
         assert build_dictionary(cfg_dict, 5, params, workers=1).n_entries == 9
 
-    @pytest.mark.parametrize("periods", [0.5, 1.5])
-    def test_other_delay_ranges_keep_the_line_search(self, cfg_dict, monkeypatch, periods):
+    @pytest.mark.parametrize("periods", [0.5, 0.9, 1.5, 3.7])
+    def test_other_delay_ranges_match_the_line_search(self, cfg_dict, periods):
         params = SolverParams(max_delay=periods * default_max_delay(cfg_dict), delay_grid_size=4096)
-        real = dictionary_module.jpta_approx
-        calls = []
-
-        def counted(v, solver, cfg):
-            calls.append(solver)
-            return real(v, solver, cfg)
-
-        monkeypatch.setattr(dictionary_module, "jpta_approx", counted)
         built = build_dictionary(cfg_dict, 5, params, workers=1)
-        assert calls == [params] * 4  # offsets 0.5, 1.0, 1.5, 2.0
-        for i in range(5, 9):
+        for i in range(5, 9):  # offsets 0.5, 1.0, 1.5, 2.0
             delta = float(built.offsets[i])
-            fit = fold_delay_periods(real(_two_subband_target(delta, cfg_dict), params, cfg_dict), cfg_dict)
+            fit = fold_delay_periods(jpta_approx(_two_subband_target(delta, cfg_dict), params, cfg_dict), cfg_dict)
             row = postprocess_center(fit, delta, cfg_dict)
             assert built.delays[i].tobytes() == row.delays.tobytes()
-            assert built.phases[i].tobytes() == row.phases.tobytes()
+            assert np.max(_wrapped(built.phases[i] - row.phases)) <= 1e-9
 
 
 class TestPostprocessCenter:

@@ -12,7 +12,6 @@ from ttdbeam.core import (
     subcarrier_freqs,
     zero_config,
 )
-from ttdbeam.dictionary import _two_subband_target
 from ttdbeam.solvers import (
     SolverParams,
     _correlation_scores,
@@ -25,7 +24,7 @@ from ttdbeam.solvers import (
     make_jpta_synthesizer,
     objective,
 )
-from ttdbeam.splitbeam import DirectionMap, expand_directions, ideal_split_precoder
+from ttdbeam.splitbeam import DirectionMap, _steering_precoder, expand_directions, ideal_split_precoder
 
 
 def params_for(cfg, size=65536, iters=30):
@@ -151,7 +150,7 @@ class TestCorrelationLayout:
         size = 65536
         params = params_for(cfg_dict, size=size)
         t_grid = delay_grid(params.max_delay, size)
-        v = _two_subband_target(delta, cfg_dict)
+        v = _steering_precoder(np.repeat([0.0, delta], cfg_dict.n_subcarriers // 2), cfg_dict)
         baseband = _strided_scores(v, cfg_dict, size)
         scores = _correlation_scores(v, cfg_dict, t_grid, params.max_delay)
         assert scores.shape == (16, size) and scores.flags.c_contiguous
