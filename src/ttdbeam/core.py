@@ -64,9 +64,10 @@ class SystemConfig:
             raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
         if self.n_subcarriers < 1:
             raise ValueError(f"n_subcarriers must be >= 1, got {self.n_subcarriers}")
-        if not (self.carrier_freq > self.bandwidth / 2.0 > 0.0):
+        # a finite carrier bounds the bandwidth too
+        if not (math.isfinite(self.carrier_freq) and self.carrier_freq > self.bandwidth / 2.0 > 0.0):
             raise ValueError(
-                "require carrier_freq > bandwidth/2 > 0, got "
+                "require finite carrier_freq > bandwidth/2 > 0, got "
                 f"fc={self.carrier_freq}, bw={self.bandwidth}"
             )
 
@@ -292,20 +293,14 @@ def argmax_directions(pattern: Beampattern) -> np.ndarray:
     return pattern.grid.points[idx]
 
 
-def config_to_json_dict(phi: ArrayConfig, cfg: SystemConfig, t_max: float | None = None) -> dict:
+def config_to_json_dict(phi: ArrayConfig, cfg: SystemConfig) -> dict:
     """JSON-exportable form of a config, with the system it was built for.
 
-    Warns when delays fall outside the hardware range [0, t_max]; the config
-    itself is exported unchanged.
+    Warns when a delay is negative; the config itself is exported unchanged.
     """
-    lo = float(np.min(phi.delays))
-    hi = float(np.max(phi.delays))
-    if lo < 0.0 or (t_max is not None and hi > t_max):
-        rng = f"[0, {t_max}]" if t_max is not None else "[0, inf)"
-        warnings.warn(
-            f"delays span [{lo:.3e}, {hi:.3e}] s, outside hardware range {rng}",
-            stacklevel=2,
-        )
+    lo, hi = float(np.min(phi.delays)), float(np.max(phi.delays))
+    if lo < 0.0:
+        warnings.warn(f"delays span [{lo:.3e}, {hi:.3e}] s, outside hardware range [0, inf)", stacklevel=2)
     return {
         "n": phi.n_antennas,
         "delays_s": [float(x) for x in phi.delays],
@@ -317,10 +312,14 @@ def config_to_json_dict(phi: ArrayConfig, cfg: SystemConfig, t_max: float | None
 
 
 def config_from_json_dict(d: dict) -> tuple[ArrayConfig, SystemConfig]:
-    """Inverse of :func:`config_to_json_dict`."""
+    """Inverse of :func:`config_to_json_dict`; ValueError on a count that is not a whole number."""
     phi = ArrayConfig(np.asarray(d["delays_s"], dtype=np.float64),
                       np.asarray(d["phases_rad"], dtype=np.float64))
-    if phi.n_antennas != int(d["n"]):
+    for key in ("n", "m"):
+        if isinstance(d[key], float) and not d[key].is_integer():
+            raise ValueError(f"count {key} must be a whole number, got {d[key]}")
+    n, m = int(d["n"]), int(d["m"])
+    if phi.n_antennas != n:
         raise ValueError("antenna count field disagrees with vector lengths")
-    cfg = SystemConfig(int(d["n"]), int(d["m"]), float(d["fc_hz"]), float(d["bw_hz"]))
+    cfg = SystemConfig(n, m, float(d["fc_hz"]), float(d["bw_hz"]))
     return phi, cfg

@@ -235,23 +235,6 @@ def _gain_profile(phi: ArrayConfig, psi, cfg: SystemConfig) -> np.ndarray:
     return np.abs(gains).reshape(psi.shape[:-1] + (cfg.n_subcarriers,))
 
 
-def _center_params(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[float, float] | None:
-    """Bandwidth and center frequency that put both gain maxima at subband centers.
-
-    Returns None in the degenerate case where both maxima fall on the same
-    subcarrier.
-    """
-    m_count = cfg.n_subcarriers
-    m1, m2 = np.argmax(_gain_profile(phi, np.array([[0.0], [delta]]), cfg), axis=1).tolist()
-    if m1 == m2:
-        return None
-    alpha = m_count / (2.0 * abs(m2 - m1))
-    bw_new = cfg.bandwidth * alpha
-    f = subcarrier_freqs(cfg)
-    fc_new = cfg.carrier_freq - ((f[m1] + f[m2]) / 2.0 - cfg.carrier_freq) * alpha
-    return fc_new, bw_new
-
-
 def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> ArrayConfig:
     """Re-center a two-subband config so its gain maxima sit at the subband centers.
 
@@ -259,11 +242,13 @@ def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> Arr
     shifted so their frequency midpoint maps to the carrier.  Degenerate
     inputs (both maxima on one subcarrier) are returned unchanged.
     """
-    params = _center_params(phi, delta, cfg)
-    if params is None:
+    m1, m2 = np.argmax(_gain_profile(phi, np.array([[0.0], [delta]]), cfg), axis=1).tolist()
+    if m1 == m2:
         return phi
-    fc_new, bw_new = params
-    return hdb.scale_shift(phi, fc_new, bw_new, cfg)
+    alpha = cfg.n_subcarriers / (2.0 * abs(m2 - m1))
+    f = subcarrier_freqs(cfg)
+    fc_new = cfg.carrier_freq - ((f[m1] + f[m2]) / 2.0 - cfg.carrier_freq) * alpha
+    return hdb.scale_shift(phi, fc_new, cfg.bandwidth * alpha, cfg)
 
 
 def _build_one(
@@ -283,29 +268,21 @@ def _build_one(
     return (out, False, *_entry_diagnostics(delta, out, cfg, direction_grid_size))
 
 
-def _band_minima(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> tuple[float, float]:
-    """Smallest |gain| of each half band toward its own direction (0, then delta).
-
-    The negated config toward -delta has bitwise the same |gain| profiles,
-    so a mirrored entry reuses these.
-    """
-    half = cfg.n_subcarriers // 2
-    low, high = _gain_profile(phi, np.array([[0.0], [delta]]), cfg)
-    return float(low[:half].min()), float(high[half:].min())
-
-
 def _entry_diagnostics(
     delta: float, phi: ArrayConfig, cfg: SystemConfig, direction_grid_size: int
 ) -> tuple[list[str], list[str]]:
     """Fidelity checks, peak placement and minimum gain, for a non-degenerate entry and its mirror.
 
     Returns (warnings for the config negated at -delta, warnings for the
-    config at delta).  Both use this entry's :func:`_band_minima`.  Peaks
-    are read at each subband's centre subcarrier, for both configs in one
-    elementwise Horner evaluation.
+    config at delta).  Both use the smallest |gain| of each half band toward
+    its own direction (0, then delta) for this entry: the negated config
+    toward -delta has bitwise the same |gain| profiles.  Peaks are read at
+    each subband's centre subcarrier, for both configs in one elementwise
+    Horner evaluation.
     """
     half = cfg.n_subcarriers // 2
-    band_minima = _band_minima(phi, delta, cfg)
+    low, high = _gain_profile(phi, np.array([[0.0], [delta]]), cfg)
+    band_minima = (float(low[:half].min()), float(high[half:].min()))
     points = direction_grid(direction_grid_size)
     step = points[1] - points[0]
     floor = _GAIN_THRESHOLD * np.sqrt(cfg.n_antennas)
@@ -451,12 +428,9 @@ def load(path: str | os.PathLike) -> GeneratorDictionary:
         raise DictionaryFormatError(
             f"payload length {len(blob)} does not match header (expected {expected})"
         )
-    offsets = np.frombuffer(blob, dtype="<f8", count=d, offset=_HEADER.size).copy()
-    rows = (
-        np.frombuffer(blob, dtype="<f8", count=d * 2 * n, offset=_HEADER.size + d * 8)
-        .copy()
-        .reshape(d, 2 * n)
-    )
+    # read-only views of the blob; the constructor copies them
+    offsets = np.frombuffer(blob, dtype="<f8", count=d, offset=_HEADER.size)
+    rows = np.frombuffer(blob, dtype="<f8", count=d * 2 * n, offset=_HEADER.size + d * 8).reshape(d, 2 * n)
     try:
         return GeneratorDictionary(
             offsets=offsets,

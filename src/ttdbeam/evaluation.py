@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "pcg64-seedsequence(master_seed, trial)"
+_WARMUP_CALLS = 3  # untimed calls per synthesizer in runtime_bench
 
 
 @dataclass(frozen=True)
@@ -195,16 +196,13 @@ def ecdf(report: EvalReport) -> Ecdf:
 
 
 def runtime_bench(
-    scenario: EvalScenario,
-    synthesizers: Mapping[str, SynthesisFn],
-    calls: Mapping[str, int],
-    *,
-    warmup: int = 3,
+    scenario: EvalScenario, synthesizers: Mapping[str, SynthesisFn], calls: Mapping[str, int]
 ) -> dict[str, float]:
     """Mean wall time per synthesis call, monotone-clock based.
 
-    Warmup calls are excluded.  Targets are drawn once from the scenario seed
-    and cycled, so every synthesizer sees the same inputs.
+    The first 3 calls of each synthesizer are not timed.  Targets are drawn
+    once from the scenario seed and cycled, so every synthesizer sees the
+    same inputs.
     """
     grid = direction_grid(scenario.direction_grid_size)
     rng = np.random.default_rng(np.random.SeedSequence(scenario.master_seed, spawn_key=(0xBE, 0xCE)))
@@ -217,7 +215,7 @@ def runtime_bench(
         n_calls = calls[name]
         if n_calls < 1:
             raise ValueError(f"need at least one timed call for {name!r}")
-        for i in range(warmup):
+        for i in range(_WARMUP_CALLS):
             synth(pool[i % len(pool)], scenario.cfg)
         start = time.perf_counter()
         for i in range(n_calls):

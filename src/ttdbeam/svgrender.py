@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ArrayConfig, PsiGrid, SystemConfig, _pattern, precoder_matrix, subcarrier_freqs
+from .core import ArrayConfig, SystemConfig, _pattern, direction_grid, precoder_matrix, subcarrier_freqs
 
 __all__ = ["render_config_heatmap", "render_summary_charts"]
 
 _W, _H = 860, 560
 _ML, _MT, _MR, _MB = 70, 40, 30, 50
+_PSI_ROWS, _MAX_COLS = 201, 150  # heatmap directions, and its subcarrier column limit
 
 
 def _header(title: str) -> list[str]:
@@ -26,23 +27,17 @@ def _header(title: str) -> list[str]:
     ]
 
 
-def render_config_heatmap(
-    phi: ArrayConfig,
-    cfg: SystemConfig,
-    *,
-    psi_rows: int = 201,
-    max_cols: int = 150,
-) -> str:
+def render_config_heatmap(phi: ArrayConfig, cfg: SystemConfig) -> str:
     """Gain-magnitude heatmap: direction vertical, subcarrier horizontal.
 
     Linear magnitude maps to grayscale, white at the full array gain.
-    Subcarriers are subsampled to at most ``max_cols`` columns, each
-    evaluated at its true frequency.
+    Rows are 201 uniform directions; subcarriers are subsampled to at most
+    150 columns, each evaluated at its true frequency.
     """
     cols = np.unique(
-        np.linspace(0, cfg.n_subcarriers - 1, min(max_cols, cfg.n_subcarriers)).astype(int)
+        np.linspace(0, cfg.n_subcarriers - 1, min(_MAX_COLS, cfg.n_subcarriers)).astype(int)
     )
-    psi = PsiGrid.uniform(psi_rows).points
+    psi = direction_grid(_PSI_ROWS)
     v = precoder_matrix(phi, cfg)[:, cols]
     gains = _pattern(v, psi[:, None], subcarrier_freqs(cfg)[cols], cfg.carrier_freq)
     level = np.clip(np.abs(gains) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
@@ -50,13 +45,13 @@ def render_config_heatmap(
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
     cell_w = plot_w / cols.size
-    cell_h = plot_h / psi_rows
+    cell_h = plot_h / _PSI_ROWS
     out = _header(f"gain magnitude, N={cfg.n_antennas}, M={cfg.n_subcarriers}")
     out.append('<g shape-rendering="crispEdges">')
-    for r in range(psi_rows):
+    for r in range(_PSI_ROWS):
         # row r drawn top-down: top row is psi = +1
         y = _MT + r * cell_h
-        greys = (255.0 * level[psi_rows - 1 - r]).round().astype(int)
+        greys = (255.0 * level[_PSI_ROWS - 1 - r]).round().astype(int)
         c = 0
         while c < cols.size:
             run = c

@@ -238,6 +238,17 @@ class TestRender:
             assert (rc, out.exists()) == ((0, True) if doc is good else (5, False)), doc
             out.unlink(missing_ok=True)
 
+    def test_unusable_config_exit_5(self, tmp_path):
+        good = {"n": 4, "m": 8, "fc_hz": 28e9, "bw_hz": 3e9, "delays_s": [0.0] * 4, "phases_rad": [0.0] * 4}
+        path, out = tmp_path / "c.json", tmp_path / "x.svg"
+        # fields written as raw JSON numbers; 1e400 parses as an infinite float
+        for key, raw in [(None, None), ("fc_hz", "1e400"), ("m", "5.5"), ("n", "4.9"), ("m", "1e400")]:
+            text = json.dumps(good) if key is None else json.dumps({**good, key: "RAW"}).replace('"RAW"', raw)
+            path.write_text(text)
+            rc = main(["render", "--config", str(path), "--out", str(out)])
+            assert (rc, out.exists()) == ((0, True) if key is None else (5, False)), text
+            out.unlink(missing_ok=True)
+
 
 class TestExitCodes:
     def test_missing_dict_file_io_error(self, tmp_path):
@@ -256,6 +267,15 @@ class TestExitCodes:
         blob[40:48] = np.array([np.nan], dtype="<f8").tobytes()  # first offset
         bad.write_bytes(bytes(blob))
         rc = main(["synth", "--dict", str(bad), "--dirs", "-0.4,0.4,-0.1", "--out", str(tmp_path / "o.json")])
+        assert rc == 5
+        assert not (tmp_path / "o.json").exists()
+
+    def test_infinite_fc_dict_parse_error(self, built_dict, tmp_path):
+        bad = tmp_path / "inf.ttdd"
+        blob = bytearray(built_dict.read_bytes())
+        blob[24:32] = np.array([np.inf], dtype="<f8").tobytes()  # header fc
+        bad.write_bytes(bytes(blob))
+        rc = main(["synth", "--dict", str(bad), "--dirs", "0", "--out", str(tmp_path / "o.json")])
         assert rc == 5
         assert not (tmp_path / "o.json").exists()
 
@@ -296,6 +316,17 @@ class TestExitCodes:
                    "--grid", "3", "--tmax-s", "inf", "--out", str(tmp_path / "d.ttdd")])
         assert rc == 2
         assert "max_delay must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_fc_dict_build_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the build ran")
+
+        monkeypatch.setattr(cli, "build_dictionary", no_build)
+        rc = main(["dict-build", "--n", "4", "--fc", "inf", "--bw", "3e9", "--m", "8",
+                   "--grid", "3", "--out", str(tmp_path / "d.ttdd")])
+        assert rc == 2
+        assert "require finite carrier_freq" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["eval", "bench"])

@@ -68,7 +68,8 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize(
         "n, m, fc, bw",
-        [(0, 4, 1e9, 1e8), (4, 0, 1e9, 1e8), (4, 4, 1e8, 3e8), (4, 4, 1e9, 0.0), (4, 4, 1e9, -1e8)],
+        [(0, 4, 1e9, 1e8), (4, 0, 1e9, 1e8), (4, 4, 1e8, 3e8), (4, 4, 1e9, 0.0), (4, 4, 1e9, -1e8),
+         (4, 4, float("inf"), 1e8)],
     )
     def test_invalid_rejected(self, n, m, fc, bw):
         with pytest.raises(ValueError):
@@ -420,8 +421,3 @@ class TestConfigJson:
         phi = ArrayConfig(np.full(16, -1e-12), np.zeros(16))
         with pytest.warns(UserWarning):
             config_to_json_dict(phi, cfg_small)
-
-    def test_flags_range_overflow(self, cfg_small):
-        phi = ArrayConfig(np.full(16, 2e-9), np.zeros(16))
-        with pytest.warns(UserWarning):
-            config_to_json_dict(phi, cfg_small, t_max=1e-9)

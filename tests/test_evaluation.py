@@ -234,14 +234,14 @@ class TestBenchAndOutputs:
         means = {}
         for g in (3, 8):
             scen = scenario_for(cfg_dict, small_dict, trials=1, g=g)
-            means[g] = runtime_bench(scen, {"hdb": synth}, {"hdb": 1500}, warmup=50)["hdb"]
+            means[g] = runtime_bench(scen, {"hdb": synth}, {"hdb": 1500})["hdb"]
         assert means[8] / means[3] <= 4.0
 
     def test_repeat_timing_stability(self, small_dict, cfg_dict):
         synth = make_hdb_synthesizer(small_dict)
         scen = scenario_for(cfg_dict, small_dict, trials=1)
-        a = runtime_bench(scen, {"hdb": synth}, {"hdb": 1500}, warmup=50)["hdb"]
-        b = runtime_bench(scen, {"hdb": synth}, {"hdb": 1500}, warmup=50)["hdb"]
+        a = runtime_bench(scen, {"hdb": synth}, {"hdb": 1500})["hdb"]
+        b = runtime_bench(scen, {"hdb": synth}, {"hdb": 1500})["hdb"]
         assert abs(a - b) <= 0.5 * max(a, b)
 
     def test_runtime_bench_orders(self, small_dict, cfg_dict):
@@ -253,7 +253,6 @@ class TestBenchAndOutputs:
             scen,
             {"hdb": make_hdb_synthesizer(small_dict), "jpta": make_jpta_synthesizer(params)},
             {"hdb": 50, "jpta": 3},
-            warmup=1,
         )
         assert means["hdb"] > 0.0 and means["jpta"] > 0.0
         assert means["hdb"] < means["jpta"]

@@ -121,6 +121,30 @@ class TestScaleShift:
         np.testing.assert_allclose(back.delays, phi.delays, rtol=1e-9, atol=0)
         np.testing.assert_allclose(back.phases, phi.phases, rtol=0, atol=1e-9)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fc_new=st.floats(min_value=20e9, max_value=40e9),
+        bw_new=st.floats(min_value=0.5e9, max_value=12e9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_linear(self, seed, fc_new, bw_new):
+        # scale_shift(a + b) = scale_shift(a) + scale_shift(b), to rounding
+        # of the terms: 4 eps of the delays, 8 eps of the largest phase term
+        cfg = SystemConfig(16, 48, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        a, b = (ArrayConfig(rng.uniform(-2e-9, 2e-9, 16), rng.uniform(-2 * np.pi, 2 * np.pi, 16))
+                for _ in range(2))
+        whole = scale_shift(a + b, fc_new, bw_new, cfg)
+        parts = [scale_shift(x, fc_new, bw_new, cfg) for x in (a, b)]
+        eps = np.finfo(np.float64).eps
+        delay_err = np.abs(whole.delays - (parts[0].delays + parts[1].delays))
+        assert (delay_err <= 4 * eps * (np.abs(parts[0].delays) + np.abs(parts[1].delays))).all()
+        f = max(cfg.carrier_freq, fc_new * cfg.bandwidth / bw_new)
+        t_max = np.abs(a.delays).max() + np.abs(b.delays).max()
+        p_max = np.abs(a.phases).max() + np.abs(b.phases).max()
+        phase_err = np.abs(whole.phases - (parts[0].phases + parts[1].phases))
+        assert phase_err.max() <= 8 * eps * (p_max + 2 * np.pi * f * t_max)
+
     def test_rejects_nonpositive_bandwidth(self, cfg_small):
         with pytest.raises(ValueError):
             scale_shift(constant_direction_config(0.1, cfg_small), 28e9, 0.0, cfg_small)

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 
-from ttdbeam.core import ArrayConfig, PsiGrid, beampattern_of_config, zero_config
+from ttdbeam.core import ArrayConfig, PsiGrid, SystemConfig, beampattern_of_config, zero_config
 from ttdbeam.hdb import synthesize
 from ttdbeam.splitbeam import DirectionMap
 from ttdbeam.svgrender import render_config_heatmap, render_summary_charts
@@ -14,12 +14,13 @@ def test_heatmap_deterministic(cfg_small):
     assert a == b
 
 
-def test_heatmap_grey_levels_match_beampattern(cfg_small, rng):
+def test_heatmap_grey_levels_match_beampattern(rng):
+    # the paper's M = 1200, so the renderer's 150-column limit subsamples
+    cfg = SystemConfig(16, 1200, 28e9, 3e9)
     phi = ArrayConfig(rng.uniform(-2e-10, 2e-10, 16), rng.uniform(-np.pi, np.pi, 16))
-    rows, max_cols = 41, 20
-    svg = render_config_heatmap(phi, cfg_small, psi_rows=rows, max_cols=max_cols)
-    cols = np.unique(np.linspace(0, cfg_small.n_subcarriers - 1, max_cols).astype(int))
-    gains = beampattern_of_config(phi, cfg_small, PsiGrid.uniform(rows)).gains[:, cols]
+    svg = render_config_heatmap(phi, cfg)
+    rows, cols = 201, np.unique(np.linspace(0, 1199, 150).astype(int))
+    gains = beampattern_of_config(phi, cfg, PsiGrid.uniform(rows)).gains[:, cols]
     expected = (255.0 * np.clip(np.abs(gains) / np.sqrt(16), 0.0, 1.0)).round().astype(int)
     # expand the run-length rects of the 760-px-wide plot, drawn row by row from psi = +1 down
     plot = svg[svg.index('<g shape-rendering="crispEdges">') : svg.index("</g>")]
@@ -32,7 +33,7 @@ def test_heatmap_grey_levels_match_beampattern(cfg_small, rng):
 
 def test_split_config_shows_distinct_bright_rows(small_dict, cfg_dict):
     phi = synthesize(DirectionMap(np.array([-0.5, 0.0, 0.5])), small_dict, cfg_dict)
-    svg = render_config_heatmap(phi, cfg_dict, psi_rows=101, max_cols=60)
+    svg = render_config_heatmap(phi, cfg_dict)
     # collect near-white cells and bucket their rows; a three-way split
     # pattern must light up at least three well-separated row groups
     ys = set()
