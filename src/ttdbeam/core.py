@@ -203,12 +203,34 @@ def precoder_matrix(phi: ArrayConfig, cfg: SystemConfig) -> np.ndarray:
     Entry (n, m) is ``exp(j*(-2*pi*f_m*t_n + phi_n)) / sqrt(N)``; every entry
     has magnitude 1/sqrt(N); built from the :func:`_comb_factors`.
     """
+    _require_antennas(phi, cfg)
+    return _PrecoderRows(phi.delays, phi.phases, cfg)[:]
+
+
+def _require_antennas(phi: ArrayConfig, cfg: SystemConfig) -> None:
     if phi.n_antennas != cfg.n_antennas:
-        raise ValueError(
-            f"config has {phi.n_antennas} antennas, system expects {cfg.n_antennas}"
-        )
-    coarse, fine = _comb_factors(phi.delays, phi.phases, cfg)
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(cfg.n_antennas, cfg.n_subcarriers)
+        raise ValueError(f"config has {phi.n_antennas} antennas, system expects {cfg.n_antennas}")
+
+
+class _PrecoderRows:
+    """Weights of the configs with delays and phases (..., N), made one antenna row at a time.
+
+    ``rows[n]`` is antenna n's (..., M) weights, the product of its
+    :func:`_comb_factors`; ``rows[:]`` is the whole (N, ..., M) array and
+    ``len(rows)`` is N.  :func:`_pattern` makes each row as it adds it in,
+    so a batch of configs never holds the whole array.
+    """
+
+    def __init__(self, delays: np.ndarray, phases: np.ndarray, cfg: SystemConfig) -> None:
+        self.coarse, self.fine = _comb_factors(np.moveaxis(delays, -1, 0), np.moveaxis(phases, -1, 0), cfg)
+        self.n_subcarriers = cfg.n_subcarriers
+
+    def __len__(self) -> int:
+        return len(self.coarse)
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        coarse, fine = self.coarse[n], self.fine[n]
+        return (coarse[..., :, None] * fine[..., None, :]).reshape(*coarse.shape[:-1], self.n_subcarriers)
 
 
 def beampattern_of_precoder(v: np.ndarray, cfg: SystemConfig, grid: PsiGrid) -> Beampattern:
@@ -225,9 +247,10 @@ def beampattern_of_precoder(v: np.ndarray, cfg: SystemConfig, grid: PsiGrid) -> 
     return Beampattern(_pattern(v, grid.points[:, None], subcarrier_freqs(cfg), cfg.carrier_freq), grid)
 
 
-def _pattern(v: np.ndarray, psi, f, fc: float) -> np.ndarray:
+def _pattern(v: "np.ndarray | _PrecoderRows", psi, f, fc: float) -> np.ndarray:
     """Array response sum_n v[n] * exp(-j*n*pi*psi*f/fc) of precoder columns ``v``.
 
+    ``v[n]`` is antenna n's weights, from an array or a :class:`_PrecoderRows`.
     ``psi`` broadcasts against ``f``: ``psi[:, None]`` gives a (psi, column)
     grid.  Horner evaluation in z = exp(-j*pi*psi*f/fc), elementwise and in
     a fixed order, so results do not depend on BLAS threading.  No range
@@ -235,7 +258,7 @@ def _pattern(v: np.ndarray, psi, f, fc: float) -> np.ndarray:
     """
     z = np.exp(-1j * np.pi * (psi * (f / fc)))
     acc = np.broadcast_to(v[-1], z.shape).astype(np.complex128)
-    for n in range(v.shape[0] - 2, -1, -1):
+    for n in range(len(v) - 2, -1, -1):
         acc *= z
         acc += v[n]
     return acc
@@ -284,7 +307,19 @@ def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: Sy
         raise ValueError(f"need one direction per subcarrier, got shape {psi.shape}")
     if not (np.abs(psi) <= 1.0).all():
         raise ValueError("directions must lie in [-1, 1]")
-    return _pattern(precoder_matrix(phi, cfg), psi, subcarrier_freqs(cfg), cfg.carrier_freq)
+    _require_antennas(phi, cfg)
+    return _gains_at_directions(phi.delays, phi.phases, psi, cfg)
+
+
+def _gains_at_directions(
+    delays: np.ndarray, phases: np.ndarray, psi: np.ndarray, cfg: SystemConfig
+) -> np.ndarray:
+    """:func:`gain_at_directions` over leading batch axes: configs (..., N), directions (..., M).
+
+    Unchecked.  Each config's gains are bitwise those it gets alone: every
+    step is elementwise, in the same order.
+    """
+    return _pattern(_PrecoderRows(delays, phases, cfg), psi, subcarrier_freqs(cfg), cfg.carrier_freq)
 
 
 def argmax_directions(pattern: Beampattern) -> np.ndarray:

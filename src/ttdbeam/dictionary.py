@@ -136,6 +136,17 @@ class GeneratorDictionary:
         errors = (abs(below - delta), abs(at - delta), abs(above - delta))
         return guess - 1 + errors.index(min(errors))
 
+    def indices(self, deltas: np.ndarray) -> np.ndarray:
+        """:meth:`index` of every offset in an array, elementwise and bitwise the same rows."""
+        deltas = np.asarray(deltas, dtype=np.float64)
+        outside = ~(np.abs(deltas) <= 2.0)
+        if outside.any():
+            raise ValueError(f"offset must lie in [-2, 2], got {deltas[outside][0]}")
+        denom = self.direction_grid_size - 1
+        guess = np.clip(np.rint(deltas * denom / 2.0).astype(np.intp) + denom, 1, 2 * denom - 1)
+        errors = np.abs(self.offsets[guess[..., None] + np.arange(-1, 2)] - deltas[..., None])
+        return guess - 1 + np.argmin(errors, axis=-1)  # argmin keeps the first of equal errors
+
     def lookup(self, delta: float) -> ArrayConfig:
         """Nearest-neighbor entry for a direction offset; ties take the smaller offset."""
         return self.config(self.index(delta))

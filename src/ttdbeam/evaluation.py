@@ -3,24 +3,32 @@
 Each trial draws one direction per subband from a discrete uniform grid,
 synthesizes a config with the procedure under test, and scores every
 subcarrier as log2(1 + |gain at the assigned direction|^2 * SNR).  Trials are
-seeded independently from the master seed and run in order on the calling
-thread, so a report is byte-identical from run to run.  A report stores the
+seeded independently from the master seed, and every trial's directions are
+drawn before any synthesis.  All trials are then synthesized, in one batch
+call when the synthesizer offers one (the hdb synthesizer does) and one call
+per trial otherwise or when the batch call fails, and their gains are
+evaluated in fixed chunks of trials.  A trial's numbers do not depend on its
+chunk, so a report is byte-identical from run to run.  A report stores the
 SE rows and directions only; its means and ECDF are computed from them when
 asked.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, _readonly, direction_grid, gain_at, gain_at_directions
+from .core import ArrayConfig, SystemConfig, _gains_at_directions, _readonly, _require_antennas, direction_grid
+# gain_at_directions and expand_directions are no longer called here but stay
+# importable as evaluation attributes, the paths perfbench/tracer.py wraps
+from .core import gain_at, gain_at_directions  # noqa: F401
 from .parallel import worker_count
 from .solvers import SynthesisFn
-from .splitbeam import DirectionMap, expand_directions, subband_of
+from .splitbeam import DirectionMap, expand_directions, subband_of  # noqa: F401
 
 __all__ = [
     "EvalScenario",
@@ -38,6 +46,7 @@ __all__ = [
 
 RNG_ALGORITHM = "pcg64-seedsequence(master_seed, trial)"
 _WARMUP_CALLS = 3  # untimed calls per synthesizer in runtime_bench
+_CHUNK_TRIALS = 16  # trials whose gains are evaluated together; their (chunk, M) arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,12 @@ class EvalScenario:
     master_seed: int
 
     def __post_init__(self) -> None:
+        for name in ("n_subbands", "direction_grid_size", "n_trials", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.n_subbands < 1:
             raise ValueError(f"need at least one subband, got {self.n_subbands}")
         if self.cfg.n_subcarriers % self.n_subbands != 0:
@@ -115,18 +130,41 @@ class EvalReport:
         return self.se_per_subcarrier.mean(axis=0)
 
 
-def _run_trial(
-    scenario: EvalScenario, synth: SynthesisFn, grid: np.ndarray, trial: int
-) -> tuple[np.ndarray, np.ndarray]:
-    seq = np.random.SeedSequence(scenario.master_seed, spawn_key=(trial,))
-    rng = np.random.default_rng(seq)
-    idx = rng.integers(0, grid.size, size=scenario.n_subbands)
-    dmap = DirectionMap(grid[idx])
-    phi = synth(dmap, scenario.cfg)
-    psi = expand_directions(dmap, scenario.cfg)
-    gains = gain_at_directions(phi, psi, scenario.cfg)
-    se = np.log2(1.0 + (gains.real**2 + gains.imag**2) * scenario.snr_linear)
-    return dmap.directions, se
+def _draw(scenario: EvalScenario, grid: np.ndarray, trial: int) -> np.ndarray:
+    """Trial ``trial``'s directions, from its own generator seeded by (master_seed, trial)."""
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.master_seed, spawn_key=(trial,)))
+    return grid[rng.integers(0, grid.size, size=scenario.n_subbands)]
+
+
+def _synthesize(
+    synthesizer: SynthesisFn, directions: np.ndarray, cfg: SystemConfig, failures: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delays and phases (kept, N) of the trials whose synthesis succeeded, and those trials.
+
+    One ``synthesizer.batch`` call for all trials when the synthesizer has
+    one and it succeeds; otherwise one call per trial, in order, each
+    failure recorded in ``failures``.
+    """
+    batch = getattr(synthesizer, "batch", None)
+    if batch is not None:
+        try:
+            delays, phases = batch(directions, cfg)
+            return delays, phases, np.arange(len(directions))
+        except (ValueError, ArithmeticError):
+            pass  # the per-trial calls below find and record the failing trials
+    kept, delays, phases = [], [], []
+    for trial, dirs in enumerate(directions):
+        try:
+            phi = synthesizer(DirectionMap(dirs), cfg)
+            _require_antennas(phi, cfg)
+        except (ValueError, ArithmeticError) as exc:  # recorded per trial, not fatal
+            failures.append((trial, f"{type(exc).__name__}: {exc}"))
+            continue
+        kept.append(trial)
+        delays.append(phi.delays)
+        phases.append(phi.phases)
+    shape = (len(kept), cfg.n_antennas)
+    return np.reshape(delays, shape), np.reshape(phases, shape), np.array(kept, dtype=np.intp)
 
 
 def monte_carlo(
@@ -137,33 +175,43 @@ def monte_carlo(
 ) -> EvalReport:
     """Run all trials of ``synthesizer`` and aggregate; the report names it by ``__name__``.
 
-    Trial t derives its seed from (master_seed, t) alone, and the trials run
-    in order on the calling thread, so the report is reproducible
-    bit-for-bit.  ``workers`` is validated (>= 1 when given) and has no
-    effect.  A trial that fails with a ValueError or an ArithmeticError is
-    recorded and skipped, not fatal; any other exception propagates.
+    Three steps, in order on the calling thread.  Every trial's directions
+    are drawn first, trial t from its own seed (master_seed, t).  Then all
+    trials are synthesized: in one
+    ``synthesizer.batch(directions[B, G], cfg) -> (delays[B, N], phases[B, N])``
+    call when the synthesizer has that attribute (the hdb one does), one
+    call per trial otherwise.  Last, the gains are evaluated
+    ``_CHUNK_TRIALS`` trials at a time, with the formula of
+    :func:`~ttdbeam.core.gain_at_directions` over the chunk.  A trial's bits
+    do not depend on its chunk, so the report is reproducible bit-for-bit.
+    ``workers`` is validated (>= 1 when given) and has no effect.  A trial
+    whose synthesis fails with a ValueError or an ArithmeticError is
+    recorded and skipped, not fatal; when the batch call fails so, every
+    trial is synthesized again on its own to find the failing ones.  Any
+    other exception propagates.
     """
     if workers is not None:
         worker_count(workers)
+    cfg = scenario.cfg
     grid = direction_grid(scenario.direction_grid_size)
-    rows: list[np.ndarray] = []
-    dirs: list[np.ndarray] = []
+    directions = np.stack([_draw(scenario, grid, trial) for trial in range(scenario.n_trials)])
     failures: list[tuple[int, str]] = []
-    for trial in range(scenario.n_trials):
-        try:
-            directions, se = _run_trial(scenario, synthesizer, grid, trial)
-        except (ValueError, ArithmeticError) as exc:  # recorded per trial, not fatal
-            failures.append((trial, f"{type(exc).__name__}: {exc}"))
-            continue
-        dirs.append(directions)
-        rows.append(se)
-    if not rows:
+    delays, phases, trials = _synthesize(synthesizer, directions, cfg, failures)
+    if trials.size == 0:
         raise RuntimeError(f"every trial failed; first error: {failures[0][1]}")
+    directions = directions[trials]
+    block = cfg.n_subcarriers // scenario.n_subbands
+    se = np.empty((trials.size, cfg.n_subcarriers))
+    for first in range(0, trials.size, _CHUNK_TRIALS):
+        chunk = slice(first, first + _CHUNK_TRIALS)
+        psi = np.repeat(directions[chunk], block, axis=1)  # expand_directions, row by row
+        gains = _gains_at_directions(delays[chunk], phases[chunk], psi, cfg)
+        se[chunk] = np.log2(1.0 + (gains.real**2 + gains.imag**2) * scenario.snr_linear)
 
     return EvalReport(
-        se_per_subcarrier=np.stack(rows),
-        trial_directions=np.stack(dirs),
-        upper_bound=upper_bound_se(scenario.cfg, scenario.snr_linear),
+        se_per_subcarrier=se,
+        trial_directions=directions,
+        upper_bound=upper_bound_se(cfg, scenario.snr_linear),
         synthesizer=getattr(synthesizer, "__name__", "custom"),
         master_seed=scenario.master_seed,
         failures=tuple(failures),

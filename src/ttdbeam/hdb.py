@@ -13,6 +13,8 @@ dictionary lookup and a few length-N array operations, with one
 the band rescaling come from the same helpers as
 :func:`~ttdbeam.solvers.constant_direction_config` and :func:`scale_shift`, so
 the result is bitwise the sum of those configs under ``ArrayConfig.__add__``.
+:func:`synthesize_batch` runs the same steps on B targets at once and returns
+their delays and phases as two (B, N) arrays, bitwise the stacked calls.
 
 Two offset conventions coexist here.  :func:`decompose` reports offsets
 wrapped into the visible direction range, which is the natural invariant
@@ -46,6 +48,7 @@ __all__ = [
     "generator_set",
     "scale_shift",
     "synthesize",
+    "synthesize_batch",
     "make_hdb_synthesizer",
 ]
 
@@ -126,6 +129,20 @@ def scale_shift(phi: ArrayConfig, fc_new: float, bw_new: float, cfg: SystemConfi
     return ArrayConfig(*_rescale(phi.delays, phi.phases, fc_new, bw_new, cfg))
 
 
+def _generator_bands_checked(g_count: int, dictionary: "GeneratorDictionary", cfg: SystemConfig):
+    """Bands of generators 2..G, after the checks every synthesis makes on (dictionary, G, cfg)."""
+    if dictionary.meta != cfg:
+        raise DictionaryCompatibilityError(
+            f"dictionary built for {dictionary.meta}, synthesizing for {cfg}"
+        )
+    if cfg.n_subcarriers % g_count != 0:
+        raise ValueError(f"{g_count} subbands do not divide {cfg.n_subcarriers} subcarriers")
+    bands = [generator_bands(g, g_count, cfg) for g in range(2, g_count + 1)]
+    if len({fc_g for fc_g, _ in bands}) != len(bands):
+        raise AssertionError("generator subband boundaries must not coincide")
+    return bands
+
+
 def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: SystemConfig) -> ArrayConfig:
     """Config for a split target: sum of its generator configs.
 
@@ -137,16 +154,8 @@ def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: Syste
     ``constant_direction_config(d_1) + sum(scale_shift(lookup(d_g), *generator_bands(g)))``.
     Requires a dictionary built for the same (N, M, fc, BW).
     """
-    if dictionary.meta != cfg:
-        raise DictionaryCompatibilityError(
-            f"dictionary built for {dictionary.meta}, synthesizing for {cfg}"
-        )
-    dmap.validate_with(cfg)
-    g_count = dmap.n_subbands
+    bands = _generator_bands_checked(dmap.n_subbands, dictionary, cfg)
     deltas = generator_set(dmap)
-    bands = [generator_bands(g, g_count, cfg) for g in range(2, g_count + 1)]
-    if len({fc_g for fc_g, _ in bands}) != len(bands):
-        raise AssertionError("generator subband boundaries must not coincide")
     delays = constant_direction_delays(float(deltas[0]), cfg)
     phases = np.zeros(cfg.n_antennas)
     for delta, (fc_g, bw_g) in zip(deltas[1:].tolist(), bands):
@@ -157,10 +166,50 @@ def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: Syste
     return ArrayConfig(delays, phases)
 
 
+def synthesize_batch(
+    directions: np.ndarray, dictionary: "GeneratorDictionary", cfg: SystemConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delays and phases (B, N) of B split targets, given as directions (B, G), in one pass.
+
+    Row b is bitwise ``synthesize(DirectionMap(directions[b]), dictionary, cfg)``:
+    the same raw offsets, nearest rows (``dictionary.indices``), rescaling and
+    left-to-right sum, each applied to all B targets at once, with no
+    per-target objects.  Makes the checks of ``DirectionMap`` and
+    :func:`synthesize` and raises the same exception types.
+    """
+    directions = np.asarray(directions, dtype=np.float64)
+    if directions.ndim != 2 or directions.shape[1] < 1:
+        raise ValueError(f"need a (targets, subbands) array of directions, got shape {directions.shape}")
+    if not (np.abs(directions) <= 1.0).all():
+        raise ValueError("directions must lie in [-1, 1]")
+    bands = _generator_bands_checked(directions.shape[1], dictionary, cfg)
+    deltas = np.diff(directions, axis=1, prepend=0.0)  # generator_set, row by row
+    # constant_direction_delays of each first offset
+    delays = -deltas[:, :1] * np.arange(cfg.n_antennas, dtype=np.float64) / (2.0 * cfg.carrier_freq)
+    phases = np.zeros_like(delays)
+    rows = dictionary.indices(deltas[:, 1:])
+    for g, (fc_g, bw_g) in enumerate(bands):
+        entry_delays, entry_phases = _rescale(
+            dictionary.delays[rows[:, g]], dictionary.phases[rows[:, g]], fc_g, bw_g, cfg
+        )
+        delays += entry_delays
+        phases += entry_phases
+    if not (np.isfinite(delays).all() and np.isfinite(phases).all()):
+        raise ValueError("delays and phases must be finite")
+    return delays, phases
+
+
 def make_hdb_synthesizer(dictionary: "GeneratorDictionary") -> SynthesisFn:
-    """Dictionary-backed synthesis procedure for the evaluation harness."""
+    """Dictionary-backed synthesis procedure for the evaluation harness.
+
+    Its ``batch`` attribute is :func:`synthesize_batch` on the same dictionary.
+    """
 
     def hdb(dmap: DirectionMap, cfg: SystemConfig) -> ArrayConfig:
         return synthesize(dmap, dictionary, cfg)
 
+    def batch(directions: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+        return synthesize_batch(directions, dictionary, cfg)
+
+    hdb.batch = batch
     return hdb

@@ -36,6 +36,8 @@ __all__ = [
     "SynthesisFn",
 ]
 
+# A synthesizer may also carry a ``batch(directions[B, G], cfg) -> (delays[B, N],
+# phases[B, N])`` attribute, which ``evaluation.monte_carlo`` uses when present.
 SynthesisFn = Callable[[DirectionMap, SystemConfig], ArrayConfig]
 
 _ORACLE_MAX_ANTENNAS = 6

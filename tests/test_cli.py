@@ -298,6 +298,17 @@ class TestExitCodes:
         assert "at least one subband" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_negative_seed_usage_error(self, built_dict, tmp_path, capsys, command):
+        if command == "eval":
+            extra = ["--trials", "2", "--out-prefix", str(tmp_path / "x")]
+        else:
+            extra = ["--hdb-calls", "2", "--jpta-calls", "1"]
+        assert main([command, "--dict", str(built_dict), "--ues", "2", "--seed", "-1", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "master_seed must be non-negative" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("snr_db, message", [("inf", "positive and finite"), ("1e10", "overflows")])
     def test_unusable_snr_usage_error(self, built_dict, tmp_path, capsys, snr_db, message):
         rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2",

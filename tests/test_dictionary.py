@@ -471,6 +471,9 @@ class TestLookup:
             expected = int(np.argmin(np.abs(offsets - delta)))
             assert table.index(delta) == expected, delta
             assert table.lookup(delta).delays.tobytes() == rows[expected].tobytes()
+        assert table.indices(probes).tolist() == [table.index(delta) for delta in probes.tolist()]
+        tail = probes[-2000:]  # any shape
+        assert table.indices(tail.reshape(40, 50)).tolist() == table.indices(tail).reshape(40, 50).tolist()
 
     @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 2.0000001, -2.5])
     def test_index_rejects_out_of_range(self, small_dict, delta):
@@ -478,6 +481,8 @@ class TestLookup:
             small_dict.index(delta)
         with pytest.raises(ValueError, match=r"offset must lie in \[-2, 2\]"):
             small_dict.lookup(delta)
+        with pytest.raises(ValueError, match=r"offset must lie in \[-2, 2\]"):
+            small_dict.indices(np.array([[0.0, 1.0], [delta, -1.0]]))
 
 
 class TestPersistence:

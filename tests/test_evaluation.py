@@ -3,7 +3,8 @@ import threading
 import numpy as np
 import pytest
 
-from ttdbeam.core import SystemConfig, zero_config
+from ttdbeam import evaluation
+from ttdbeam.core import SystemConfig, gain_at_directions, zero_config
 from ttdbeam.evaluation import (
     Ecdf,
     EvalReport,
@@ -19,7 +20,7 @@ from ttdbeam.evaluation import (
 )
 from ttdbeam.hdb import DictionaryCompatibilityError, make_hdb_synthesizer
 from ttdbeam.solvers import constant_direction_config
-from ttdbeam.splitbeam import DirectionMap
+from ttdbeam.splitbeam import DirectionMap, expand_directions
 
 
 def scenario_for(cfg, dictionary, trials=20, g=3, seed=7):
@@ -152,6 +153,102 @@ class TestMonteCarlo:
         scen = scenario_for(cfg_dict, small_dict, trials=3)
         report = monte_carlo(scen, make_hdb_synthesizer(small_dict), workers=1)
         assert report.synthesizer == "hdb"
+
+
+def _same_report(a, b):
+    assert a.se_per_subcarrier.tobytes() == b.se_per_subcarrier.tobytes()
+    assert a.trial_directions.tobytes() == b.trial_directions.tobytes()
+    assert a.failures == b.failures
+
+
+def _assert_scored_alone(report, scen, synth, trials):
+    """Row i of the report is trial ``trials[i]`` run on its own through the single-config functions."""
+    grid = direction_grid(scen.direction_grid_size)
+    assert report.n_trials == len(trials)
+    for row, t in enumerate(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(scen.master_seed, spawn_key=(t,)))
+        dmap = DirectionMap(grid[rng.integers(0, grid.size, size=scen.n_subbands)])
+        gains = gain_at_directions(synth(dmap, scen.cfg), expand_directions(dmap, scen.cfg), scen.cfg)
+        se = np.log2(1.0 + (gains.real**2 + gains.imag**2) * scen.snr_linear)
+        assert report.trial_directions[row].tobytes() == dmap.directions.tobytes()
+        assert report.se_per_subcarrier[row].tobytes() == se.tobytes()
+
+
+class TestChunks:
+    """Trials are synthesized in one batch and scored in chunks; no trial's bits depend on either."""
+
+    @pytest.mark.parametrize("g", [1, 3, 8])
+    def test_bits_do_not_depend_on_the_chunk(self, small_dict, cfg_dict, monkeypatch, g):
+        scen = scenario_for(cfg_dict, small_dict, trials=37, g=g)
+        synth = make_hdb_synthesizer(small_dict)
+        monkeypatch.setattr(evaluation, "_CHUNK_TRIALS", 1)
+        one = monte_carlo(scen, synth)
+        monkeypatch.setattr(evaluation, "_CHUNK_TRIALS", 64)
+        whole = monte_carlo(scen, synth)
+        _same_report(one, whole)
+        _assert_scored_alone(whole, scen, synth, range(scen.n_trials))
+
+    def test_synthesizer_without_batch_gives_the_same_report(self, small_dict, cfg_dict):
+        hdb = make_hdb_synthesizer(small_dict)
+
+        def plain(dmap, cfg):
+            return hdb(dmap, cfg)
+
+        scen = scenario_for(cfg_dict, small_dict, trials=37, g=8)
+        _same_report(monte_carlo(scen, plain), monte_carlo(scen, hdb))
+
+    def test_failing_batch_falls_back_to_per_trial_calls(self, small_dict, cfg_dict, monkeypatch):
+        monkeypatch.setattr(evaluation, "_CHUNK_TRIALS", 4)
+        hdb = make_hdb_synthesizer(small_dict)
+        bad = {1, 2, 4, 5, 6, 7, 13}  # gain chunks of the kept trials: 0, 3, 8, 9 | 10, 11, 12
+        scen = scenario_for(cfg_dict, small_dict, trials=14)
+        grid = direction_grid(scen.direction_grid_size)
+        bad_rows = {evaluation._draw(scen, grid, t).tobytes() for t in bad}
+
+        def plain(dmap, cfg):
+            if dmap.directions.tobytes() in bad_rows:
+                raise ValueError("injected")
+            return hdb(dmap, cfg)
+
+        calls = []
+
+        def flaky(dmap, cfg):
+            calls.append(1)
+            return plain(dmap, cfg)
+
+        def batch(directions, cfg):
+            calls.append(len(directions))
+            if any(row.tobytes() in bad_rows for row in directions):
+                raise ValueError("injected")
+            return hdb.batch(directions, cfg)
+
+        flaky.batch = batch
+        report = monte_carlo(scen, flaky)
+        assert calls == [14] + [1] * 14
+        assert [trial for trial, _ in report.failures] == sorted(bad)
+        _assert_scored_alone(report, scen, hdb, sorted(set(range(14)) - bad))
+        _same_report(report, monte_carlo(scen, plain))
+
+    def test_every_trial_failing_is_an_error(self, small_dict, cfg_dict):
+        def broken(dmap, cfg):
+            raise ValueError("injected")
+
+        broken.batch = lambda directions, cfg: broken(None, cfg)
+        with pytest.raises(RuntimeError, match="every trial failed; first error: ValueError: injected"):
+            monte_carlo(scenario_for(cfg_dict, small_dict, trials=3), broken)
+
+    def test_batch_programming_error_propagates(self, small_dict, cfg_dict):
+        hdb = make_hdb_synthesizer(small_dict)
+
+        def synth(dmap, cfg):
+            return hdb(dmap, cfg)
+
+        def batch(directions, cfg):
+            raise TypeError("injected")
+
+        synth.batch = batch
+        with pytest.raises(TypeError, match="injected"):
+            monte_carlo(scenario_for(cfg_dict, small_dict, trials=3), synth)
 
 
 class TestAggregates:
@@ -316,6 +413,23 @@ class TestScenarioValidation:
     def test_positive_snr(self, cfg_dict):
         with pytest.raises(ValueError):
             EvalScenario(cfg=cfg_dict, n_subbands=3, snr_linear=0.0, direction_grid_size=41, n_trials=5, master_seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("master_seed", -1),
+            ("master_seed", 2.5),
+            ("master_seed", 3.0),
+            ("n_trials", 4.5),
+            ("direction_grid_size", 40.5),
+            ("n_subbands", 1.5),
+        ],
+    )
+    def test_counts_and_seed_are_whole_numbers(self, cfg_dict, field, value):
+        args = dict(cfg=cfg_dict, n_subbands=3, snr_linear=10.0, direction_grid_size=41, n_trials=5, master_seed=0)
+        EvalScenario(**args)
+        with pytest.raises(ValueError, match=field):
+            EvalScenario(**{**args, field: value})
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_finite_snr(self, cfg_dict, bad):

@@ -22,6 +22,7 @@ from ttdbeam.hdb import (
     make_hdb_synthesizer,
     scale_shift,
     synthesize,
+    synthesize_batch,
 )
 from ttdbeam.solvers import constant_direction_config
 from ttdbeam.splitbeam import DirectionMap, expand_directions
@@ -269,3 +270,80 @@ class TestSynthesize:
         a = fn(dmap, cfg_dict)
         b = synthesize(dmap, small_dict, cfg_dict)
         np.testing.assert_array_equal(a.delays, b.delays)
+
+
+def _random_table(cfg: SystemConfig, a: int, seed: int) -> GeneratorDictionary:
+    rng = np.random.default_rng(seed)
+    d = 2 * a - 1
+    delays = rng.normal(0.0, 3e-10, (d, cfg.n_antennas))
+    return GeneratorDictionary(offset_grid(a), delays, rng.uniform(-7.0, 7.0, (d, cfg.n_antennas)), cfg, a)
+
+
+def _stacked(directions, dictionary, cfg):
+    configs = [synthesize(DirectionMap(row), dictionary, cfg) for row in directions]
+    return np.stack([c.delays for c in configs]), np.stack([c.phases for c in configs])
+
+
+class TestSynthesizeBatch:
+    CFG = SystemConfig(4, 24, 28e9, 3e9)  # 24 subcarriers split into G in {1, 2, 3, 4, 6, 8, 12, 24}
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_the_stacked_calls(self, data):
+        a = data.draw(st.sampled_from([2, 3, 5, 61]), label="a")
+        g_count = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]), label="g")
+        b_count = data.draw(st.integers(1, 6), label="targets")
+        direction = st.one_of(
+            st.sampled_from(direction_grid(a).tolist()),
+            st.sampled_from([-1.0, 1.0, -0.0, 0.0]),
+            st.floats(-1.0, 1.0),
+        )
+        directions = np.array(
+            data.draw(st.lists(st.lists(direction, min_size=g_count, max_size=g_count),
+                               min_size=b_count, max_size=b_count), label="directions")
+        )
+        table = _random_table(self.CFG, a, seed=a * 31 + g_count)
+        delays, phases = synthesize_batch(directions, table, self.CFG)
+        ref_delays, ref_phases = _stacked(directions, table, self.CFG)
+        assert delays.tobytes() == ref_delays.tobytes()
+        assert phases.tobytes() == ref_phases.tobytes()
+
+    @pytest.mark.parametrize("g_count", [1, 2, 3])
+    def test_signed_zeros_and_endpoints(self, g_count):
+        # every G-tuple of -1, -0.0, 0.0 and 1: the first offset keeps the sign of a zero
+        values = np.array([-1.0, -0.0, 0.0, 1.0])
+        directions = values[np.indices((4,) * g_count).reshape(g_count, -1).T]
+        table = _random_table(self.CFG, 5, seed=g_count)
+        delays, phases = synthesize_batch(directions, table, self.CFG)
+        ref_delays, ref_phases = _stacked(directions, table, self.CFG)
+        assert delays.tobytes() == ref_delays.tobytes()
+        assert phases.tobytes() == ref_phases.tobytes()
+
+    @pytest.mark.parametrize(
+        "directions, cfg, error",
+        [
+            ([[0.0, 1.5]], CFG, ValueError),  # a direction, and so an offset, out of range
+            ([[-0.5, 0.5], [0.25, np.nan]], CFG, ValueError),
+            ([[0.0, 0.5]], SystemConfig(4, 48, 28e9, 3e9), DictionaryCompatibilityError),
+            ([[0.0, 0.5, 0.0, 0.5, 0.0]], CFG, ValueError),  # 5 subbands do not divide 24
+        ],
+    )
+    def test_same_exceptions_as_synthesize(self, directions, cfg, error):
+        table = _random_table(self.CFG, 5, seed=0)
+        with pytest.raises(error):
+            _stacked(directions, table, cfg)
+        with pytest.raises(error):
+            synthesize_batch(np.array(directions), table, cfg)
+
+    def test_coinciding_band_boundaries_rejected(self):
+        cfg = SystemConfig(4, 6, 1e20, 1.0)
+        flat = GeneratorDictionary(offset_grid(2), np.zeros((3, 4)), np.zeros((3, 4)), cfg, 2)
+        with pytest.raises(AssertionError, match="coincide"):
+            synthesize_batch(np.array([[0.0, 0.5, 0.0]]), flat, cfg)
+
+    def test_hdb_synthesizer_batch(self, small_dict, cfg_dict):
+        directions = direction_grid(41)[np.random.default_rng(3).integers(0, 41, (7, 3))]
+        delays, phases = make_hdb_synthesizer(small_dict).batch(directions, cfg_dict)
+        ref_delays, ref_phases = _stacked(directions, small_dict, cfg_dict)
+        assert delays.tobytes() == ref_delays.tobytes()
+        assert phases.tobytes() == ref_phases.tobytes()
