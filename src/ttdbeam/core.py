@@ -104,6 +104,19 @@ class ArrayConfig:
             if np.count_nonzero(np.isfinite(x)) != x.size:
                 raise ValueError("delays and phases must be finite")
 
+    @classmethod
+    def _of_rows(cls, delays: np.ndarray, phases: np.ndarray) -> "ArrayConfig":
+        """Config over two rows as they are: no copy and no checks.
+
+        For :class:`~ttdbeam.dictionary.GeneratorDictionary` alone, whose
+        constructor has already copied, frozen and checked every row: the
+        rows must be read-only, finite float64 vectors of one length.
+        """
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "delays", delays)
+        object.__setattr__(phi, "phases", phases)
+        return phi
+
     @property
     def n_antennas(self) -> int:
         return self.delays.shape[0]
@@ -346,10 +359,24 @@ def config_to_json_dict(phi: ArrayConfig, cfg: SystemConfig) -> dict:
     }
 
 
+# Largest delay phase 2*pi*(fc + BW/2)*max|t| a config read from JSON may reach, in rad: at
+# 2**42 rad a float64 phase is resolved only to 2**-10 rad, while the jpta search reaches
+# about 7.4e4 rad at full scale.
+_MAX_DELAY_PHASE = 2.0**42
+
+
 def config_from_json_dict(d: dict) -> tuple[ArrayConfig, SystemConfig]:
-    """Inverse of :func:`config_to_json_dict`; ValueError on a count that is not a whole number."""
+    """Inverse of :func:`config_to_json_dict`.
+
+    ValueError on a count or frequency that is not a JSON number (a string
+    or a bool), a count that is not a whole number, or delays whose largest
+    phase ``2*pi*(fc + BW/2)*max|t|`` exceeds 2**42 rad.
+    """
     phi = ArrayConfig(np.asarray(d["delays_s"], dtype=np.float64),
                       np.asarray(d["phases_rad"], dtype=np.float64))
+    for key in ("n", "m", "fc_hz", "bw_hz"):
+        if not isinstance(d[key], (int, float)) or isinstance(d[key], bool):
+            raise ValueError(f"{key} must be a number, got {d[key]!r}")
     for key in ("n", "m"):
         if isinstance(d[key], float) and not d[key].is_integer():
             raise ValueError(f"count {key} must be a whole number, got {d[key]}")
@@ -357,4 +384,7 @@ def config_from_json_dict(d: dict) -> tuple[ArrayConfig, SystemConfig]:
     if phi.n_antennas != n:
         raise ValueError("antenna count field disagrees with vector lengths")
     cfg = SystemConfig(n, m, float(d["fc_hz"]), float(d["bw_hz"]))
+    phase = 2.0 * math.pi * (cfg.carrier_freq + cfg.bandwidth / 2.0) * float(np.abs(phi.delays).max())
+    if not phase <= _MAX_DELAY_PHASE:
+        raise ValueError(f"delays reach a phase of {phase:.3e} rad, beyond the bound of 2**42 rad")
     return phi, cfg

@@ -119,7 +119,8 @@ class GeneratorDictionary:
         return self.offsets.size
 
     def config(self, index: int) -> ArrayConfig:
-        return ArrayConfig(self.delays[index], self.phases[index])
+        """Entry ``index`` as a config over read-only views of the table's rows, without a copy."""
+        return ArrayConfig._of_rows(self.delays[index], self.phases[index])
 
     def index(self, delta: float) -> int:
         """Row of the nearest offset to delta; ties take the smaller offset.

@@ -32,7 +32,8 @@ def render_config_heatmap(phi: ArrayConfig, cfg: SystemConfig) -> str:
 
     Linear magnitude maps to grayscale, white at the full array gain.
     Rows are 201 uniform directions; subcarriers are subsampled to at most
-    150 columns, each evaluated at its true frequency.
+    150 columns, each evaluated at its true frequency.  ValueError when a
+    gain is not finite.
     """
     cols = np.unique(
         np.linspace(0, cfg.n_subcarriers - 1, min(_MAX_COLS, cfg.n_subcarriers)).astype(int)
@@ -41,6 +42,8 @@ def render_config_heatmap(phi: ArrayConfig, cfg: SystemConfig) -> str:
     v = precoder_matrix(phi, cfg)[:, cols]
     gains = _pattern(v, psi[:, None], subcarrier_freqs(cfg)[cols], cfg.carrier_freq)
     level = np.clip(np.abs(gains) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
+    if not np.isfinite(level).all():
+        raise ValueError("gain levels must be finite")
 
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB

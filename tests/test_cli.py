@@ -250,6 +250,21 @@ class TestRender:
             out.unlink(missing_ok=True)
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "4"), ("m", "8"), ("fc_hz", "28e9"), ("bw_hz", "3e9"), ("m", True), ("delays_s", [1e300] * 4)],
+    )
+    def test_config_field_exit_5(self, tmp_path, capsys, key, value):
+        # counts and frequencies given as strings or bools, and a delay whose phase overflows
+        good = {"n": 4, "m": 8, "fc_hz": 28e9, "bw_hz": 3e9, "delays_s": [0.0] * 4, "phases_rad": [0.0] * 4}
+        path, out = tmp_path / "c.json", tmp_path / "x.svg"
+        path.write_text(json.dumps({**good, key: value}))
+        assert main(["render", "--config", str(path), "--out", str(out)]) == 5
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unusable input {path}") and "Traceback" not in err
+
+
 class TestExitCodes:
     def test_missing_dict_file_io_error(self, tmp_path):
         rc = main(["synth", "--dict", str(tmp_path / "absent.ttdd"), "--dirs", "0", "--out", str(tmp_path / "o.json")])

@@ -417,6 +417,29 @@ class TestConfigJson:
         np.testing.assert_array_equal(phi.phases, phi2.phases)
         assert cfg2 == cfg_small
 
+    @pytest.mark.parametrize("key", ["n", "m", "fc_hz", "bw_hz"])
+    @pytest.mark.parametrize("kind", [str, bool])
+    def test_rejects_a_field_that_is_not_a_number(self, cfg_small, key, kind):
+        doc = config_to_json_dict(zero_config(16), cfg_small)
+        value = str(doc[key]) if kind is str else True
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            config_from_json_dict({**doc, key: value})
+
+    @pytest.mark.parametrize("delay, ok", [(0.999, True), (-0.999, True), (1.001, False), (-1.001, False),
+                                           (1e300, False)])
+    def test_delay_phase_bound(self, cfg_small, delay, ok):
+        # the largest delay phase 2*pi*(fc + BW/2)*max|t| may reach 2**42 rad, no further;
+        # delays below 1e10 are in units of the delay at that bound
+        if abs(delay) < 1e10:
+            delay *= 2**42 / (2.0 * np.pi * (cfg_small.carrier_freq + cfg_small.bandwidth / 2.0))
+        doc = config_to_json_dict(zero_config(16), cfg_small)
+        doc["delays_s"][5] = delay
+        if ok:
+            assert config_from_json_dict(doc)[0].delays[5] == delay
+        else:
+            with pytest.raises(ValueError, match=r"beyond the bound of 2\*\*42 rad"):
+                config_from_json_dict(doc)
+
     def test_flags_negative_delays(self, cfg_small):
         phi = ArrayConfig(np.full(16, -1e-12), np.zeros(16))
         with pytest.warns(UserWarning):

@@ -451,6 +451,24 @@ class TestLookup:
         with pytest.raises(ValueError):
             small_dict.lookup(2.5)
 
+    @pytest.mark.parametrize("source", ["file", "build"])
+    def test_entries_are_read_only_views_of_the_table(self, small_dict, tmp_path, source):
+        if source == "file":
+            save(small_dict, tmp_path / "gen.ttdd")
+            table = load(tmp_path / "gen.ttdd")
+        else:
+            table = small_dict
+        for i, delta in enumerate(table.offsets.tolist()):
+            for phi in (table.config(i), table.lookup(delta)):
+                for got, rows in ((phi.delays, table.delays), (phi.phases, table.phases)):
+                    assert np.shares_memory(got, rows)
+                    with pytest.raises(ValueError, match="read-only"):
+                        got[0] = 1.0
+                copied = ArrayConfig(table.delays[i], table.phases[i])
+                assert phi.delays.tobytes() == copied.delays.tobytes()
+                assert phi.phases.tobytes() == copied.phases.tobytes()
+                assert phi.delays.dtype == copied.delays.dtype and phi.n_antennas == copied.n_antennas
+
     @pytest.mark.parametrize("a", [2, 3, 5, 41, 61, 499])
     def test_index_is_the_argmin(self, a):
         # row i holds i, so a served row names its index

@@ -1,10 +1,14 @@
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttdbeam import evaluation
 from ttdbeam.core import SystemConfig, gain_at_directions, zero_config
+from ttdbeam.dictionary import GeneratorDictionary, offset_grid
 from ttdbeam.evaluation import (
     Ecdf,
     EvalReport,
@@ -187,6 +191,34 @@ class TestChunks:
         whole = monte_carlo(scen, synth)
         _same_report(one, whole)
         _assert_scored_alone(whole, scen, synth, range(scen.n_trials))
+
+    @given(
+        n=st.integers(1, 5),
+        g=st.sampled_from([1, 2, 3, 4, 6]),
+        blocks=st.integers(1, 4),
+        fc=st.floats(1e9, 100e9),
+        bw_ratio=st.floats(1e-3, 1.9),
+        a=st.sampled_from([2, 3, 5, 9]),
+        trials=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.integers(1, 24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bits_do_not_depend_on_the_chunk_property(self, n, g, blocks, fc, bw_ratio, a, trials, seed, chunk):
+        cfg = SystemConfig(n, 2 * g * blocks, fc, bw_ratio * fc)
+        rng = np.random.default_rng(seed)
+        d = 2 * a - 1
+        table = GeneratorDictionary(
+            offset_grid(a), rng.normal(0.0, 3e-10, (d, n)), rng.uniform(-7.0, 7.0, (d, n)), cfg, a
+        )
+        scen = EvalScenario(cfg=cfg, n_subbands=g, snr_linear=10.0, direction_grid_size=a,
+                            n_trials=trials, master_seed=seed)
+        synth = make_hdb_synthesizer(table)
+        with mock.patch.object(evaluation, "_CHUNK_TRIALS", chunk):
+            chunked = monte_carlo(scen, synth)
+        with mock.patch.object(evaluation, "_CHUNK_TRIALS", trials):
+            whole = monte_carlo(scen, synth)
+        _same_report(chunked, whole)
 
     def test_synthesizer_without_batch_gives_the_same_report(self, small_dict, cfg_dict):
         hdb = make_hdb_synthesizer(small_dict)

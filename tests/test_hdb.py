@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from ttdbeam.dictionary import GeneratorDictionary, _gain_profile, offset_grid
 from ttdbeam.evaluation import direction_grid
 from ttdbeam.hdb import (
     DictionaryCompatibilityError,
+    _band_plan,
+    _rescale,
     decompose,
     generator_bands,
     generator_set,
@@ -243,7 +247,6 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("a", [5, 61])
     def test_bitwise_the_config_sum(self, a):
-        # oracle: the composition on ArrayConfig objects, summed with ArrayConfig.__add__
         cfg = SystemConfig(16, 840, 28e9, 3e9)  # 840 subcarriers split into any G <= 8
         rng = np.random.default_rng(a)
         d = 2 * a - 1
@@ -255,11 +258,7 @@ class TestSynthesize:
             g_count = int(rng.integers(1, 9))
             dirs = grid[rng.integers(0, a, g_count)] if i % 2 else rng.uniform(-1.0, 1.0, g_count)
             dmap = DirectionMap(dirs)
-            deltas = generator_set(dmap)
-            oracle = constant_direction_config(float(deltas[0]), cfg)
-            for g in range(2, g_count + 1):
-                entry = table.lookup(float(deltas[g - 1]))
-                oracle = oracle + scale_shift(entry, *generator_bands(g, g_count, cfg), cfg)
+            oracle = _config_sum(dmap, table, cfg)
             phi = synthesize(dmap, table, cfg)
             assert phi.delays.tobytes() == oracle.delays.tobytes()
             assert phi.phases.tobytes() == oracle.phases.tobytes()
@@ -272,11 +271,102 @@ class TestSynthesize:
         np.testing.assert_array_equal(a.delays, b.delays)
 
 
+def _config_sum(dmap: DirectionMap, table: GeneratorDictionary, cfg: SystemConfig) -> ArrayConfig:
+    """Oracle: the composition on ArrayConfig objects, summed with ArrayConfig.__add__."""
+    deltas = generator_set(dmap)
+    total = constant_direction_config(float(deltas[0]), cfg)
+    for g in range(2, deltas.size + 1):
+        entry = table.lookup(float(deltas[g - 1]))
+        total = total + scale_shift(entry, *generator_bands(g, deltas.size, cfg), cfg)
+    return total
+
+
 def _random_table(cfg: SystemConfig, a: int, seed: int) -> GeneratorDictionary:
     rng = np.random.default_rng(seed)
     d = 2 * a - 1
     delays = rng.normal(0.0, 3e-10, (d, cfg.n_antennas))
     return GeneratorDictionary(offset_grid(a), delays, rng.uniform(-7.0, 7.0, (d, cfg.n_antennas)), cfg, a)
+
+
+class TestRescale:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        g_count=st.sampled_from([2, 3, 4, 5, 6, 8]),
+        fc=st.floats(min_value=1e9, max_value=100e9),
+        bw_ratio=st.floats(min_value=1e-3, max_value=1.9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_written_out_formula(self, seed, g_count, fc, bw_ratio):
+        # delays / alpha and phases - 2*pi*fc*delays + (2*pi*fc_new/alpha)*delays, element by
+        # element on Python floats, for the stacked rows of a plan and for scale_shift
+        cfg = SystemConfig(16, 120, fc, bw_ratio * fc)
+        rng = np.random.default_rng(seed)
+        delays = rng.normal(0.0, 3e-10, (g_count - 1, 16))
+        phases = rng.uniform(-7.0, 7.0, (g_count - 1, 16))
+        alpha, slope = _band_plan(g_count, cfg)
+        stacked = _rescale(delays, phases, alpha, slope, cfg)
+        for row in range(g_count - 1):
+            fc_new, bw_new = generator_bands(row + 2, g_count, cfg)
+            a = bw_new / cfg.bandwidth
+            expected_delays = np.array([t / a for t in delays[row].tolist()])
+            expected_phases = np.array([
+                p - 2.0 * math.pi * cfg.carrier_freq * t + (2.0 * math.pi * fc_new / a) * t
+                for t, p in zip(delays[row].tolist(), phases[row].tolist())
+            ])
+            shifted = scale_shift(ArrayConfig(delays[row], phases[row]), fc_new, bw_new, cfg)
+            for got_delays, got_phases in (
+                (stacked[0][row], stacked[1][row]),
+                (shifted.delays, shifted.phases),
+            ):
+                assert got_delays.tobytes() == expected_delays.tobytes()
+                assert got_phases.tobytes() == expected_phases.tobytes()
+
+
+class TestPlanCache:
+    CFG = SystemConfig(4, 24, 28e9, 3e9)
+
+    def test_interleaved_systems_stay_bitwise(self):
+        # same G, a different carrier: a plan served for the wrong system would show in the bits
+        systems = [self.CFG, SystemConfig(4, 24, 31e9, 3e9), SystemConfig(4, 24, 28e9, 2e9)]
+        tables = [_random_table(cfg, 5, seed=k) for k, cfg in enumerate(systems)]
+        rng = np.random.default_rng(16)
+        for i in range(300):
+            k = i % len(systems)
+            dmap = DirectionMap(rng.uniform(-1.0, 1.0, int(rng.choice([1, 2, 3, 4, 6, 8]))))
+            phi = synthesize(dmap, tables[k], systems[k])
+            oracle = _config_sum(dmap, tables[k], systems[k])
+            assert phi.delays.tobytes() == oracle.delays.tobytes()
+            assert phi.phases.tobytes() == oracle.phases.tobytes()
+            delays, phases = synthesize_batch(dmap.directions[None, :], tables[k], systems[k])
+            assert delays.tobytes() == oracle.delays.tobytes()
+            assert phases.tobytes() == oracle.phases.tobytes()
+
+    def test_failed_checks_raise_on_every_call(self):
+        table = _random_table(self.CFG, 5, seed=0)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="5 subbands do not divide 24"):
+                synthesize(DirectionMap(np.zeros(5)), table, self.CFG)
+            with pytest.raises(ValueError, match="5 subbands do not divide 24"):
+                synthesize_batch(np.zeros((2, 5)), table, self.CFG)
+
+    def test_dictionary_checked_after_a_cached_success(self):
+        other = SystemConfig(4, 24, 31e9, 3e9)
+        table, other_table = _random_table(self.CFG, 5, seed=0), _random_table(other, 5, seed=1)
+        dmap = DirectionMap(np.array([0.1, -0.2, 0.3]))
+        synthesize(dmap, table, self.CFG)
+        synthesize(dmap, other_table, other)
+        for _ in range(2):
+            with pytest.raises(DictionaryCompatibilityError):
+                synthesize(dmap, table, other)
+            with pytest.raises(DictionaryCompatibilityError):
+                synthesize_batch(dmap.directions[None, :], other_table, self.CFG)
+
+    def test_cached_columns_are_read_only(self):
+        alpha, slope = _band_plan(3, self.CFG)
+        assert alpha.shape == slope.shape == (2, 1)
+        for column in (alpha, slope):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 1.0
 
 
 def _stacked(directions, dictionary, cfg):

@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import pytest
 
 from ttdbeam.core import ArrayConfig, PsiGrid, SystemConfig, beampattern_of_config, zero_config
 from ttdbeam.hdb import synthesize
@@ -29,6 +30,14 @@ def test_heatmap_grey_levels_match_beampattern(rng):
         greys += [int(grey, 16)] * round(float(width) / (760 / cols.size))
     drawn = np.array(greys).reshape(rows, cols.size)[::-1]
     np.testing.assert_array_equal(drawn, expected)
+
+
+def test_heatmap_rejects_gains_that_are_not_finite(cfg_small):
+    # 2*pi*f*t overflows, so every gain is NaN
+    phi = ArrayConfig(np.full(16, 1e300), np.zeros(16))
+    with pytest.raises(ValueError, match="gain levels must be finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            render_config_heatmap(phi, cfg_small)
 
 
 def test_split_config_shows_distinct_bright_rows(small_dict, cfg_dict):
