@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import dictionary as dict_io
-from .core import SystemConfig, config_from_json_dict, config_to_json_dict, gain_at_directions
+from .core import SystemConfig, _check_delay_phase, config_from_json_dict, config_to_json_dict, gain_at_directions
 from .dictionary import DictionaryFormatError, build_dictionary
 from .evaluation import (
     EvalScenario,
@@ -32,7 +32,7 @@ from .solvers import (
     default_max_delay,
     make_jpta_synthesizer,
 )
-from .splitbeam import DirectionMap, expand_directions
+from .splitbeam import DirectionMap, expand_directions, subband_width
 from .svgrender import render_config_heatmap, render_summary_charts
 
 EXIT_OK = 0
@@ -56,7 +56,9 @@ def _directions_arg(raw: str) -> np.ndarray:
 
 def _solver_params(args: argparse.Namespace, cfg: SystemConfig) -> SolverParams:
     t_max = args.tmax_s if args.tmax_s is not None else default_max_delay(cfg)
-    return SolverParams(max_delay=t_max, delay_grid_size=args.delay_grid)
+    params = SolverParams(max_delay=t_max, delay_grid_size=args.delay_grid)
+    _check_delay_phase(t_max, cfg)  # the search's delays reach t_max
+    return params
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -108,7 +110,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         print(f"generator {g}: offset {delta:+.6f} snapped to {snapped:+.6f}, "
               f"error {abs(snapped - delta):.3g}")
     gains = np.abs(gain_at_directions(phi, expand_directions(dmap, cfg), cfg))
-    block = cfg.n_subcarriers // dmap.n_subbands
+    block = subband_width(dmap.n_subbands, cfg.n_subcarriers)
     peak = np.sqrt(cfg.n_antennas)
     for b in range(dmap.n_subbands):
         band = gains[b * block : (b + 1) * block]

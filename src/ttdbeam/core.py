@@ -13,6 +13,7 @@ steering exponent at subcarrier frequency f is ``-j * n * pi * psi * f / fc``
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -108,9 +109,10 @@ class ArrayConfig:
     def _of_rows(cls, delays: np.ndarray, phases: np.ndarray) -> "ArrayConfig":
         """Config over two rows as they are: no copy and no checks.
 
-        For :class:`~ttdbeam.dictionary.GeneratorDictionary` alone, whose
-        constructor has already copied, frozen and checked every row: the
-        rows must be read-only, finite float64 vectors of one length.
+        For callers that have already made, frozen and checked both rows:
+        :class:`~ttdbeam.dictionary.GeneratorDictionary` (its table's rows)
+        and :func:`~ttdbeam.hdb.synthesize` (the sums it made).  The rows
+        must be read-only, finite float64 vectors of one length.
         """
         phi = object.__new__(cls)
         object.__setattr__(phi, "delays", delays)
@@ -359,23 +361,35 @@ def config_to_json_dict(phi: ArrayConfig, cfg: SystemConfig) -> dict:
     }
 
 
-# Largest delay phase 2*pi*(fc + BW/2)*max|t| a config read from JSON may reach, in rad: at
-# 2**42 rad a float64 phase is resolved only to 2**-10 rad, while the jpta search reaches
-# about 7.4e4 rad at full scale.
-_MAX_DELAY_PHASE = 2.0**42
+def _check_delay_phase(max_abs_delay: float, cfg: SystemConfig) -> None:
+    """ValueError when the largest delay phase ``2*pi*(fc + BW/2)*max|t|`` exceeds 2**42 rad.
+
+    A float64 phase there is resolved to 2**-10 rad; the jpta search reaches about 7.4e4 rad.
+    """
+    phase = 2.0 * math.pi * (cfg.carrier_freq + cfg.bandwidth / 2.0) * max_abs_delay
+    if not phase <= 2.0**42:
+        raise ValueError(f"delays reach a phase of {phase:.3e} rad, beyond the bound of 2**42 rad")
+
+
+def _is_json_number(x) -> bool:
+    """Whether a JSON value is a number float64 holds: not a string, a bool or an int beyond its range."""
+    return isinstance(x, float) or (type(x) is int and abs(x) <= sys.float_info.max)
 
 
 def config_from_json_dict(d: dict) -> tuple[ArrayConfig, SystemConfig]:
     """Inverse of :func:`config_to_json_dict`.
 
-    ValueError on a count or frequency that is not a JSON number (a string
-    or a bool), a count that is not a whole number, or delays whose largest
-    phase ``2*pi*(fc + BW/2)*max|t|`` exceeds 2**42 rad.
+    ValueError on a count, frequency, delay or phase that is not
+    :func:`_is_json_number`, a count that is not a whole number, or delays
+    beyond the bound of :func:`_check_delay_phase`.
     """
+    for key in ("delays_s", "phases_rad"):
+        if not (isinstance(d[key], list) and all(map(_is_json_number, d[key]))):
+            raise ValueError(f"{key} must be a list of numbers")
     phi = ArrayConfig(np.asarray(d["delays_s"], dtype=np.float64),
                       np.asarray(d["phases_rad"], dtype=np.float64))
     for key in ("n", "m", "fc_hz", "bw_hz"):
-        if not isinstance(d[key], (int, float)) or isinstance(d[key], bool):
+        if not _is_json_number(d[key]):
             raise ValueError(f"{key} must be a number, got {d[key]!r}")
     for key in ("n", "m"):
         if isinstance(d[key], float) and not d[key].is_integer():
@@ -384,7 +398,5 @@ def config_from_json_dict(d: dict) -> tuple[ArrayConfig, SystemConfig]:
     if phi.n_antennas != n:
         raise ValueError("antenna count field disagrees with vector lengths")
     cfg = SystemConfig(n, m, float(d["fc_hz"]), float(d["bw_hz"]))
-    phase = 2.0 * math.pi * (cfg.carrier_freq + cfg.bandwidth / 2.0) * float(np.abs(phi.delays).max())
-    if not phase <= _MAX_DELAY_PHASE:
-        raise ValueError(f"delays reach a phase of {phase:.3e} rad, beyond the bound of 2**42 rad")
+    _check_delay_phase(float(np.abs(phi.delays).max()), cfg)
     return phi, cfg

@@ -49,6 +49,7 @@ from . import hdb
 from .core import (
     ArrayConfig,
     SystemConfig,
+    _check_delay_phase,
     _comb_factors,
     _pattern,
     _readonly,
@@ -113,6 +114,7 @@ class GeneratorDictionary:
             )
         if not (np.isfinite(self.delays).all() and np.isfinite(self.phases).all()):
             raise ValueError("config rows must be finite")
+        _check_delay_phase(float(np.abs(self.delays).max()), self.meta)
 
     @property
     def n_entries(self) -> int:
@@ -136,17 +138,6 @@ class GeneratorDictionary:
         below, at, above = self.offsets[guess - 1 : guess + 2].tolist()
         errors = (abs(below - delta), abs(at - delta), abs(above - delta))
         return guess - 1 + errors.index(min(errors))
-
-    def indices(self, deltas: np.ndarray) -> np.ndarray:
-        """:meth:`index` of every offset in an array, elementwise and bitwise the same rows."""
-        deltas = np.asarray(deltas, dtype=np.float64)
-        outside = ~(np.abs(deltas) <= 2.0)
-        if outside.any():
-            raise ValueError(f"offset must lie in [-2, 2], got {deltas[outside][0]}")
-        denom = self.direction_grid_size - 1
-        guess = np.clip(np.rint(deltas * denom / 2.0).astype(np.intp) + denom, 1, 2 * denom - 1)
-        errors = np.abs(self.offsets[guess[..., None] + np.arange(-1, 2)] - deltas[..., None])
-        return guess - 1 + np.argmin(errors, axis=-1)  # argmin keeps the first of equal errors
 
     def lookup(self, delta: float) -> ArrayConfig:
         """Nearest-neighbor entry for a direction offset; ties take the smaller offset."""
@@ -422,7 +413,8 @@ def load(path: str | os.PathLike) -> GeneratorDictionary:
 
     Beyond magic, version and payload length, the file must pass the
     constructor's checks: offsets bitwise the A-point offset grid (so the
-    entry count is 2A-1), finite rows and a header that is a valid system.
+    entry count is 2A-1), finite rows within the delay-phase bound of
+    :func:`~ttdbeam.core.config_from_json_dict` and a header that is a valid system.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

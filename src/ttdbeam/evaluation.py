@@ -28,7 +28,7 @@ from .core import ArrayConfig, SystemConfig, _gains_at_directions, _readonly, _r
 from .core import gain_at, gain_at_directions  # noqa: F401
 from .parallel import worker_count
 from .solvers import SynthesisFn
-from .splitbeam import DirectionMap, expand_directions, subband_of  # noqa: F401
+from .splitbeam import DirectionMap, expand_directions, subband_of, subband_width  # noqa: F401
 
 __all__ = [
     "EvalScenario",
@@ -69,10 +69,7 @@ class EvalScenario:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.n_subbands < 1:
             raise ValueError(f"need at least one subband, got {self.n_subbands}")
-        if self.cfg.n_subcarriers % self.n_subbands != 0:
-            raise ValueError(
-                f"{self.n_subbands} subbands do not divide {self.cfg.n_subcarriers} subcarriers"
-            )
+        subband_width(self.n_subbands, self.cfg.n_subcarriers)
         if not 0.0 < self.snr_linear < np.inf:
             raise ValueError(f"snr_linear must be positive and finite, got {self.snr_linear}")
         if self.direction_grid_size < 2:
@@ -200,7 +197,7 @@ def monte_carlo(
     if trials.size == 0:
         raise RuntimeError(f"every trial failed; first error: {failures[0][1]}")
     directions = directions[trials]
-    block = cfg.n_subcarriers // scenario.n_subbands
+    block = subband_width(scenario.n_subbands, cfg.n_subcarriers)
     se = np.empty((trials.size, cfg.n_subcarriers))
     for first in range(0, trials.size, _CHUNK_TRIALS):
         chunk = slice(first, first + _CHUNK_TRIALS)
@@ -276,7 +273,7 @@ def report_csv_lines(report: EvalReport, scenario: EvalScenario):
     """Rows ``trial,m,subband,direction,se_bps_hz`` (1-based trial and m)."""
     yield "trial,m,subband,direction,se_bps_hz"
     m_count = scenario.cfg.n_subcarriers
-    block = m_count // scenario.n_subbands
+    block = subband_width(scenario.n_subbands, m_count)
     bands = [m // block for m in range(m_count)]  # 0-based subband of each subcarrier
     middles = [f",{m + 1},{b + 1}," for m, b in enumerate(bands)]
     rows = zip(report.trial_directions, report.se_per_subcarrier)

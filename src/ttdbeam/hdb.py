@@ -7,19 +7,13 @@ direction (closed form) plus G-1 two-subband offsets read from a precomputed
 dictionary, each rescaled onto its own sub-band of the system bandwidth.
 The target's config is just the sum of the generator configs.
 
-:func:`synthesize` composes that sum on raw arrays.  Per generator it does
-only the row search and the sum: one dictionary lookup, which returns a
-config over read-only views of the table's rows, and two length-N adds.  Per
-call it reads the bands of generators 2..G from a plan cached per (G, system),
-rescales the G-1 looked-up rows in one :func:`_rescale` call and builds one
-:class:`ArrayConfig` at the end.  On two vCPUs (Python 3.11.7, numpy 2.4.6) a
-call took about 64 us at a mean G of 4.7 (A=61, off-grid) and 47 us at G=3
-(A=499); a traced lookup took 5-6 us.  The closed-form delays and the band
-rescaling come from the same helpers as
-:func:`~ttdbeam.solvers.constant_direction_config` and :func:`scale_shift`, so
-the result is bitwise the sum of those configs under ``ArrayConfig.__add__``.
-:func:`synthesize_batch` runs the same steps on B targets at once and returns
-their delays and phases as two (B, N) arrays, bitwise the stacked calls.
+:func:`synthesize` and :func:`synthesize_batch` share one closed form for the
+first generator, one nearest-row search (``GeneratorDictionary.index``), a
+band plan cached per (G, system) and one generator sum (:func:`_compose`), so
+a config is bitwise the sum of its generator configs under
+``ArrayConfig.__add__`` and a batch is bitwise the stacked calls.  On two
+vCPUs (Python 3.11.7, numpy 2.4.6) a call took about 64 us at a mean G of 4.7
+(A=61, off-grid) and 54 us at G=3 (A=499).
 
 Two offset conventions coexist here.  :func:`decompose` reports offsets
 wrapped into the visible direction range, which is the natural invariant
@@ -42,7 +36,7 @@ from .core import ArrayConfig, SystemConfig, wrap_sine
 # constant_direction_config is no longer called here but stays importable as
 # hdb.constant_direction_config, the path perfbench/tracer.py wraps
 from .solvers import SynthesisFn, constant_direction_config, constant_direction_delays  # noqa: F401
-from .splitbeam import DirectionMap
+from .splitbeam import DirectionMap, subband_width
 
 if TYPE_CHECKING:
     from .dictionary import GeneratorDictionary
@@ -144,8 +138,7 @@ def _band_plan(g_count: int, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]
     distinct.  Cached per (G, cfg); a failed check is not cached, so it
     raises again on every call.
     """
-    if cfg.n_subcarriers % g_count != 0:
-        raise ValueError(f"{g_count} subbands do not divide {cfg.n_subcarriers} subcarriers")
+    subband_width(g_count, cfg.n_subcarriers)
     bands = [generator_bands(g, g_count, cfg) for g in range(2, g_count + 1)]
     if len({fc_g for fc_g, _ in bands}) != len(bands):
         raise AssertionError("generator subband boundaries must not coincide")
@@ -166,31 +159,44 @@ def _checked_plan(g_count: int, dictionary: "GeneratorDictionary", cfg: SystemCo
     return _band_plan(g_count, cfg)
 
 
+def _compose(delays, entry_delays, entry_phases, alpha, slope, cfg: SystemConfig):
+    """Closed-form ``delays`` (added to in place) and zero phases plus the G-1 rescaled entries.
+
+    The (G-1, ..., N) entries take one :func:`_rescale` onto the plan's bands
+    and are added left to right; then each sum is checked finite once.
+    """
+    entry_delays, entry_phases = _rescale(entry_delays, entry_phases, alpha, slope, cfg)
+    phases = np.zeros(delays.shape)  # the closed-form config's phases: a -0.0 row sums to 0.0
+    for row_delays, row_phases in zip(entry_delays, entry_phases):
+        delays += row_delays
+        phases += row_phases
+    for x in (delays, phases):
+        if np.count_nonzero(np.isfinite(x)) != x.size:
+            raise ValueError("delays and phases must be finite")
+    return delays, phases
+
+
 def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: SystemConfig) -> ArrayConfig:
     """Config for a split target: sum of its generator configs.
 
     Uses the raw direction differences, whose running sum reproduces the
     target exactly at every subcarrier (see the module docstring).  Per
-    generator one O(1) ``dictionary.lookup`` (a row search and a view of
-    the row) and two length-N adds, left to right onto the closed-form
-    delays and zero phases; per call one cached band plan, one rescale of
-    the stacked G-1 rows and one ``ArrayConfig``, O(N*G) total.  Bitwise equal to
-    ``constant_direction_config(d_1) + sum(scale_shift(lookup(d_g), *generator_bands(g)))``.
+    generator one O(1) ``dictionary.lookup``; per call one cached band plan
+    and one :func:`_compose`, whose frozen sums the config holds uncopied.
+    Bitwise ``constant_direction_config(d_1) + sum(scale_shift(lookup(d_g), *generator_bands(g)))``.
     Requires a dictionary built for the same (N, M, fc, BW).
     """
     alpha, slope = _checked_plan(dmap.n_subbands, dictionary, cfg)
     deltas = generator_set(dmap)
-    delays = constant_direction_delays(float(deltas[0]), cfg)
-    phases = np.zeros(cfg.n_antennas)  # the closed-form config's phases: a -0.0 row sums to 0.0
     entries = [dictionary.lookup(delta) for delta in deltas[1:].tolist()]
-    entry_delays, entry_phases = _rescale(
+    delays, phases = _compose(
+        constant_direction_delays(float(deltas[0]), cfg),
         np.array([entry.delays for entry in entries]), np.array([entry.phases for entry in entries]),
         alpha, slope, cfg,
     )
-    for row_delays, row_phases in zip(entry_delays, entry_phases):
-        delays += row_delays
-        phases += row_phases
-    return ArrayConfig(delays, phases)
+    delays.setflags(write=False)
+    phases.setflags(write=False)
+    return ArrayConfig._of_rows(delays, phases)
 
 
 def synthesize_batch(
@@ -199,10 +205,9 @@ def synthesize_batch(
     """Delays and phases (B, N) of B split targets, given as directions (B, G), in one pass.
 
     Row b is bitwise ``synthesize(DirectionMap(directions[b]), dictionary, cfg)``:
-    the same raw offsets, nearest rows (``dictionary.indices``), rescaling and
-    left-to-right sum, each applied to all B targets at once, with no
-    per-target objects.  Makes the checks of ``DirectionMap`` and
-    :func:`synthesize` and raises the same exception types.
+    the same raw offsets, rows (``dictionary.index``, laid out (G-1, B)) and
+    :func:`_compose`, with no per-target objects.  Makes the checks of
+    ``DirectionMap`` and :func:`synthesize` and raises the same exception types.
     """
     directions = np.asarray(directions, dtype=np.float64)
     if directions.ndim != 2 or directions.shape[1] < 1:
@@ -211,19 +216,10 @@ def synthesize_batch(
         raise ValueError("directions must lie in [-1, 1]")
     alpha, slope = _checked_plan(directions.shape[1], dictionary, cfg)
     deltas = np.diff(directions, axis=1, prepend=0.0)  # generator_set, row by row
-    # constant_direction_delays of each first offset
-    delays = -deltas[:, :1] * np.arange(cfg.n_antennas, dtype=np.float64) / (2.0 * cfg.carrier_freq)
-    phases = np.zeros_like(delays)
-    rows = dictionary.indices(deltas[:, 1:])
-    for g in range(rows.shape[1]):
-        entry_delays, entry_phases = _rescale(
-            dictionary.delays[rows[:, g]], dictionary.phases[rows[:, g]], alpha[g], slope[g], cfg
-        )
-        delays += entry_delays
-        phases += entry_phases
-    if not (np.isfinite(delays).all() and np.isfinite(phases).all()):
-        raise ValueError("delays and phases must be finite")
-    return delays, phases
+    rows = np.array([[dictionary.index(delta) for delta in column] for column in deltas[:, 1:].T.tolist()],
+                    dtype=np.intp).reshape(deltas.shape[1] - 1, deltas.shape[0])
+    return _compose(constant_direction_delays(deltas[:, :1], cfg), dictionary.delays[rows],
+                    dictionary.phases[rows], alpha[..., None], slope[..., None], cfg)
 
 
 def make_hdb_synthesizer(dictionary: "GeneratorDictionary") -> SynthesisFn:

@@ -84,10 +84,8 @@ def delay_grid(max_delay: float, size: int) -> np.ndarray:
     return np.arange(size, dtype=np.float64) * (max_delay / size)
 
 
-def constant_direction_delays(delta: float, cfg: SystemConfig) -> np.ndarray:
-    """Delays ``t_n = -delta*n/(2*fc)`` of :func:`constant_direction_config`, as a new array."""
-    if not -1.0 <= delta <= 1.0:
-        raise ValueError(f"direction must lie in [-1, 1], got {delta}")
+def constant_direction_delays(delta, cfg: SystemConfig) -> np.ndarray:
+    """Unchecked new delays ``t_n = -delta*n/(2*fc)``; a (B, 1) column of directions gives (B, N)."""
     n = np.arange(cfg.n_antennas, dtype=np.float64)
     return -delta * n / (2.0 * cfg.carrier_freq)
 
@@ -101,6 +99,8 @@ def constant_direction_config(delta: float, cfg: SystemConfig) -> ArrayConfig:
     Accepts the closed interval [-1, 1]: -1 and +1 are distinct configs
     (their patterns coincide only at the carrier).
     """
+    if not -1.0 <= delta <= 1.0:
+        raise ValueError(f"direction must lie in [-1, 1], got {delta}")
     return ArrayConfig(constant_direction_delays(delta, cfg), np.zeros(cfg.n_antennas))
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "ideal_split_precoder",
     "dirichlet_gain",
     "subband_of",
+    "subband_width",
 ]
 
 
@@ -42,17 +43,17 @@ class DirectionMap:
     def n_subbands(self) -> int:
         return self.directions.size
 
-    def validate_with(self, cfg: SystemConfig) -> None:
-        if cfg.n_subcarriers % self.n_subbands != 0:
-            raise ValueError(
-                f"{self.n_subbands} subbands do not divide {cfg.n_subcarriers} subcarriers"
-            )
+
+def subband_width(n_subbands: int, n_subcarriers: int) -> int:
+    """Subcarriers per subband, M/G; ValueError unless G >= 1 divides M."""
+    if n_subbands < 1 or n_subcarriers % n_subbands != 0:
+        raise ValueError(f"{n_subbands} subbands do not divide {n_subcarriers} subcarriers")
+    return n_subcarriers // n_subbands
 
 
 def expand_directions(dmap: DirectionMap, cfg: SystemConfig) -> np.ndarray:
     """Per-subcarrier direction vector: block-constant over the G subbands."""
-    dmap.validate_with(cfg)
-    return np.repeat(dmap.directions, cfg.n_subcarriers // dmap.n_subbands)
+    return np.repeat(dmap.directions, subband_width(dmap.n_subbands, cfg.n_subcarriers))
 
 
 def _steering_precoder(psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -92,8 +93,6 @@ def dirichlet_gain(psi_offset: float, m: int, cfg: SystemConfig) -> complex:
 
 def subband_of(m: int, n_subbands: int, n_subcarriers: int) -> int:
     """1-based subband index of 1-based subcarrier m: ceil(m*G/M)."""
-    if n_subcarriers % n_subbands != 0:
-        raise ValueError(f"{n_subbands} subbands do not divide {n_subcarriers} subcarriers")
     if not 1 <= m <= n_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range 1..{n_subcarriers}")
-    return (m * n_subbands + n_subcarriers - 1) // n_subcarriers
+    return (m - 1) // subband_width(n_subbands, n_subcarriers) + 1

@@ -252,10 +252,14 @@ class TestRender:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n", "4"), ("m", "8"), ("fc_hz", "28e9"), ("bw_hz", "3e9"), ("m", True), ("delays_s", [1e300] * 4)],
+        [("n", "4"), ("m", "8"), ("fc_hz", "28e9"), ("bw_hz", "3e9"), ("m", True), ("delays_s", [1e300] * 4),
+         ("delays_s", ["1e-10", 0, True, 0]), ("phases_rad", [0, False, 0, 0]),
+         pytest.param("fc_hz", 10**400, id="fc_hz-huge-int"),
+         pytest.param("delays_s", [10**400, 0, 0, 0], id="delays_s-huge-int")],
     )
     def test_config_field_exit_5(self, tmp_path, capsys, key, value):
-        # counts and frequencies given as strings or bools, and a delay whose phase overflows
+        # counts, frequencies, delays and phases given as strings, bools or ints no float64 holds, and
+        # a delay whose phase overflows
         good = {"n": 4, "m": 8, "fc_hz": 28e9, "bw_hz": 3e9, "delays_s": [0.0] * 4, "phases_rad": [0.0] * 4}
         path, out = tmp_path / "c.json", tmp_path / "x.svg"
         path.write_text(json.dumps({**good, key: value}))
@@ -293,6 +297,23 @@ class TestExitCodes:
         rc = main(["synth", "--dict", str(bad), "--dirs", "0", "--out", str(tmp_path / "o.json")])
         assert rc == 5
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    def test_huge_delay_dict_parse_error(self, built_dict, tmp_path, capsys, command):
+        # a finite delay whose phase is beyond the bound of config JSON: 1e200 s
+        bad = tmp_path / "huge.ttdd"
+        blob = bytearray(built_dict.read_bytes())
+        first_row = 40 + 17 * 8  # header, then 17 offsets
+        blob[first_row : first_row + 8] = np.array([1e200], dtype="<f8").tobytes()
+        bad.write_bytes(bytes(blob))
+        if command == "synth":
+            extra = ["--dirs", "-0.4,0.4,-0.1", "--out", str(tmp_path / "o.json")]
+        else:
+            extra = ["--ues", "2", "--trials", "2", "--out-prefix", str(tmp_path / "x")]
+        assert main([command, "--dict", str(bad), *extra]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "beyond the bound of 2**42 rad" in err
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_indivisible_ues_usage_error(self, built_dict, tmp_path):
         rc = main(
@@ -353,6 +374,26 @@ class TestExitCodes:
                    "--grid", "3", "--out", str(tmp_path / "d.ttdd")])
         assert rc == 2
         assert "require finite carrier_freq" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["dict-build", "eval", "bench"])
+    def test_huge_tmax_usage_error(self, built_dict, tmp_path, capsys, monkeypatch, command):
+        # finite, but the search's delay phase would pass 2**42 rad: refused before any fit runs
+        def not_run(*args, **kwargs):
+            raise AssertionError("the build or the trials ran")
+
+        for name in ("build_dictionary", "monte_carlo", "runtime_bench"):
+            monkeypatch.setattr(cli, name, not_run)
+        extra = {
+            "dict-build": ["--n", "4", "--fc", "28e9", "--bw", "3e9", "--m", "8", "--grid", "3",
+                           "--out", str(tmp_path / "d.ttdd")],
+            "eval": ["--dict", str(built_dict), "--ues", "2", "--synth", "jpta", "--trials", "2",
+                     "--out-prefix", str(tmp_path / "x")],
+            "bench": ["--dict", str(built_dict), "--ues", "2", "--hdb-calls", "2", "--jpta-calls", "1"],
+        }[command]
+        assert main([command, "--tmax-s", "1e300", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "beyond the bound of 2**42 rad" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["eval", "bench"])

@@ -418,15 +418,32 @@ class TestConfigJson:
         assert cfg2 == cfg_small
 
     @pytest.mark.parametrize("key", ["n", "m", "fc_hz", "bw_hz"])
-    @pytest.mark.parametrize("kind", [str, bool])
+    @pytest.mark.parametrize("kind", [str, bool, int])
     def test_rejects_a_field_that_is_not_a_number(self, cfg_small, key, kind):
+        # int: an integer no float64 holds
         doc = config_to_json_dict(zero_config(16), cfg_small)
-        value = str(doc[key]) if kind is str else True
+        value = {str: str(doc[key]), bool: True, int: 10**400}[kind]
         with pytest.raises(ValueError, match=f"{key} must be a number"):
             config_from_json_dict({**doc, key: value})
 
+    @pytest.mark.parametrize("key", ["delays_s", "phases_rad"])
+    @pytest.mark.parametrize("value", ["1e-10", True, False, None, 10**400, [0.0]],
+                             ids=["str", "true", "false", "null", "huge-int", "list"])
+    def test_rejects_an_element_that_is_not_a_number(self, cfg_small, key, value):
+        # numpy would parse the string and take the bools as 1 and 0
+        doc = config_to_json_dict(zero_config(16), cfg_small)
+        doc[key][3] = value
+        with pytest.raises(ValueError, match=f"{key} must be a list of numbers"):
+            config_from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["delays_s", "phases_rad"])
+    def test_rejects_vectors_that_are_not_lists(self, cfg_small, key):
+        doc = config_to_json_dict(zero_config(16), cfg_small)
+        with pytest.raises(ValueError, match=f"{key} must be a list of numbers"):
+            config_from_json_dict({**doc, key: "0.0"})
+
     @pytest.mark.parametrize("delay, ok", [(0.999, True), (-0.999, True), (1.001, False), (-1.001, False),
-                                           (1e300, False)])
+                                           (1e300, False), pytest.param(10**300, False, id="int-False")])
     def test_delay_phase_bound(self, cfg_small, delay, ok):
         # the largest delay phase 2*pi*(fc + BW/2)*max|t| may reach 2**42 rad, no further;
         # delays below 1e10 are in units of the delay at that bound

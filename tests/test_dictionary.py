@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from ttdbeam.dictionary import (
 from ttdbeam.hdb import scale_shift
 from ttdbeam.solvers import (
     SolverParams,
-    _correlation_scores,
     default_max_delay,
     delay_grid,
     fold_delay_periods,
@@ -301,8 +301,14 @@ def _differs_from_line_search(delta, params, cfg):
     """Antennas where the closed-form fit and ``jpta_approx`` of the target pick different delays.
 
     Every other antenna's phase agrees within 1e-9 rad.  A differing antenna
-    must be an exact tie broken by rounding: the line search's correlation
-    has the same magnitude, within 1e-12, at both delays.
+    must be an exact tie broken by rounding: its correlation with the target
+    has the same magnitude, within 1e-12, at both grid delays.  The reference
+    sums reduce every phase to exact turns: at grid delay k subcarrier m
+    turns m*k*periods/K times, and with periods = p/q (the range in
+    correlation periods M/BW, a ratio of small integers here) that is
+    (m*k*p mod K*q)/(K*q) in integers, so two aliases of one delay sum to
+    the same bits.  The line search's own direct sum rounds its large
+    phases, which can part an exact tie by more than 1e-12.
     """
     v = _two_subband_target(delta, cfg)
     ref = jpta_approx(v, params, cfg)
@@ -311,10 +317,15 @@ def _differs_from_line_search(delta, params, cfg):
     assert np.max(_wrapped(got.phases - ref.phases)[~differs], initial=0.0) <= 1e-9
     if differs.any():
         t_grid = delay_grid(params.max_delay, params.delay_grid_size)
-        scores = np.abs(_correlation_scores(v, cfg, t_grid, params.max_delay))[differs]
-        k = np.searchsorted(t_grid, got.delays[differs])
-        assert t_grid[k].tobytes() == got.delays[differs].tobytes()
-        np.testing.assert_allclose(scores[np.arange(k.size), k], scores.max(axis=1), rtol=1e-12)
+        picked = np.stack([got.delays[differs], ref.delays[differs]])
+        k = np.searchsorted(t_grid, picked)
+        assert t_grid[k].tobytes() == picked.tobytes()
+        periods = params.max_delay * cfg.bandwidth / cfg.n_subcarriers
+        p, q = Fraction(periods).limit_denominator(100).as_integer_ratio()
+        whole = params.delay_grid_size * q
+        turns = (np.arange(1, cfg.n_subcarriers + 1) * k[..., None] * p % whole) / whole
+        scores = np.abs(np.sum(v[differs] * np.exp(2j * np.pi * turns), axis=-1))
+        np.testing.assert_allclose(scores[0], scores[1], rtol=1e-12)
     return differs
 
 
@@ -334,6 +345,8 @@ class TestClosedFormFit:
     @example(n=16, half=8, log_k=5, ratio=1.5, a=5, j=3, periods=1.0)
     # two whole periods: every peak is on the grid twice, and rounding picks the alias
     @example(n=16, half=60, log_k=12, ratio=56.0 / 3.0, a=5, j=3, periods=2.0)
+    # antenna 1's aliases tie exactly, but the line search's direct sum parts them by 1.7e-12
+    @example(n=2, half=78, log_k=4, ratio=33.0, a=3, j=1, periods=2.0)
     @settings(max_examples=150, deadline=None)
     def test_matches_line_search(self, n, half, log_k, ratio, a, j, periods):
         # only fc/BW enters the fit: BW fixes the time scale alone
@@ -438,14 +451,14 @@ class TestLookup:
         # offset_grid(5) steps by 0.5, so 0.25 is an exact tie between 0.0 and 0.5
         handmade = GeneratorDictionary(
             offsets=offset_grid(5),
-            delays=np.arange(9 * 16, dtype=float).reshape(9, 16),
-            phases=np.zeros((9, 16)),
+            delays=np.zeros((9, 16)),
+            phases=np.arange(9 * 16, dtype=float).reshape(9, 16),
             meta=cfg_dict,
             direction_grid_size=5,
         )
         assert handmade.offsets[4] == 0.0 and handmade.offsets[5] == 0.5
         phi = handmade.lookup(0.25)
-        np.testing.assert_array_equal(phi.delays, handmade.delays[4])
+        np.testing.assert_array_equal(phi.phases, handmade.phases[4])
 
     def test_range_validation(self, small_dict):
         with pytest.raises(ValueError):
@@ -471,10 +484,10 @@ class TestLookup:
 
     @pytest.mark.parametrize("a", [2, 3, 5, 41, 61, 499])
     def test_index_is_the_argmin(self, a):
-        # row i holds i, so a served row names its index
+        # row i holds phase i, so a served row names its index
         d = 2 * a - 1
         rows = np.arange(d, dtype=float)[:, None]
-        table = GeneratorDictionary(offset_grid(a), rows, np.zeros((d, 1)), SystemConfig(1, 4, 28e9, 3e9), a)
+        table = GeneratorDictionary(offset_grid(a), np.zeros((d, 1)), rows, SystemConfig(1, 4, 28e9, 3e9), a)
         offsets = table.offsets
         mids = (offsets[:-1] + offsets[1:]) / 2.0
         probes = np.concatenate([
@@ -488,10 +501,7 @@ class TestLookup:
         for delta in probes.tolist():
             expected = int(np.argmin(np.abs(offsets - delta)))
             assert table.index(delta) == expected, delta
-            assert table.lookup(delta).delays.tobytes() == rows[expected].tobytes()
-        assert table.indices(probes).tolist() == [table.index(delta) for delta in probes.tolist()]
-        tail = probes[-2000:]  # any shape
-        assert table.indices(tail.reshape(40, 50)).tolist() == table.indices(tail).reshape(40, 50).tolist()
+            assert table.lookup(delta).phases.tobytes() == rows[expected].tobytes()
 
     @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 2.0000001, -2.5])
     def test_index_rejects_out_of_range(self, small_dict, delta):
@@ -499,8 +509,6 @@ class TestLookup:
             small_dict.index(delta)
         with pytest.raises(ValueError, match=r"offset must lie in \[-2, 2\]"):
             small_dict.lookup(delta)
-        with pytest.raises(ValueError, match=r"offset must lie in \[-2, 2\]"):
-            small_dict.indices(np.array([[0.0, 1.0], [delta, -1.0]]))
 
 
 class TestPersistence:
@@ -628,8 +636,10 @@ class TestPersistence:
     )
     @settings(max_examples=60, deadline=None)
     def test_save_load_identity(self, a, n, data):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        rows = [data.draw(hnp.arrays(np.float64, (2 * a - 1, n), elements=finite)) for _ in range(2)]
+        # any finite phase; delays within 23 s, as the constructor takes at most 2**42 rad of
+        # delay phase, 23.7 s at this carrier
+        elements = (st.floats(-23.0, 23.0), st.floats(allow_nan=False, allow_infinity=False))
+        rows = [data.draw(hnp.arrays(np.float64, (2 * a - 1, n), elements=e)) for e in elements]
         built = GeneratorDictionary(offset_grid(a), *rows, SystemConfig(n, 8, 28e9, 3e9), a)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "gen.ttdd")
@@ -668,6 +678,27 @@ class TestValidation:
         reason = "offset grid" if field == "offsets" else "finite"
         with pytest.raises(ValueError, match=reason):
             self._make(cfg_dict, **arrays)
+
+    @pytest.mark.parametrize("scale, ok", [(0.999, True), (-0.999, True), (1.001, False), (-1.001, False)])
+    def test_delay_phase_bound(self, cfg_dict, tmp_path, scale, ok):
+        # the bound of config JSON: a delay phase 2*pi*(fc + BW/2)*max|t| of at most 2**42 rad
+        delays = np.zeros((3, 16))
+        delays[2, 5] = scale * 2**42 / (2.0 * np.pi * (cfg_dict.carrier_freq + cfg_dict.bandwidth / 2.0))
+        if ok:
+            path = tmp_path / "gen.ttdd"
+            save(self._make(cfg_dict, delays=delays), path)
+            assert load(path).delays.tobytes() == delays.tobytes()
+            return
+        with pytest.raises(ValueError, match=r"beyond the bound of 2\*\*42 rad"):
+            self._make(cfg_dict, delays=delays)
+        path = tmp_path / "gen.ttdd"
+        save(self._make(cfg_dict), path)
+        blob = bytearray(path.read_bytes())
+        row = 40 + 3 * 8 + 2 * 32 * 8  # header, 3 offsets, then row 2 of (16 delays, 16 phases)
+        blob[row + 5 * 8 : row + 6 * 8] = delays[2, 5:6].astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DictionaryFormatError, match="beyond the bound"):
+            load(path)
 
     def test_config_shape_checked(self, cfg_dict):
         with pytest.raises(ValueError, match="config arrays"):

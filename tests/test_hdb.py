@@ -174,6 +174,24 @@ class TestSynthesize:
         with pytest.raises(AssertionError, match="coincide"):
             synthesize(DirectionMap(np.array([0.0, 0.5, 0.0])), flat, cfg)
 
+    def test_overflowing_sum_rejected(self):
+        # every row is finite, but two phases of 1e308 sum to inf: only the generator sum's check sees it
+        cfg = SystemConfig(4, 6, 28e9, 3e9)
+        table = GeneratorDictionary(offset_grid(5), np.zeros((9, 4)), np.full((9, 4), 1e308), cfg, 5)
+        with pytest.raises(ValueError, match="must be finite"), pytest.warns(RuntimeWarning, match="overflow"):
+            synthesize(DirectionMap(np.array([0.0, 0.5, 0.0])), table, cfg)
+        with pytest.raises(ValueError, match="must be finite"), pytest.warns(RuntimeWarning, match="overflow"):
+            synthesize_batch(np.array([[0.0, 0.5, 0.0]]), table, cfg)
+
+    @pytest.mark.parametrize("dirs", [[0.3], [0.3, -0.5], [0.3, -0.5, 1.0]])
+    def test_vectors_read_only_and_apart_from_the_table(self, small_dict, cfg_dict, dirs):
+        phi = synthesize(DirectionMap(np.array(dirs)), small_dict, cfg_dict)
+        for vector in (phi.delays, phi.phases):
+            assert not vector.flags.writeable
+            assert vector.dtype == np.float64 and vector.shape == (cfg_dict.n_antennas,)
+            assert not np.shares_memory(vector, small_dict.delays)
+            assert not np.shares_memory(vector, small_dict.phases)
+
     def test_generator_set_sums_to_targets(self, cfg_dict):
         dmap = DirectionMap(np.array([0.9, -0.9, 0.3]))
         deltas = generator_set(dmap)

@@ -17,6 +17,7 @@ from ttdbeam.splitbeam import (
     expand_directions,
     ideal_split_precoder,
     subband_of,
+    subband_width,
 )
 
 
@@ -69,6 +70,17 @@ class TestSubbandOf:
             subband_of(0, 3, 1200)
         with pytest.raises(ValueError):
             subband_of(1, 5, 12)
+
+
+class TestSubbandWidth:
+    @pytest.mark.parametrize("g, m", [(1, 12), (3, 12), (12, 12), (3, 1200), (8, 1200)])
+    def test_width(self, g, m):
+        assert subband_width(g, m) == m / g
+
+    @pytest.mark.parametrize("g, m", [(5, 12), (13, 12), (7, 1200), (0, 12), (-3, 12)])
+    def test_one_message(self, g, m):
+        with pytest.raises(ValueError, match=f"^{g} subbands do not divide {m} subcarriers$"):
+            subband_width(g, m)
 
 
 class TestIdealSplitPrecoder:
