@@ -71,6 +71,10 @@ class SystemConfig:
                 "require finite carrier_freq > bandwidth/2 > 0, got "
                 f"fc={self.carrier_freq}, bw={self.bandwidth}"
             )
+        # then the generators' band boundaries, BW/G >= BW/M apart and under 3 ulp off, stay distinct
+        if not self.bandwidth / self.n_subcarriers >= 4.0 * math.ulp(self.carrier_freq + self.bandwidth / 2.0):
+            raise ValueError(f"subcarrier spacing bw/m = {self.bandwidth / self.n_subcarriers:.3e} Hz "
+                             f"is below 4 ulp of fc + bw/2, got fc={self.carrier_freq}")
 
 
 def subcarrier_freqs(cfg: SystemConfig) -> np.ndarray:
@@ -212,40 +216,43 @@ def _comb_factors(delays: np.ndarray, phases, cfg: SystemConfig) -> tuple[np.nda
     return coarse, fine
 
 
+def _gain_profile(phi: ArrayConfig, psi, cfg: SystemConfig) -> np.ndarray:
+    """|gain| toward a (possibly out-of-range) direction at every subcarrier.
+
+    ``psi`` is one direction, or a column of them for one profile per row.
+    Steering toward a constant psi is adding a constant-direction config:
+    the gain at f_m is sum_n exp(j*(phi_n - 2*pi*f_m*(t_n + n*psi/(2*fc)))) / sqrt(N),
+    the broadside response of phi with its delays shifted by n*psi/(2*fc).
+    So a profile is sum_n coarse[n, p] * fine[n, q] over the
+    :func:`_comb_factors` of the shifted delays, one (P x N) @ (N x Q)
+    product per row.
+    """
+    psi = np.asarray(psi, dtype=np.float64)
+    shift = np.arange(cfg.n_antennas) * (psi.reshape(-1, 1) / (2.0 * cfg.carrier_freq))
+    coarse, fine = _comb_factors(phi.delays + shift, phi.phases, cfg)
+    gains = np.matmul(np.swapaxes(coarse, 1, 2), fine)
+    return np.abs(gains).reshape(psi.shape[:-1] + (cfg.n_subcarriers,))
+
+
+def _comb_product(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Weights (..., M) of comb factors (..., P) and (..., Q): column Q*p + q is coarse[p] * fine[q]."""
+    product = coarse[..., :, None] * fine[..., None, :]
+    return product.reshape(*coarse.shape[:-1], product.shape[-2] * product.shape[-1])
+
+
 def precoder_matrix(phi: ArrayConfig, cfg: SystemConfig) -> np.ndarray:
     """N x M per-subcarrier beamforming weights realized by the hardware.
 
     Entry (n, m) is ``exp(j*(-2*pi*f_m*t_n + phi_n)) / sqrt(N)``; every entry
-    has magnitude 1/sqrt(N); built from the :func:`_comb_factors`.
+    has magnitude 1/sqrt(N); the :func:`_comb_product` of its :func:`_comb_factors`.
     """
     _require_antennas(phi, cfg)
-    return _PrecoderRows(phi.delays, phi.phases, cfg)[:]
+    return _comb_product(*_comb_factors(phi.delays, phi.phases, cfg))
 
 
 def _require_antennas(phi: ArrayConfig, cfg: SystemConfig) -> None:
     if phi.n_antennas != cfg.n_antennas:
         raise ValueError(f"config has {phi.n_antennas} antennas, system expects {cfg.n_antennas}")
-
-
-class _PrecoderRows:
-    """Weights of the configs with delays and phases (..., N), made one antenna row at a time.
-
-    ``rows[n]`` is antenna n's (..., M) weights, the product of its
-    :func:`_comb_factors`; ``rows[:]`` is the whole (N, ..., M) array and
-    ``len(rows)`` is N.  :func:`_pattern` makes each row as it adds it in,
-    so a batch of configs never holds the whole array.
-    """
-
-    def __init__(self, delays: np.ndarray, phases: np.ndarray, cfg: SystemConfig) -> None:
-        self.coarse, self.fine = _comb_factors(np.moveaxis(delays, -1, 0), np.moveaxis(phases, -1, 0), cfg)
-        self.n_subcarriers = cfg.n_subcarriers
-
-    def __len__(self) -> int:
-        return len(self.coarse)
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        coarse, fine = self.coarse[n], self.fine[n]
-        return (coarse[..., :, None] * fine[..., None, :]).reshape(*coarse.shape[:-1], self.n_subcarriers)
 
 
 def beampattern_of_precoder(v: np.ndarray, cfg: SystemConfig, grid: PsiGrid) -> Beampattern:
@@ -259,23 +266,26 @@ def beampattern_of_precoder(v: np.ndarray, cfg: SystemConfig, grid: PsiGrid) -> 
             f"precoder shape {v.shape} does not match (N, M)="
             f"({cfg.n_antennas}, {cfg.n_subcarriers})"
         )
-    return Beampattern(_pattern(v, grid.points[:, None], subcarrier_freqs(cfg), cfg.carrier_freq), grid)
+    return Beampattern(_pattern(v[::-1], grid.points[:, None], subcarrier_freqs(cfg), cfg.carrier_freq), grid)
 
 
-def _pattern(v: "np.ndarray | _PrecoderRows", psi, f, fc: float) -> np.ndarray:
+def _pattern(rows, psi, f, fc: float) -> np.ndarray:
     """Array response sum_n v[n] * exp(-j*n*pi*psi*f/fc) of precoder columns ``v``.
 
-    ``v[n]`` is antenna n's weights, from an array or a :class:`_PrecoderRows`.
-    ``psi`` broadcasts against ``f``: ``psi[:, None]`` gives a (psi, column)
-    grid.  Horner evaluation in z = exp(-j*pi*psi*f/fc), elementwise and in
-    a fixed order, so results do not depend on BLAS threading.  No range
-    checks: directions outside [-1, 1] are evaluated as their aliases.
+    ``rows`` yields v[N-1], ..., v[0], last antenna first, the order Horner
+    adds them in: ``v[::-1]`` of an array, or a generator making each row
+    as it is added.  ``psi`` broadcasts against ``f``: ``psi[:, None]`` gives
+    a (psi, column) grid.  Horner evaluation in z = exp(-j*pi*psi*f/fc),
+    elementwise and in a fixed order, so results do not depend on BLAS
+    threading.  No range checks: directions outside [-1, 1] are evaluated
+    as their aliases.
     """
     z = np.exp(-1j * np.pi * (psi * (f / fc)))
-    acc = np.broadcast_to(v[-1], z.shape).astype(np.complex128)
-    for n in range(len(v) - 2, -1, -1):
+    rows = iter(rows)
+    acc = np.broadcast_to(next(rows), z.shape).astype(np.complex128)
+    for row in rows:
         acc *= z
-        acc += v[n]
+        acc += row
     return acc
 
 
@@ -304,11 +314,10 @@ def gain_at(phi: ArrayConfig, psi: float, m: int, cfg: SystemConfig) -> complex:
         raise ValueError(f"psi must lie in [-1, 1], got {psi}")
     if not 1 <= m <= cfg.n_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
-    if phi.n_antennas != cfg.n_antennas:
-        raise ValueError("config/system antenna count mismatch")
+    _require_antennas(phi, cfg)
     f = subcarrier_freqs(cfg)[m - 1 : m]
     v = _weights(phi.delays, phi.phases, f) / np.sqrt(cfg.n_antennas)
-    return complex(_pattern(v, psi, f, cfg.carrier_freq)[0])
+    return complex(_pattern(v[::-1], psi, f, cfg.carrier_freq)[0])
 
 
 def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -331,10 +340,12 @@ def _gains_at_directions(
 ) -> np.ndarray:
     """:func:`gain_at_directions` over leading batch axes: configs (..., N), directions (..., M).
 
-    Unchecked.  Each config's gains are bitwise those it gets alone: every
-    step is elementwise, in the same order.
+    Unchecked.  For M >= 2 each config's gains are bitwise those it gets
+    alone: every step is elementwise, in the same order.  The (..., M)
+    antenna rows are made one at a time, as :func:`_pattern` adds them.
     """
-    return _pattern(_PrecoderRows(delays, phases, cfg), psi, subcarrier_freqs(cfg), cfg.carrier_freq)
+    coarse, fine = _comb_factors(np.moveaxis(delays, -1, 0), np.moveaxis(phases, -1, 0), cfg)
+    return _pattern(map(_comb_product, coarse[::-1], fine[::-1]), psi, subcarrier_freqs(cfg), cfg.carrier_freq)
 
 
 def argmax_directions(pattern: Beampattern) -> np.ndarray:
@@ -361,13 +372,13 @@ def config_to_json_dict(phi: ArrayConfig, cfg: SystemConfig) -> dict:
     }
 
 
-def _check_delay_phase(max_abs_delay: float, cfg: SystemConfig) -> None:
-    """ValueError when the largest delay phase ``2*pi*(fc + BW/2)*max|t|`` exceeds 2**42 rad.
+_MAX_DELAY_PHASE = 2.0**42  # rad: float64 resolves it to 2**-10 rad; the jpta search reaches about 7.4e4
 
-    A float64 phase there is resolved to 2**-10 rad; the jpta search reaches about 7.4e4 rad.
-    """
+
+def _check_delay_phase(max_abs_delay: float, cfg: SystemConfig) -> None:
+    """ValueError when the largest delay phase ``2*pi*(fc + BW/2)*max|t|`` exceeds 2**42 rad."""
     phase = 2.0 * math.pi * (cfg.carrier_freq + cfg.bandwidth / 2.0) * max_abs_delay
-    if not phase <= 2.0**42:
+    if not phase <= _MAX_DELAY_PHASE:
         raise ValueError(f"delays reach a phase of {phase:.3e} rad, beyond the bound of 2**42 rad")
 
 

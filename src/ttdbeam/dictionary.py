@@ -47,10 +47,11 @@ import numpy as np
 
 from . import hdb
 from .core import (
+    _MAX_DELAY_PHASE,
     ArrayConfig,
     SystemConfig,
     _check_delay_phase,
-    _comb_factors,
+    _gain_profile,
     _pattern,
     _readonly,
     _weights,
@@ -115,6 +116,10 @@ class GeneratorDictionary:
         if not (np.isfinite(self.delays).all() and np.isfinite(self.phases).all()):
             raise ValueError("config rows must be finite")
         _check_delay_phase(float(np.abs(self.delays).max()), self.meta)
+        # a rescaled row's phase is then at most 3 * 2**42 rad, so no generator sum overflows
+        phase = float(np.abs(self.phases).max())
+        if not phase <= _MAX_DELAY_PHASE:
+            raise ValueError(f"row phases reach {phase:.3e} rad, beyond the bound of 2**42 rad")
 
     @property
     def n_entries(self) -> int:
@@ -220,24 +225,6 @@ def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> A
     return _winning_config(t_best, c[n, best], cfg)
 
 
-def _gain_profile(phi: ArrayConfig, psi, cfg: SystemConfig) -> np.ndarray:
-    """|gain| toward a (possibly out-of-range) direction at every subcarrier.
-
-    ``psi`` is one direction, or a column of them for one profile per row.
-    Steering toward a constant psi is adding a constant-direction config:
-    the gain at f_m is sum_n exp(j*(phi_n - 2*pi*f_m*(t_n + n*psi/(2*fc)))) / sqrt(N),
-    the broadside response of phi with its delays shifted by n*psi/(2*fc).
-    So a profile is sum_n coarse[n, p] * fine[n, q] over the
-    ``_comb_factors`` of the shifted delays, one (P x N) @ (N x Q) product
-    per row.
-    """
-    psi = np.asarray(psi, dtype=np.float64)
-    shift = np.arange(cfg.n_antennas) * (psi.reshape(-1, 1) / (2.0 * cfg.carrier_freq))
-    coarse, fine = _comb_factors(phi.delays + shift, phi.phases, cfg)
-    gains = np.matmul(np.swapaxes(coarse, 1, 2), fine)
-    return np.abs(gains).reshape(psi.shape[:-1] + (cfg.n_subcarriers,))
-
-
 def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> ArrayConfig:
     """Re-center a two-subband config so its gain maxima sit at the subband centers.
 
@@ -294,7 +281,7 @@ def _entry_diagnostics(
     v = _weights(sign * phi.delays, sign * phi.phases, f_c) / np.sqrt(cfg.n_antennas)
     # one row of directions per (config, subband), so each Horner step runs along the grid
     f = np.tile(f_c, (2, 1))[..., None]
-    gains = _pattern(np.moveaxis(v, 1, 0)[..., None], points, f, cfg.carrier_freq)
+    gains = _pattern(np.moveaxis(v, 1, 0)[::-1, ..., None], points, f, cfg.carrier_freq)
     found: tuple[list[str], list[str]] = ([], [])
     for offset, peaks, warnings in zip((-delta, delta), points[np.argmax(np.abs(gains), axis=-1)], found):
         for band, (target, f_m, peak, low) in enumerate(zip((0.0, offset), f_c, peaks, band_minima), start=1):

@@ -134,14 +134,12 @@ def scale_shift(phi: ArrayConfig, fc_new: float, bw_new: float, cfg: SystemConfi
 def _band_plan(g_count: int, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (G-1, 1) columns ``alpha`` and ``slope`` of :func:`_rescale` for generators 2..G.
 
-    Checks that G divides M and that the generators' band boundaries are
-    distinct.  Cached per (G, cfg); a failed check is not cached, so it
-    raises again on every call.
+    Checks that G divides M; ``SystemConfig`` keeps the generators' band
+    boundaries distinct.  Cached per (G, cfg); a failed check is not cached,
+    so it raises again on every call.
     """
     subband_width(g_count, cfg.n_subcarriers)
     bands = [generator_bands(g, g_count, cfg) for g in range(2, g_count + 1)]
-    if len({fc_g for fc_g, _ in bands}) != len(bands):
-        raise AssertionError("generator subband boundaries must not coincide")
     fc_g, bw_g = np.array(bands, dtype=np.float64).reshape(-1, 2).T[:, :, None]
     alpha = bw_g / cfg.bandwidth
     slope = 2.0 * np.pi * fc_g / alpha

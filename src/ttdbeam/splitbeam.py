@@ -88,7 +88,7 @@ def dirichlet_gain(psi_offset: float, m: int, cfg: SystemConfig) -> complex:
     if not 1 <= m <= cfg.n_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
     v = np.full((cfg.n_antennas, 1), 1.0 / np.sqrt(cfg.n_antennas))  # the zero config's weights
-    return complex(_pattern(v, psi_offset, subcarrier_freqs(cfg)[m - 1 : m], cfg.carrier_freq)[0])
+    return complex(_pattern(v[::-1], psi_offset, subcarrier_freqs(cfg)[m - 1 : m], cfg.carrier_freq)[0])
 
 
 def subband_of(m: int, n_subbands: int, n_subcarriers: int) -> int:

@@ -40,7 +40,7 @@ def render_config_heatmap(phi: ArrayConfig, cfg: SystemConfig) -> str:
     )
     psi = direction_grid(_PSI_ROWS)
     v = precoder_matrix(phi, cfg)[:, cols]
-    gains = _pattern(v, psi[:, None], subcarrier_freqs(cfg)[cols], cfg.carrier_freq)
+    gains = _pattern(v[::-1], psi[:, None], subcarrier_freqs(cfg)[cols], cfg.carrier_freq)
     level = np.clip(np.abs(gains) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
     if not np.isfinite(level).all():
         raise ValueError("gain levels must be finite")
@@ -103,9 +103,13 @@ def render_summary_charts(summary: dict) -> str:
     panel_h = _H - _MT - _MB - 30
     x0, y0 = _ML, _MT + 30
     top = max(bound, max(ase)) * 1.05
+    heights = [val / top * panel_h for val in ase]
+    lo, hi = min(curve), max(max(curve), bound)
+    span = (hi - lo) or 1.0
+    if not np.isfinite([top, span, *heights]).all():
+        raise ValueError("a bar height or the SE span of the summary overflows float64")
     bar_w = panel_w / (len(ase) * 1.5 + 0.5)
-    for i, val in enumerate(ase):
-        h = val / top * panel_h
+    for i, (val, h) in enumerate(zip(ase, heights)):
         x = x0 + (0.5 + 1.5 * i) * bar_w
         out.append(
             f'<rect x="{x:.2f}" y="{y0 + panel_h - h:.2f}" width="{bar_w:.2f}" '
@@ -135,8 +139,6 @@ def render_summary_charts(summary: dict) -> str:
 
     # right panel: ECDF polyline
     x1 = _ML + panel_w + 60
-    lo, hi = min(curve), max(max(curve), bound)
-    span = (hi - lo) or 1.0
     pts = []
     for i, val in enumerate(curve):
         q = i / (len(curve) - 1)

@@ -1,14 +1,44 @@
 import hashlib
 import json
+import math
+import re
+import struct
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttdbeam import cli
 from ttdbeam.cli import main
 from ttdbeam.core import SystemConfig, config_from_json_dict
-from ttdbeam.dictionary import build_dictionary, load
+from ttdbeam.dictionary import build_dictionary, load, offset_grid
 from ttdbeam.solvers import SolverParams, constant_direction_config, default_max_delay
+
+
+def _write_ttdd(path, n, m, fc, bw, a, phase):
+    """A version-1 ``.ttdd`` written byte by byte, past the checks of ``save``: zero delays, phases ``phase``."""
+    d = 2 * a - 1
+    rows = np.hstack([np.zeros((d, n)), np.full((d, n), phase)])
+    header = struct.pack("<4siiiiidd", b"TTDD", 1, n, a, d, m, fc, bw)
+    path.write_bytes(header + offset_grid(a).astype("<f8").tobytes() + rows.astype("<f8").tobytes())
+
+
+def _svg_numbers(text):
+    """Every token of the SVG's attribute values and text that float() reads, nan and inf included."""
+    tokens = []
+    for chunk in re.findall(r'="([^"]*)"', text) + re.findall(r">([^<]*)<", text):
+        tokens += re.split(r"[\s,():]+", chunk)
+    numbers = []
+    for token in tokens:
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return numbers
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +221,6 @@ class TestRender:
         svg_path = tmp_path / "h.svg"
         main(["render", "--config", str(cfg_path), "--out", str(svg_path)])
         # brightest rects (pure white) should cluster at the vertical middle
-        import re
-
         text = svg_path.read_text()
         ys = [float(m.group(1)) for m in re.finditer(r'y="([0-9.]+)" width="[0-9.]+" height="[0-9.]+" fill="#ffffff"', text)]
         assert ys, "no fully-bright cells found"
@@ -269,6 +297,35 @@ class TestRender:
         assert err.startswith(f"error: unusable input {path}") and "Traceback" not in err
 
 
+class TestRenderSummaryContract:
+    @given(
+        ase=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+        curve=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5),
+        bound=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1e308, 5e-324])),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exit_0_only_with_finite_numbers(self, ase, curve, bound):
+        # extreme but finite summaries: [-1e308, 1e308] used to give a polyline point "nan,70.00"
+        doc = {"ase_per_subband": ase, "ecdf_curve": curve, "upper_bound": bound}
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "s.json", Path(tmp) / "s.svg"
+            path.write_text(json.dumps(doc))
+            rc = main(["render", "--summary", str(path), "--out", str(out)])
+            assert rc in (0, 5)
+            assert out.exists() == (rc == 0)
+            if rc == 0:
+                numbers = _svg_numbers(out.read_text())
+                assert numbers and all(map(math.isfinite, numbers))
+
+    def test_overflowing_span_exit_5(self, tmp_path, capsys):
+        path, out = tmp_path / "s.json", tmp_path / "s.svg"
+        doc = {"ase_per_subband": [1.0], "ecdf_curve": [-1e308, 1e308], "upper_bound": 8.0}
+        path.write_text(json.dumps(doc))
+        assert main(["render", "--summary", str(path), "--out", str(out)]) == 5
+        assert "overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_missing_dict_file_io_error(self, tmp_path):
         rc = main(["synth", "--dict", str(tmp_path / "absent.ttdd"), "--dirs", "0", "--out", str(tmp_path / "o.json")])
@@ -314,6 +371,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "beyond the bound of 2**42 rad" in err
         assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize(
+        "fc, bw, phase, message",
+        [(28e9, 3e9, 1e308, "row phases reach"),  # finite rows whose generator sum overflows
+         (1e20, 1.0, 0.0, "subcarrier spacing")],  # float64 cannot resolve BW/M at fc + BW/2
+        ids=["overflowing_phases", "unresolved_spacing"],
+    )
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    def test_unusable_dict_parse_error(self, tmp_path, capsys, command, fc, bw, phase, message):
+        bad = tmp_path / "bad.ttdd"
+        _write_ttdd(bad, n=4, m=24, fc=fc, bw=bw, a=5, phase=phase)
+        if command == "synth":
+            extra = ["--dirs", "0,0.5,-0.5", "--out", str(tmp_path / "o.json")]
+        else:
+            extra = ["--ues", "3", "--trials", "2", "--out-prefix", str(tmp_path / "x")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--dict", str(bad), *extra]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_unresolved_spacing_dict_build_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the build ran")
+
+        monkeypatch.setattr(cli, "build_dictionary", no_build)
+        rc = main(["dict-build", "--n", "4", "--fc", "1e20", "--bw", "1", "--m", "24",
+                   "--grid", "5", "--out", str(tmp_path / "d.ttdd")])
+        assert rc == 2
+        assert "subcarrier spacing" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_indivisible_ues_usage_error(self, built_dict, tmp_path):
         rc = main(

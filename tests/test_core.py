@@ -7,6 +7,8 @@ from ttdbeam.core import (
     ArrayConfig,
     PsiGrid,
     SystemConfig,
+    _comb_factors,
+    _gains_at_directions,
     _pattern,
     argmax_directions,
     beampattern_of_config,
@@ -74,6 +76,22 @@ class TestSystemConfig:
     def test_invalid_rejected(self, n, m, fc, bw):
         with pytest.raises(ValueError):
             SystemConfig(n, m, fc, bw)
+
+    @pytest.mark.parametrize("m, ok", [(1024, True), (1025, False)])
+    def test_subcarrier_spacing_resolved(self, m, ok):
+        # at fc + BW/2 = 2**40 + 0.5 Hz one ulp is 2**-12 Hz, so BW = 1 Hz spans at most 1024
+        # subcarriers 4 ulp apart
+        if ok:
+            assert SystemConfig(4, m, 2.0**40, 1.0).n_subcarriers == m
+        else:
+            with pytest.raises(ValueError, match="subcarrier spacing"):
+                SystemConfig(4, m, 2.0**40, 1.0)
+
+    def test_spacing_rule_builds_no_array(self):
+        # M comes from an untrusted int32 header field; the rule is O(1) in M
+        assert SystemConfig(1, 2**31 - 1, 28e9, 3e9).n_subcarriers == 2**31 - 1
+        with pytest.raises(ValueError, match="subcarrier spacing"):
+            SystemConfig(1, 2**31 - 1, 1e20, 1.0)
 
 
 class TestArrayConfig:
@@ -307,7 +325,7 @@ class TestResponse:
         steering = np.exp(1j * np.pi * np.outer(np.arange(n), psi * f / cfg.carrier_freq)) / np.sqrt(n)
         v = precoder_matrix(phi, cfg)
         expected = np.sqrt(n) * np.sum(v * np.conj(steering), axis=0)
-        for got in (direct_response(phi.delays, phi.phases, psi, f, cfg), _pattern(v, psi, f, cfg.carrier_freq)):
+        for got in (direct_response(phi.delays, phi.phases, psi, f, cfg), _pattern(v[::-1], psi, f, cfg.carrier_freq)):
             assert np.max(np.abs(got - expected)) < 1e-9
 
     @given(
@@ -344,6 +362,61 @@ class TestResponse:
 
         weights = np.exp(1j * (phi.phases[:, None] - 2.0 * np.pi * np.outer(phi.delays, f))) / np.sqrt(n)
         assert np.max(np.abs(precoder_matrix(phi, cfg) - weights)) <= 1e-12
+
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        # not M = 1: numpy 2.4 multiplies a lone 1-element array in place without the FMA of
+        # its vector loop, so a config alone at M = 1 rounds unlike the same config in a batch
+        m=st.sampled_from([2, 7, 12, 13, 1200]),
+        batch=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_gains_are_bitwise_the_single_ones(self, n, m, batch, seed):
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        period = m / cfg.bandwidth
+        delays = rng.uniform(-period, period, (batch, n))
+        phases = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, n))
+        psi = rng.uniform(-1.0, 1.0, (batch, m))
+        got = _gains_at_directions(delays, phases, psi, cfg)
+        assert got.shape == (batch, m)
+        for b in range(batch):
+            alone = gain_at_directions(ArrayConfig(delays[b], phases[b]), psi[b], cfg)
+            assert got[b].tobytes() == alone.tobytes()
+
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        m=st.sampled_from([1, 7, 12, 13, 1200]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_precoder_is_the_written_out_comb_product(self, n, m, seed):
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        phi = random_config(np.random.default_rng(seed), n)
+        coarse, fine = _comb_factors(phi.delays, phi.phases, cfg)
+        p_count, q_count = coarse.shape[1], fine.shape[1]
+        assert p_count * q_count == m
+        expected = np.empty((n, m), dtype=np.complex128)
+        for p in range(p_count):
+            for q in range(q_count):
+                expected[:, q_count * p + q] = coarse[:, p] * fine[:, q]
+        assert precoder_matrix(phi, cfg).tobytes() == expected.tobytes()
+
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        m=st.sampled_from([1, 7, 12, 16]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_from_a_generator_match_the_reversed_array(self, n, m, seed):
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        v = precoder_matrix(random_config(rng, n), cfg)
+        psi, f = rng.uniform(-2.0, 2.0, (3, 1)), subcarrier_freqs(cfg)
+        expected = _pattern(v[::-1], psi, f, cfg.carrier_freq)
+        got = _pattern((v[k].copy() for k in range(n - 1, -1, -1)), psi, f, cfg.carrier_freq)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("blocks", [3, 1200])

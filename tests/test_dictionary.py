@@ -15,13 +15,20 @@ from hypothesis.extra import numpy as hnp
 
 from ttdbeam import dictionary as dictionary_module
 from ttdbeam import solvers as solvers_module
-from ttdbeam.core import ArrayConfig, SystemConfig, _pattern, precoder_matrix, subcarrier_freqs, zero_config
+from ttdbeam.core import (
+    ArrayConfig,
+    SystemConfig,
+    _gain_profile,
+    _pattern,
+    precoder_matrix,
+    subcarrier_freqs,
+    zero_config,
+)
 from ttdbeam.dictionary import (
     DictionaryFormatError,
     GeneratorDictionary,
     _build_one,
     _entry_diagnostics,
-    _gain_profile,
     _two_subband_fit,
     build_dictionary,
     load,
@@ -226,8 +233,8 @@ def _random_config(rng, n, cfg):
 _BLAS_HASH_SCRIPT = """
 import hashlib
 import numpy as np
-from ttdbeam.core import ArrayConfig, SystemConfig
-from ttdbeam.dictionary import _gain_profile, build_dictionary
+from ttdbeam.core import ArrayConfig, SystemConfig, _gain_profile
+from ttdbeam.dictionary import build_dictionary
 from ttdbeam.solvers import SolverParams, default_max_delay
 
 h = hashlib.sha256()
@@ -264,7 +271,7 @@ class TestGainProfile:
         tol = 8.0 * np.finfo(np.float64).eps * (1.0 + max_phase)
         # offsets reach +-2, beyond the visible range
         for psi in (float(rng.uniform(-2.0, 2.0)), rng.uniform(-2.0, 2.0, (3, 1))):
-            expected = np.abs(_pattern(precoder_matrix(phi, cfg), psi, f, cfg.carrier_freq))
+            expected = np.abs(_pattern(precoder_matrix(phi, cfg)[::-1], psi, f, cfg.carrier_freq))
             got = _gain_profile(phi, psi, cfg)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 4.0 * tol
@@ -636,9 +643,9 @@ class TestPersistence:
     )
     @settings(max_examples=60, deadline=None)
     def test_save_load_identity(self, a, n, data):
-        # any finite phase; delays within 23 s, as the constructor takes at most 2**42 rad of
-        # delay phase, 23.7 s at this carrier
-        elements = (st.floats(-23.0, 23.0), st.floats(allow_nan=False, allow_infinity=False))
+        # the constructor takes phases of at most 2**42 rad, and delays whose phase is at most
+        # 2**42 rad, 23.7 s at this carrier
+        elements = (st.floats(-23.0, 23.0), st.floats(-(2.0**42), 2.0**42))
         rows = [data.draw(hnp.arrays(np.float64, (2 * a - 1, n), elements=e)) for e in elements]
         built = GeneratorDictionary(offset_grid(a), *rows, SystemConfig(n, 8, 28e9, 3e9), a)
         with tempfile.TemporaryDirectory() as tmp:
@@ -659,12 +666,11 @@ class TestPersistence:
 
 class TestValidation:
     @staticmethod
-    def _make(cfg, a=2, offsets=None, delays=None):
+    def _make(cfg, a=2, offsets=None, delays=None, phases=None):
         offsets = offset_grid(a) if offsets is None else offsets
         delays = np.zeros((offsets.size, 16)) if delays is None else delays
-        return GeneratorDictionary(
-            offsets=offsets, delays=delays, phases=np.zeros(delays.shape), meta=cfg, direction_grid_size=a
-        )
+        phases = np.zeros(delays.shape) if phases is None else phases
+        return GeneratorDictionary(offsets=offsets, delays=delays, phases=phases, meta=cfg, direction_grid_size=a)
 
     def test_monotone_offsets_required(self, cfg_dict):
         swapped = offset_grid(2)[[1, 0, 2]]
@@ -698,6 +704,27 @@ class TestValidation:
         blob[row + 5 * 8 : row + 6 * 8] = delays[2, 5:6].astype("<f8").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(DictionaryFormatError, match="beyond the bound"):
+            load(path)
+
+    @pytest.mark.parametrize("phase, ok", [(2.0**42, True), (-(2.0**42), True), (np.nextafter(2.0**42, 0.0), True),
+                                           (np.nextafter(2.0**42, np.inf), False), (-1e308, False)])
+    def test_row_phase_bound(self, cfg_dict, tmp_path, phase, ok):
+        # rows within 2**42 rad: a rescaled row then stays within 3 * 2**42 rad, and no generator sum overflows
+        phases = np.zeros((3, 16))
+        phases[1, 7] = phase
+        path = tmp_path / "gen.ttdd"
+        if ok:
+            save(self._make(cfg_dict, phases=phases), path)
+            assert load(path).phases.tobytes() == phases.tobytes()
+            return
+        with pytest.raises(ValueError, match=r"row phases reach .* beyond the bound of 2\*\*42 rad"):
+            self._make(cfg_dict, phases=phases)
+        save(self._make(cfg_dict), path)
+        blob = bytearray(path.read_bytes())
+        row = 40 + 3 * 8 + 1 * 32 * 8  # header, 3 offsets, then row 1 of (16 delays, 16 phases)
+        blob[row + (16 + 7) * 8 : row + (16 + 8) * 8] = phases[1, 7:8].astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DictionaryFormatError, match="row phases reach"):
             load(path)
 
     def test_config_shape_checked(self, cfg_dict):

@@ -2,23 +2,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttdbeam.core import (
     ArrayConfig,
     PsiGrid,
     SystemConfig,
+    _gain_profile,
     argmax_directions,
     beampattern_of_config,
     precoder_matrix,
     wrap_sine,
 )
-from ttdbeam.dictionary import GeneratorDictionary, _gain_profile, offset_grid
+from ttdbeam.dictionary import GeneratorDictionary, offset_grid
 from ttdbeam.evaluation import direction_grid
 from ttdbeam.hdb import (
     DictionaryCompatibilityError,
     _band_plan,
+    _compose,
     _rescale,
     decompose,
     generator_bands,
@@ -168,20 +170,17 @@ class TestSynthesize:
             synthesize(DirectionMap(np.array([0.0, 0.2])), small_dict, other)
 
     def test_coinciding_band_boundaries_rejected(self):
-        # valid but extreme: at 1e20 Hz the float band boundaries 1/3 Hz apart collide
-        cfg = SystemConfig(4, 6, 1e20, 1.0)
-        flat = GeneratorDictionary(offset_grid(2), np.zeros((3, 4)), np.zeros((3, 4)), cfg, 2)
-        with pytest.raises(AssertionError, match="coincide"):
-            synthesize(DirectionMap(np.array([0.0, 0.5, 0.0])), flat, cfg)
+        # at 1e20 Hz the float band boundaries 1/3 Hz apart would collide: the system itself is refused
+        with pytest.raises(ValueError, match="subcarrier spacing"):
+            SystemConfig(4, 6, 1e20, 1.0)
 
     def test_overflowing_sum_rejected(self):
-        # every row is finite, but two phases of 1e308 sum to inf: only the generator sum's check sees it
+        # no dictionary holds phases of 1e308 (its rows lie within 2**42 rad), but the sum still checks:
+        # two such rows, each finite, sum to inf
         cfg = SystemConfig(4, 6, 28e9, 3e9)
-        table = GeneratorDictionary(offset_grid(5), np.zeros((9, 4)), np.full((9, 4), 1e308), cfg, 5)
+        alpha, slope = _band_plan(3, cfg)
         with pytest.raises(ValueError, match="must be finite"), pytest.warns(RuntimeWarning, match="overflow"):
-            synthesize(DirectionMap(np.array([0.0, 0.5, 0.0])), table, cfg)
-        with pytest.raises(ValueError, match="must be finite"), pytest.warns(RuntimeWarning, match="overflow"):
-            synthesize_batch(np.array([[0.0, 0.5, 0.0]]), table, cfg)
+            _compose(np.zeros(4), np.zeros((2, 4)), np.full((2, 4), 1e308), alpha, slope, cfg)
 
     @pytest.mark.parametrize("dirs", [[0.3], [0.3, -0.5], [0.3, -0.5, 1.0]])
     def test_vectors_read_only_and_apart_from_the_table(self, small_dict, cfg_dict, dirs):
@@ -443,11 +442,27 @@ class TestSynthesizeBatch:
         with pytest.raises(error):
             synthesize_batch(np.array(directions), table, cfg)
 
-    def test_coinciding_band_boundaries_rejected(self):
-        cfg = SystemConfig(4, 6, 1e20, 1.0)
-        flat = GeneratorDictionary(offset_grid(2), np.zeros((3, 4)), np.zeros((3, 4)), cfg, 2)
-        with pytest.raises(AssertionError, match="coincide"):
-            synthesize_batch(np.array([[0.0, 0.5, 0.0]]), flat, cfg)
+    @given(
+        m=st.integers(2, 360),
+        exponent=st.integers(-30, 70),
+        mantissa=st.floats(1.0, 2.0, exclude_max=True),
+        slack=st.floats(1.0, 1.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_coinciding_band_boundaries_rejected(self, m, exponent, mantissa, slack):
+        # systems at the spacing rule's bound, BW/M near 4 ulp of fc + BW/2: every G dividing M
+        # keeps its band boundaries apart; a spacing a quarter of the bound is refused
+        fc = math.ldexp(mantissa, exponent)
+        bw = 4.0 * slack * m * math.ulp(fc)
+        try:
+            cfg = SystemConfig(4, m, fc, bw)
+        except ValueError:  # the ulp of fc + BW/2 can be twice the ulp of fc
+            assume(False)
+        for g_count in (g for g in range(2, m + 1) if m % g == 0):
+            boundaries = [generator_bands(g, g_count, cfg)[0] for g in range(2, g_count + 1)]
+            assert all(lo < hi for lo, hi in zip(boundaries, boundaries[1:]))
+        with pytest.raises(ValueError, match="subcarrier spacing"):
+            SystemConfig(4, 4 * m, fc, bw / slack)
 
     def test_hdb_synthesizer_batch(self, small_dict, cfg_dict):
         directions = direction_grid(41)[np.random.default_rng(3).integers(0, 41, (7, 3))]
