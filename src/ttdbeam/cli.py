@@ -1,8 +1,8 @@
 """Command-line interface: dictionary builds, synthesis, evaluation, benchmarks, plots.
 
-Exit codes: 0 success, 2 usage, 3 I/O failure, 4 incompatible data,
-5 unparseable input.  TTDBEAM_THREADS caps the dictionary build's worker
-count (0 = auto); evaluation runs its trials on the calling thread.
+Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input.
+TTDBEAM_THREADS caps the dictionary build's worker count (0 = auto);
+evaluation runs its trials on the calling thread.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .evaluation import (
     runtime_bench,
     summary_dict,
 )
-from .hdb import DictionaryCompatibilityError, generator_set, make_hdb_synthesizer, synthesize
+from .hdb import generator_set, make_hdb_synthesizer, synthesize
 from .solvers import (
     SolverParams,
     default_max_delay,
@@ -38,7 +38,6 @@ from .svgrender import render_config_heatmap, render_summary_charts
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_INCOMPATIBLE = 4
 EXIT_PARSE = 5
 
 
@@ -278,9 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_dirs_value(list(argv)))
     try:
         return args.func(args)
-    except DictionaryCompatibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
     except DictionaryFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
+def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -185,12 +185,10 @@ class Beampattern:
     grid: PsiGrid
 
     def __post_init__(self) -> None:
-        g = np.array(self.gains, dtype=np.complex128, copy=True)
-        g.setflags(write=False)
-        object.__setattr__(self, "gains", g)
-        if g.ndim != 2 or g.shape[0] != len(self.grid):
+        object.__setattr__(self, "gains", _readonly(self.gains, np.complex128))
+        if self.gains.ndim != 2 or self.gains.shape[0] != len(self.grid):
             raise ValueError(
-                f"gains shape {g.shape} inconsistent with grid of {len(self.grid)} points"
+                f"gains shape {self.gains.shape} inconsistent with grid of {len(self.grid)} points"
             )
 
 
@@ -284,7 +282,7 @@ def _pattern(rows, psi, f, fc: float) -> np.ndarray:
     rows = iter(rows)
     acc = np.broadcast_to(next(rows), z.shape).astype(np.complex128)
     for row in rows:
-        acc *= z
+        acc = acc * z  # not in place: numpy rounds a lone 1-element ``*=`` unlike its vector loop
         acc += row
     return acc
 
@@ -340,8 +338,8 @@ def _gains_at_directions(
 ) -> np.ndarray:
     """:func:`gain_at_directions` over leading batch axes: configs (..., N), directions (..., M).
 
-    Unchecked.  For M >= 2 each config's gains are bitwise those it gets
-    alone: every step is elementwise, in the same order.  The (..., M)
+    Unchecked.  Each config's gains are bitwise those it gets alone: every
+    step is elementwise, in the same order.  The (..., M)
     antenna rows are made one at a time, as :func:`_pattern` adds them.
     """
     coarse, fine = _comb_factors(np.moveaxis(delays, -1, 0), np.moveaxis(phases, -1, 0), cfg)

@@ -59,7 +59,6 @@ from .core import (
     subcarrier_freqs,
     zero_config,
 )
-from .parallel import worker_count
 from .solvers import (  # noqa: F401  jpta_approx is unused here; perfbench/tracer.py wraps this name
     SolverParams,
     _spans_one_period,
@@ -71,6 +70,8 @@ from .solvers import (  # noqa: F401  jpta_approx is unused here; perfbench/trac
 __all__ = [
     "GeneratorDictionary",
     "DictionaryFormatError",
+    "THREADS_ENV",
+    "worker_count",
     "offset_grid",
     "build_dictionary",
     "postprocess_center",
@@ -82,6 +83,7 @@ _MAGIC = b"TTDD"
 _VERSION = 1
 _HEADER = struct.Struct("<4siiiiidd")
 _GAIN_THRESHOLD = 0.5  # build warning when a subband's gain dips below this fraction of sqrt(N)
+THREADS_ENV = "TTDBEAM_THREADS"
 
 
 class DictionaryFormatError(Exception):
@@ -299,6 +301,29 @@ def _entry_diagnostics(
                     f"{abs(peak - expected) / step:.1f} grid steps from expected {expected:+.6f}"
                 )
     return found
+
+
+def worker_count(requested: int | None = None) -> int:
+    """Number of parallel workers to use.
+
+    An explicit ``requested`` value wins; otherwise the TTDBEAM_THREADS
+    environment variable caps the machine's CPU count (0 or unset = auto).
+    """
+    if requested is not None:
+        if requested < 1:
+            raise ValueError("worker count must be >= 1")
+        return requested
+    auto = os.cpu_count() or 1
+    raw = os.environ.get(THREADS_ENV, "").strip()
+    if not raw:
+        return auto
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"{THREADS_ENV} must be >= 0, got {cap}")
+    return min(auto, cap) if cap else auto
 
 
 def build_dictionary(

@@ -26,7 +26,7 @@ from .core import ArrayConfig, SystemConfig, _gains_at_directions, _readonly, _r
 # gain_at_directions and expand_directions are no longer called here but stay
 # importable as evaluation attributes, the paths perfbench/tracer.py wraps
 from .core import gain_at, gain_at_directions  # noqa: F401
-from .parallel import worker_count
+from .dictionary import worker_count
 from .solvers import SynthesisFn
 from .splitbeam import DirectionMap, expand_directions, subband_of, subband_width  # noqa: F401
 

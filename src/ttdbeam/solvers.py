@@ -104,12 +104,18 @@ def constant_direction_config(delta: float, cfg: SystemConfig) -> ArrayConfig:
     return ArrayConfig(constant_direction_delays(delta, cfg), np.zeros(cfg.n_antennas))
 
 
-def objective(phi: ArrayConfig, v_target: np.ndarray, cfg: SystemConfig) -> float:
-    """Squared Frobenius distance between the realized precoder and the target."""
+def _as_target(v_target, cfg: SystemConfig) -> np.ndarray:
+    """``v_target`` as a complex128 array; ValueError unless it is (N, M)."""
     v_target = np.asarray(v_target, dtype=np.complex128)
     expected = (cfg.n_antennas, cfg.n_subcarriers)
     if v_target.shape != expected:
         raise ValueError(f"target shape {v_target.shape} does not match {expected}")
+    return v_target
+
+
+def objective(phi: ArrayConfig, v_target: np.ndarray, cfg: SystemConfig) -> float:
+    """Squared Frobenius distance between the realized precoder and the target."""
+    v_target = _as_target(v_target, cfg)
     d = precoder_matrix(phi, cfg) - v_target
     return float(np.sum(d.real**2 + d.imag**2))
 
@@ -175,10 +181,7 @@ def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -
     optimum of the whole fit; ``params.n_iterations`` has no effect.
     Deterministic given (v_target, params).
     """
-    v_target = np.asarray(v_target, dtype=np.complex128)
-    expected = (cfg.n_antennas, cfg.n_subcarriers)
-    if v_target.shape != expected:
-        raise ValueError(f"target shape {v_target.shape} does not match {expected}")
+    v_target = _as_target(v_target, cfg)
     t_grid = delay_grid(params.max_delay, params.delay_grid_size)
     scores = _correlation_scores(v_target, cfg, t_grid, params.max_delay)
     best_k = np.argmax(np.abs(scores), axis=1)  # first max: smaller delay wins ties
@@ -216,10 +219,7 @@ def exhaustive_oracle(
     grid optimum is found antenna by antenna.  Refuses problem sizes beyond
     the cap; ties break toward the smaller delay, then the smaller phase.
     """
-    v_target = np.asarray(v_target, dtype=np.complex128)
-    expected = (cfg.n_antennas, cfg.n_subcarriers)
-    if v_target.shape != expected:
-        raise ValueError(f"target shape {v_target.shape} does not match {expected}")
+    v_target = _as_target(v_target, cfg)
     d = np.asarray(delay_candidates, dtype=np.float64)
     p = np.asarray(phase_candidates, dtype=np.float64)
     if cfg.n_antennas > _ORACLE_MAX_ANTENNAS:

@@ -91,9 +91,11 @@ def render_summary_charts(summary: dict) -> str:
     ase = [float(v) for v in summary["ase_per_subband"]]
     curve = [float(v) for v in summary["ecdf_curve"]]
     bound = float(summary["upper_bound"])
-    if not (ase and len(curve) >= 2 and bound > 0.0 and np.isfinite(ase + curve + [bound]).all()):
-        raise ValueError("a summary needs a non-empty ase_per_subband, an ecdf_curve of at least "
-                         "2 points and a positive upper_bound, all finite")
+    finite = np.isfinite(ase + curve + [bound]).all()
+    # an ASE is a mean of log2(1 + x) >= 0; a negative one would draw a bar of negative height
+    if not (ase and min(ase) >= 0.0 and len(curve) >= 2 and bound > 0.0 and finite):
+        raise ValueError("a summary needs a non-empty, non-negative ase_per_subband, an ecdf_curve of "
+                         "at least 2 points and a positive upper_bound, all finite")
     out = _header(
         f'{summary.get("synthesizer", "?")} summary, {summary.get("n_trials", "?")} trials'
     )

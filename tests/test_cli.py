@@ -147,6 +147,12 @@ class TestSynth:
         assert exc.value.code == 2
         assert "directions must lie in [-1, 1]" in capsys.readouterr().err
 
+    def test_empty_dirs_usage_error(self, built_dict, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--dict", str(built_dict), "--dirs", ",", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "direction list is empty" in capsys.readouterr().err
+
     def test_out_of_range_dirs_usage_error(self, built_dict, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--dict", str(built_dict), "--dirs", "1.5", "--out", str(tmp_path / "x.json")])
@@ -254,6 +260,7 @@ class TestRender:
             {**good, "ecdf_curve": [0.5, float("nan"), 2.0]},
             {**good, "ase_per_subband": []},
             {**good, "ase_per_subband": [1.0, float("nan")]},
+            {**good, "ase_per_subband": [-1.0, 2.0]},  # used to draw height="-52.38"
             {**good, "upper_bound": float("inf")},
             {**good, "upper_bound": float("nan")},
             {**good, "upper_bound": 0.0},
@@ -283,11 +290,13 @@ class TestRender:
         [("n", "4"), ("m", "8"), ("fc_hz", "28e9"), ("bw_hz", "3e9"), ("m", True), ("delays_s", [1e300] * 4),
          ("delays_s", ["1e-10", 0, True, 0]), ("phases_rad", [0, False, 0, 0]),
          pytest.param("fc_hz", 10**400, id="fc_hz-huge-int"),
-         pytest.param("delays_s", [10**400, 0, 0, 0], id="delays_s-huge-int")],
+         pytest.param("delays_s", [10**400, 0, 0, 0], id="delays_s-huge-int"),
+         pytest.param("phases_rad", [0.0] * 3, id="phases_rad-short"),
+         pytest.param("n", 3, id="n-disagrees")],
     )
     def test_config_field_exit_5(self, tmp_path, capsys, key, value):
-        # counts, frequencies, delays and phases given as strings, bools or ints no float64 holds, and
-        # a delay whose phase overflows
+        # counts, frequencies, delays and phases given as strings, bools or ints no float64 holds,
+        # a delay whose phase overflows, and vector lengths that disagree with each other or with n
         good = {"n": 4, "m": 8, "fc_hz": 28e9, "bw_hz": 3e9, "delays_s": [0.0] * 4, "phases_rad": [0.0] * 4}
         path, out = tmp_path / "c.json", tmp_path / "x.svg"
         path.write_text(json.dumps({**good, key: value}))
@@ -314,8 +323,13 @@ class TestRenderSummaryContract:
             assert rc in (0, 5)
             assert out.exists() == (rc == 0)
             if rc == 0:
-                numbers = _svg_numbers(out.read_text())
+                text = out.read_text()
+                numbers = _svg_numbers(text)
                 assert numbers and all(map(math.isfinite, numbers))
+                # SVG makes a negative rect width or height an error
+                rects = " ".join(re.findall(r"<rect [^>]*>", text))
+                sizes = [float(v) for v in re.findall(r'\s(?:width|height)="([^"]*)"', rects)]
+                assert sizes and min(sizes) >= 0.0
 
     def test_overflowing_span_exit_5(self, tmp_path, capsys):
         path, out = tmp_path / "s.json", tmp_path / "s.svg"
@@ -391,6 +405,13 @@ class TestExitCodes:
             assert main([command, "--dict", str(bad), *extra]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_zero_antenna_header_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "n0.ttdd"
+        _write_ttdd(bad, n=0, m=24, fc=28e9, bw=3e9, a=5, phase=0.0)
+        assert main(["synth", "--dict", str(bad), "--dirs", "0,0.5", "--out", str(tmp_path / "o.json")]) == 5
+        assert "implausible header counts" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [bad]
 
     def test_unresolved_spacing_dict_build_usage_error(self, tmp_path, capsys, monkeypatch):

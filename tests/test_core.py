@@ -365,9 +365,7 @@ class TestResponse:
 
     @given(
         n=st.integers(min_value=1, max_value=8),
-        # not M = 1: numpy 2.4 multiplies a lone 1-element array in place without the FMA of
-        # its vector loop, so a config alone at M = 1 rounds unlike the same config in a batch
-        m=st.sampled_from([2, 7, 12, 13, 1200]),
+        m=st.sampled_from([1, 2, 7, 12, 13, 1200]),
         batch=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -384,6 +382,21 @@ class TestResponse:
         for b in range(batch):
             alone = gain_at_directions(ArrayConfig(delays[b], phases[b]), psi[b], cfg)
             assert got[b].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n, batch", [(2, 2), (4, 3), (16, 17)])
+    def test_single_subcarrier_gains_do_not_depend_on_the_batch(self, n, batch):
+        # numpy 2.4 rounds an in-place product of a lone 1-element complex array unlike its
+        # vector loop, which had a config alone at M = 1 differ from its row of a batch
+        cfg = SystemConfig(n, 1, 28e9, 3e9)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            delays = rng.uniform(-1e-9, 1e-9, (batch, n))
+            phases = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, n))
+            psi = rng.uniform(-1.0, 1.0, (batch, 1))
+            got = _gains_at_directions(delays, phases, psi, cfg)
+            for b in range(batch):
+                alone = gain_at_directions(ArrayConfig(delays[b], phases[b]), psi[b], cfg)
+                assert got[b].tobytes() == alone.tobytes(), (seed, b)
 
     @given(
         n=st.integers(min_value=1, max_value=8),

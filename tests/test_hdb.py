@@ -426,6 +426,21 @@ class TestSynthesizeBatch:
         assert delays.tobytes() == ref_delays.tobytes()
         assert phases.tobytes() == ref_phases.tobytes()
 
+    def test_repeated_and_signed_zero_offsets(self):
+        # each distinct offset is searched once: offsets repeat across targets and generators, and
+        # column 1 holds both -0.0 and 0.0, which np.unique merges into one search
+        base = np.array([[0.0, -0.0, 0.0, 0.5, 0.5, -0.25, 0.7, 0.7],
+                         [0.0, 0.0, -0.0, 0.5, 0.0, -0.25, 0.45, 0.7]])
+        directions = np.vstack([base, base[::-1], np.random.default_rng(8).uniform(-1, 1, (4, 8)).round(1)])
+        deltas = np.diff(directions, axis=1)
+        assert np.signbit(deltas[:2, 0]).tolist() == [True, False]
+        assert np.unique(deltas).size < deltas.size / 2
+        table = _random_table(self.CFG, 61, seed=8)
+        delays, phases = synthesize_batch(directions, table, self.CFG)
+        ref_delays, ref_phases = _stacked(directions, table, self.CFG)
+        assert delays.tobytes() == ref_delays.tobytes()
+        assert phases.tobytes() == ref_phases.tobytes()
+
     @pytest.mark.parametrize(
         "directions, cfg, error",
         [

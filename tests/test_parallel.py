@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from ttdbeam.parallel import THREADS_ENV, worker_count
+from ttdbeam.dictionary import THREADS_ENV, worker_count
 
 
 def test_explicit_request_wins(monkeypatch):

@@ -79,6 +79,16 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(zero_config(16), np.ones((4, 4)), cfg_small)
 
+    @pytest.mark.parametrize(
+        "fit",
+        [lambda v, cfg: jpta_approx(v, params_for(cfg), cfg),
+         lambda v, cfg: exhaustive_oracle(v, cfg, np.zeros(4), np.zeros(4))],
+        ids=["jpta_approx", "exhaustive_oracle"],
+    )
+    def test_fits_check_the_target_shape(self, cfg_small, fit):
+        with pytest.raises(ValueError, match=r"target shape \(16, 47\) does not match \(16, 48\)"):
+            fit(np.ones((16, 47)), cfg_small)
+
 
 class TestJptaApprox:
     def test_planted_target_recovered(self, cfg_tiny, rng):
