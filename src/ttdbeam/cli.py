@@ -121,13 +121,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _jpta_synthesizer(args: argparse.Namespace, built):
-    return make_jpta_synthesizer(_solver_params(args, built.meta))
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     built = dict_io.load(args.dict)
-    synth = make_hdb_synthesizer(built) if args.synth == "hdb" else _jpta_synthesizer(args, built)
+    synth = (make_hdb_synthesizer(built) if args.synth == "hdb"
+             else make_jpta_synthesizer(_solver_params(args, built.meta)))
     try:
         snr_linear = 10.0 ** (args.snr_db / 10.0)
     except OverflowError:
@@ -169,7 +166,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         master_seed=args.seed,
     )
     calls = {"hdb": args.hdb_calls, "jpta": args.jpta_calls}
-    synths = {"hdb": make_hdb_synthesizer(built), "jpta": _jpta_synthesizer(args, built)}
+    synths = {"hdb": make_hdb_synthesizer(built), "jpta": make_jpta_synthesizer(_solver_params(args, built.meta))}
     means = runtime_bench(scenario, synths, calls)
     for name in ("hdb", "jpta"):
         print(f"{name}: {means[name]:.3e} s/call over {calls[name]} calls")

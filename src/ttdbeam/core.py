@@ -30,7 +30,6 @@ __all__ = [
     "beampattern_of_precoder",
     "beampattern_of_config",
     "compose",
-    "gain_at",
     "gain_at_directions",
     "argmax_directions",
     "wrap_sine",
@@ -77,10 +76,14 @@ class SystemConfig:
                              f"is below 4 ulp of fc + bw/2, got fc={self.carrier_freq}")
 
 
-def subcarrier_freqs(cfg: SystemConfig) -> np.ndarray:
-    """Frequencies f_m = fc + m*BW/M - BW/2 for m = 1..M, in Hz."""
-    m = np.arange(1, cfg.n_subcarriers + 1, dtype=np.float64)
+def _freqs(cfg: SystemConfig, m: np.ndarray) -> np.ndarray:
+    """Frequencies f_m = fc + m*BW/M - BW/2 at float64 1-based subcarrier indices ``m``, in Hz."""
     return cfg.carrier_freq + m * (cfg.bandwidth / cfg.n_subcarriers) - cfg.bandwidth / 2.0
+
+
+def subcarrier_freqs(cfg: SystemConfig) -> np.ndarray:
+    """Frequencies f_m for m = 1..M, in Hz."""
+    return _freqs(cfg, np.arange(1, cfg.n_subcarriers + 1, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -200,17 +203,20 @@ def _weights(delays: np.ndarray, phases, f: np.ndarray) -> np.ndarray:
     return np.exp(1j * (np.asarray(phases)[..., None] - 2.0 * np.pi * (delays[..., None] * f)))
 
 
-def _comb_factors(delays: np.ndarray, phases, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+def _comb_factors(delays: np.ndarray, phases, cfg: SystemConfig, cols=None) -> tuple[np.ndarray, np.ndarray]:
     """Coarse (..., N, P) and fine (..., N, Q) factors of the normalized weights.
 
     With Q the largest divisor of M up to sqrt(M) and m = 1 + Q*p + q,
     f_m = f_{1+Q*p} + q*BW/M, so weight (n, m) is coarse[n, p] * fine[n, q]:
     N*(P+Q) exponentials instead of N*M.  Fine carries the 1/sqrt(N).
+    Given 0-based subcarriers ``cols``, both factors are taken at those
+    subcarriers instead: weight (n, cols[k]) is coarse[n, k] * fine[n, k].
     """
     m_count = cfg.n_subcarriers
     q = max(d for d in range(1, math.isqrt(m_count) + 1) if m_count % d == 0)
-    coarse = _weights(delays, phases, subcarrier_freqs(cfg)[::q])
-    fine = _weights(delays, 0.0, np.arange(q) * (cfg.bandwidth / m_count)) / np.sqrt(cfg.n_antennas)
+    starts, offsets = (np.arange(0, m_count, q), np.arange(q)) if cols is None else (cols // q * q, cols % q)
+    coarse = _weights(delays, phases, _freqs(cfg, starts + 1.0))
+    fine = _weights(delays, 0.0, offsets * (cfg.bandwidth / m_count)) / np.sqrt(cfg.n_antennas)
     return coarse, fine
 
 
@@ -246,6 +252,12 @@ def precoder_matrix(phi: ArrayConfig, cfg: SystemConfig) -> np.ndarray:
     """
     _require_antennas(phi, cfg)
     return _comb_product(*_comb_factors(phi.delays, phi.phases, cfg))
+
+
+def _precoder_columns(phi: ArrayConfig, cfg: SystemConfig, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` (0-based ints) of :func:`precoder_matrix`, bitwise, in O(N * len(cols))."""
+    _require_antennas(phi, cfg)
+    return np.multiply(*_comb_factors(phi.delays, phi.phases, cfg, cols))
 
 
 def _require_antennas(phi: ArrayConfig, cfg: SystemConfig) -> None:
@@ -303,26 +315,11 @@ def compose(phi1: ArrayConfig, phi2: ArrayConfig, cfg: SystemConfig, grid: PsiGr
     return beampattern_of_config(phi1 + phi2, cfg, grid)
 
 
-def gain_at(phi: ArrayConfig, psi: float, m: int, cfg: SystemConfig) -> complex:
-    """Pattern value at a single (psi, m) point in O(N) time.
-
-    ``m`` is the 1-based subcarrier index.
-    """
-    if not -1.0 <= psi <= 1.0:
-        raise ValueError(f"psi must lie in [-1, 1], got {psi}")
-    if not 1 <= m <= cfg.n_subcarriers:
-        raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
-    _require_antennas(phi, cfg)
-    f = subcarrier_freqs(cfg)[m - 1 : m]
-    v = _weights(phi.delays, phi.phases, f) / np.sqrt(cfg.n_antennas)
-    return complex(_pattern(v[::-1], psi, f, cfg.carrier_freq)[0])
-
-
 def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Pattern value at subcarrier m evaluated in direction psi_m, for all m.
 
-    Vectorized form of :func:`gain_at` used by the evaluation harness; avoids
-    synthesizing a full grid when only one direction per subcarrier matters.
+    No full grid is formed; the gain at one point (psi, m) is entry m - 1 of
+    ``gain_at_directions(phi, np.full(M, psi), cfg)``.
     """
     psi = np.asarray(per_subcarrier_psi, dtype=np.float64)
     if psi.shape != (cfg.n_subcarriers,):

@@ -22,20 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, _gains_at_directions, _readonly, _require_antennas, direction_grid
+from .core import SystemConfig, _gains_at_directions, _readonly, _require_antennas, direction_grid
 # gain_at_directions and expand_directions are no longer called here but stay
 # importable as evaluation attributes, the paths perfbench/tracer.py wraps
-from .core import gain_at, gain_at_directions  # noqa: F401
+from .core import gain_at_directions  # noqa: F401
 from .dictionary import worker_count
 from .solvers import SynthesisFn
-from .splitbeam import DirectionMap, expand_directions, subband_of, subband_width  # noqa: F401
+from .splitbeam import DirectionMap, expand_directions, subband_width  # noqa: F401
 
 __all__ = [
     "EvalScenario",
     "EvalReport",
     "Ecdf",
     "direction_grid",
-    "spectral_efficiency",
     "upper_bound_se",
     "monte_carlo",
     "ecdf",
@@ -81,15 +80,6 @@ class EvalScenario:
 def upper_bound_se(cfg: SystemConfig, snr_linear: float) -> float:
     """Spectral efficiency at the full beamforming gain sqrt(N)."""
     return float(np.log2(1.0 + cfg.n_antennas * snr_linear))
-
-
-def spectral_efficiency(
-    phi: ArrayConfig, dmap: DirectionMap, m: int, snr_linear: float, cfg: SystemConfig
-) -> float:
-    """log2(1 + |gain toward the subband's direction at subcarrier m|^2 * SNR)."""
-    band = subband_of(m, dmap.n_subbands, cfg.n_subcarriers)
-    g = gain_at(phi, float(dmap.directions[band - 1]), m, cfg)
-    return float(np.log2(1.0 + (g.real**2 + g.imag**2) * snr_linear))
 
 
 @dataclass(frozen=True)

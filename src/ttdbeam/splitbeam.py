@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemConfig, _pattern, _readonly, subcarrier_freqs
+from .core import SystemConfig, _freqs, _pattern, _readonly, subcarrier_freqs
 
 __all__ = [
     "DirectionMap",
     "expand_directions",
     "ideal_split_precoder",
     "dirichlet_gain",
-    "subband_of",
     "subband_width",
 ]
 
@@ -88,11 +87,4 @@ def dirichlet_gain(psi_offset: float, m: int, cfg: SystemConfig) -> complex:
     if not 1 <= m <= cfg.n_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
     v = np.full((cfg.n_antennas, 1), 1.0 / np.sqrt(cfg.n_antennas))  # the zero config's weights
-    return complex(_pattern(v[::-1], psi_offset, subcarrier_freqs(cfg)[m - 1 : m], cfg.carrier_freq)[0])
-
-
-def subband_of(m: int, n_subbands: int, n_subcarriers: int) -> int:
-    """1-based subband index of 1-based subcarrier m: ceil(m*G/M)."""
-    if not 1 <= m <= n_subcarriers:
-        raise IndexError(f"subcarrier index {m} out of range 1..{n_subcarriers}")
-    return (m - 1) // subband_width(n_subbands, n_subcarriers) + 1
+    return complex(_pattern(v[::-1], psi_offset, _freqs(cfg, np.array([float(m)])), cfg.carrier_freq)[0])

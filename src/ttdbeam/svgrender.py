@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, _pattern, direction_grid, precoder_matrix, subcarrier_freqs
+from .core import ArrayConfig, SystemConfig, _freqs, _pattern, _precoder_columns, direction_grid
 
 __all__ = ["render_config_heatmap", "render_summary_charts"]
 
@@ -32,15 +32,15 @@ def render_config_heatmap(phi: ArrayConfig, cfg: SystemConfig) -> str:
 
     Linear magnitude maps to grayscale, white at the full array gain.
     Rows are 201 uniform directions; subcarriers are subsampled to at most
-    150 columns, each evaluated at its true frequency.  ValueError when a
-    gain is not finite.
+    150 columns, each evaluated at its true frequency; only their weights
+    are formed, whatever M.  ValueError when a gain is not finite.
     """
     cols = np.unique(
         np.linspace(0, cfg.n_subcarriers - 1, min(_MAX_COLS, cfg.n_subcarriers)).astype(int)
     )
     psi = direction_grid(_PSI_ROWS)
-    v = precoder_matrix(phi, cfg)[:, cols]
-    gains = _pattern(v[::-1], psi[:, None], subcarrier_freqs(cfg)[cols], cfg.carrier_freq)
+    v = _precoder_columns(phi, cfg, cols)
+    gains = _pattern(v[::-1], psi[:, None], _freqs(cfg, cols + 1.0), cfg.carrier_freq)
     level = np.clip(np.abs(gains) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
     if not np.isfinite(level).all():
         raise ValueError("gain levels must be finite")

@@ -273,6 +273,18 @@ class TestRender:
             assert (rc, out.exists()) == ((0, True) if doc is good else (5, False)), doc
             out.unlink(missing_ok=True)
 
+    def test_config_with_a_huge_subcarrier_count(self, tmp_path):
+        # m comes from the config file; the heatmap draws 150 of its 10**12 columns
+        doc = {"n": 4, "m": 10**12, "fc_hz": 28e9, "bw_hz": 3e9, "delays_s": [0.0, 1e-10, 2e-10, 3e-10],
+               "phases_rad": [0.0, 0.1, 0.2, 0.3]}
+        path, out = tmp_path / "c.json", tmp_path / "x.svg"
+        path.write_text(json.dumps(doc))
+        assert main(["render", "--config", str(path), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "M=1000000000000" in text and all(math.isfinite(x) for x in _svg_numbers(text))
+        fills = re.findall(r'fill="([^"]*)"', text)
+        assert len(fills) > 201 and all(re.fullmatch(r"#[0-9a-f]{6}", f) for f in fills)
+
     def test_unusable_config_exit_5(self, tmp_path):
         good = {"n": 4, "m": 8, "fc_hz": 28e9, "bw_hz": 3e9, "delays_s": [0.0] * 4, "phases_rad": [0.0] * 4}
         path, out = tmp_path / "c.json", tmp_path / "x.svg"
@@ -453,6 +465,13 @@ class TestExitCodes:
         assert main([command, "--dict", str(built_dict), "--ues", "2", "--seed", "-1", *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "master_seed must be non-negative" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_trials_usage_error(self, built_dict, tmp_path, capsys):
+        rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "0",
+                   "--out-prefix", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need at least one trial\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("snr_db, message", [("inf", "positive and finite"), ("1e10", "overflows")])

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from ttdbeam.core import (
     ArrayConfig,
+    Beampattern,
     PsiGrid,
     SystemConfig,
     _comb_factors,
+    _freqs,
     _gains_at_directions,
     _pattern,
+    _precoder_columns,
     argmax_directions,
     beampattern_of_config,
     beampattern_of_precoder,
@@ -17,7 +20,6 @@ from ttdbeam.core import (
     config_from_json_dict,
     config_to_json_dict,
     direction_grid,
-    gain_at,
     gain_at_directions,
     precoder_matrix,
     subcarrier_freqs,
@@ -119,6 +121,12 @@ class TestArrayConfig:
         with pytest.raises(ValueError, match="delays and phases must be finite"):
             ArrayConfig(**vectors)
 
+    @pytest.mark.parametrize("field", ["delays", "phases"])
+    def test_vectors_must_be_1d(self, field):
+        vectors = {"delays": np.zeros(4), "phases": np.zeros(4), field: np.zeros((2, 2))}
+        with pytest.raises(ValueError, match="must be 1-D vectors"):
+            ArrayConfig(**vectors)
+
 
 class TestPrecoder:
     def test_zero_config_uniform(self, cfg_small):
@@ -216,6 +224,11 @@ class TestBeampattern:
         with pytest.raises(ValueError):
             beampattern_of_precoder(np.ones((3, 3)), cfg_small, PsiGrid.uniform(11))
 
+    @pytest.mark.parametrize("shape", [(10, 4), (11,), (11, 4, 1)])
+    def test_gains_must_match_the_grid(self, shape):
+        with pytest.raises(ValueError, match="inconsistent with grid of 11 points"):
+            Beampattern(np.zeros(shape), PsiGrid.uniform(11))
+
     def test_constant_direction_squint_free(self, cfg_small):
         grid = PsiGrid.uniform(1001)
         p = beampattern_of_config(constant_direction_config(0.4, cfg_small), cfg_small, grid)
@@ -270,36 +283,26 @@ class TestCompose:
 
 class TestGainAt:
     def test_broadside(self, cfg_small):
-        assert gain_at(zero_config(16), 0.0, 1, cfg_small) == pytest.approx(4.0)
+        gains = gain_at_directions(zero_config(16), np.zeros(cfg_small.n_subcarriers), cfg_small)
+        assert gains == pytest.approx(np.full(cfg_small.n_subcarriers, 4.0))
 
     def test_matches_grid(self, cfg_small, rng):
         phi = random_config(rng, 16)
         grid = PsiGrid.uniform(41)
         p = beampattern_of_config(phi, cfg_small, grid)
         for gi in (0, 13, 40):
-            for m in (1, 30, 48):
-                g = gain_at(phi, float(grid.points[gi]), m, cfg_small)
-                assert abs(g - p.gains[gi, m - 1]) < 1e-12
+            g = gain_at_directions(phi, np.full(cfg_small.n_subcarriers, grid.points[gi]), cfg_small)
+            assert np.max(np.abs(g - p.gains[gi])) < 1e-12
 
     def test_destructive_interference(self):
         cfg = SystemConfig(2, 4, 10e9, 1e9)
         phi = ArrayConfig(np.zeros(2), np.array([0.0, np.pi]))
-        assert abs(gain_at(phi, 0.0, 2, cfg)) < 1e-12
+        assert np.max(np.abs(gain_at_directions(phi, np.zeros(4), cfg))) < 1e-12
 
-    def test_index_validation(self, cfg_small):
-        with pytest.raises(IndexError):
-            gain_at(zero_config(16), 0.0, 0, cfg_small)
-        with pytest.raises(IndexError):
-            gain_at(zero_config(16), 0.0, 49, cfg_small)
-        with pytest.raises(ValueError):
-            gain_at(zero_config(16), 1.5, 1, cfg_small)
-
-    def test_vectorized_matches_scalar(self, cfg_small, rng):
-        phi = random_config(rng, 16)
-        psi = rng.uniform(-1, 1, cfg_small.n_subcarriers)
-        gains = gain_at_directions(phi, psi, cfg_small)
-        for m in (1, 25, 48):
-            assert abs(gains[m - 1] - gain_at(phi, float(psi[m - 1]), m, cfg_small)) < 1e-12
+    @pytest.mark.parametrize("count", [47, 49])
+    def test_vectorized_needs_one_direction_per_subcarrier(self, cfg_small, count):
+        with pytest.raises(ValueError, match="one direction per subcarrier"):
+            gain_at_directions(zero_config(16), np.zeros(count), cfg_small)
 
     @pytest.mark.parametrize("bad", [1.5, np.nan])
     def test_vectorized_range_checked(self, cfg_small, bad):
@@ -355,7 +358,6 @@ class TestResponse:
         assert np.max(np.abs(gain_at_directions(phi, psi, cfg) - expected)) <= tol
         zero = np.zeros(n)
         for k in range(m):
-            assert abs(gain_at(phi, float(psi[k]), k + 1, cfg) - expected[k]) <= tol
             offset = 2.0 * float(psi[k])
             kernel = direct_response(zero, zero, offset, f[k : k + 1], cfg)[0]
             assert abs(dirichlet_gain(offset, k + 1, cfg) - kernel) <= tol
@@ -418,6 +420,23 @@ class TestResponse:
 
     @given(
         n=st.integers(min_value=1, max_value=8),
+        m=st.sampled_from([1, 7, 12, 13, 150, 151, 1200, 10007]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.floats(min_value=1e-2, max_value=1e3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_precoder_columns_are_bitwise_the_matrix_columns(self, n, m, seed, scale):
+        # what render --config draws: at most 150 columns, formed without the other M - 150
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        rng = np.random.default_rng(seed)
+        period = scale * m / cfg.bandwidth
+        phi = ArrayConfig(rng.uniform(-period, period, n), rng.uniform(-2 * np.pi, 2 * np.pi, n))
+        cols = np.unique(rng.integers(0, m, 150))
+        assert _precoder_columns(phi, cfg, cols).tobytes() == precoder_matrix(phi, cfg)[:, cols].tobytes()
+        assert _freqs(cfg, cols + 1.0).tobytes() == subcarrier_freqs(cfg)[cols].tobytes()
+
+    @given(
+        n=st.integers(min_value=1, max_value=8),
         m=st.sampled_from([1, 7, 12, 16]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -450,8 +469,6 @@ class TestResponse:
         assert np.max(np.abs(precoder_matrix(phi, cfg) - weights)) <= tol
         expected = direct_response(phi.delays, phi.phases, psi, f, cfg)
         assert np.max(np.abs(gain_at_directions(phi, psi, cfg) - expected)) <= 4.0 * tol
-        for k in (0, 29, 30, 599, 600, 1199):
-            assert abs(gain_at(phi, float(psi[k]), k + 1, cfg) - expected[k]) <= 4.0 * tol
 
 
 class TestWrapSine:

@@ -20,6 +20,7 @@ from ttdbeam.core import (
     SystemConfig,
     _gain_profile,
     _pattern,
+    direction_grid,
     precoder_matrix,
     subcarrier_freqs,
     zero_config,
@@ -53,6 +54,12 @@ def _two_subband_target(delta, cfg):
 
 
 class TestOffsetGrid:
+    @pytest.mark.parametrize("grid", [direction_grid, offset_grid])
+    @pytest.mark.parametrize("size", [1, 0])
+    def test_needs_two_directions(self, grid, size):
+        with pytest.raises(ValueError, match="direction grid needs at least 2 points"):
+            grid(size)
+
     def test_count_is_2a_minus_1(self):
         assert offset_grid(499).size == 997
         assert offset_grid(2).size == 3

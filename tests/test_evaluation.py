@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttdbeam import evaluation
-from ttdbeam.core import SystemConfig, gain_at_directions, zero_config
+from ttdbeam.core import SystemConfig, gain_at_directions
 from ttdbeam.dictionary import GeneratorDictionary, offset_grid
 from ttdbeam.evaluation import (
     Ecdf,
@@ -18,7 +18,6 @@ from ttdbeam.evaluation import (
     monte_carlo,
     report_csv_lines,
     runtime_bench,
-    spectral_efficiency,
     summary_dict,
     upper_bound_se,
 )
@@ -39,24 +38,6 @@ def scenario_for(cfg, dictionary, trials=20, g=3, seed=7):
 
 
 class TestSpectralEfficiency:
-    def test_full_gain_value(self, cfg_dict):
-        # broadside zero config reaches |gain|^2 = N at direction 0
-        se = spectral_efficiency(zero_config(16), DirectionMap(np.array([0.0])), 1, 10.0, cfg_dict)
-        assert se == pytest.approx(np.log2(1 + 160.0), abs=1e-12)
-        assert se == pytest.approx(7.3309, abs=1e-3)
-
-    def test_zero_gain(self):
-        cfg = SystemConfig(2, 4, 10e9, 1e9)
-        from ttdbeam.core import ArrayConfig
-
-        phi = ArrayConfig(np.zeros(2), np.array([0.0, np.pi]))
-        se = spectral_efficiency(phi, DirectionMap(np.array([0.0])), 2, 10.0, cfg)
-        assert se == pytest.approx(0.0, abs=1e-12)
-
-    def test_vanishing_snr(self, cfg_dict):
-        se = spectral_efficiency(zero_config(16), DirectionMap(np.array([0.0])), 1, 1e-12, cfg_dict)
-        assert se < 1e-10
-
     def test_upper_bound(self, cfg_dict):
         assert upper_bound_se(cfg_dict, 10.0) == pytest.approx(np.log2(161.0))
 
@@ -341,6 +322,11 @@ class TestEcdf:
         assert e.quantile(0.5) == 2.0
         assert e.quantile(0.51) == 3.0
 
+    @pytest.mark.parametrize("q", [1.5, -0.1, np.nan])
+    def test_quantile_range(self, q):
+        with pytest.raises(ValueError, match="quantile must lie in"):
+            Ecdf(np.array([1.0, 2.0])).quantile(q)
+
     def test_report_ecdf(self, small_dict, cfg_dict):
         scen = scenario_for(cfg_dict, small_dict, trials=3)
         report = monte_carlo(scen, make_hdb_synthesizer(small_dict), workers=1)
@@ -385,6 +371,12 @@ class TestBenchAndOutputs:
         )
         assert means["hdb"] > 0.0 and means["jpta"] > 0.0
         assert means["hdb"] < means["jpta"]
+
+    @pytest.mark.parametrize("calls", [0, -1])
+    def test_runtime_bench_needs_a_timed_call(self, small_dict, cfg_dict, calls):
+        scen = scenario_for(cfg_dict, small_dict, trials=1)
+        with pytest.raises(ValueError, match="need at least one timed call for 'hdb'"):
+            runtime_bench(scen, {"hdb": make_hdb_synthesizer(small_dict)}, {"hdb": calls})
 
     def test_csv_shape(self, small_dict, cfg_dict):
         scen = scenario_for(cfg_dict, small_dict, trials=2)
@@ -461,6 +453,15 @@ class TestScenarioValidation:
         args = dict(cfg=cfg_dict, n_subbands=3, snr_linear=10.0, direction_grid_size=41, n_trials=5, master_seed=0)
         EvalScenario(**args)
         with pytest.raises(ValueError, match=field):
+            EvalScenario(**{**args, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("direction_grid_size", 1, "at least 2 points"), ("n_trials", 0, "at least one trial")],
+    )
+    def test_grid_and_trial_counts(self, cfg_dict, field, value, message):
+        args = dict(cfg=cfg_dict, n_subbands=3, snr_linear=10.0, direction_grid_size=41, n_trials=5, master_seed=0)
+        with pytest.raises(ValueError, match=message):
             EvalScenario(**{**args, field: value})
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

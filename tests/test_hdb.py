@@ -457,6 +457,12 @@ class TestSynthesizeBatch:
         with pytest.raises(error):
             synthesize_batch(np.array(directions), table, cfg)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (2, 3, 1)])
+    def test_needs_a_targets_by_subbands_array(self, shape):
+        table = _random_table(self.CFG, 5, seed=0)
+        with pytest.raises(ValueError, match=r"need a \(targets, subbands\) array"):
+            synthesize_batch(np.zeros(shape), table, self.CFG)
+
     @given(
         m=st.integers(2, 360),
         exponent=st.integers(-30, 70),

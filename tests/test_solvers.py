@@ -204,7 +204,28 @@ class TestCorrelationLayout:
             assert np.max(np.abs(dphase)) < 1e-9
 
 
+class TestDelayGrid:
+    @pytest.mark.parametrize(
+        "max_delay, size, message",
+        [(0.0, 8, "max_delay must be positive"), (-1e-9, 8, "max_delay must be positive"),
+         (np.nan, 8, "max_delay must be positive"), (1e-9, 1, "at least 2 points")],
+    )
+    def test_rejected(self, max_delay, size, message):
+        with pytest.raises(ValueError, match=message):
+            delay_grid(max_delay, size)
+
+
 class TestExhaustiveOracle:
+    @pytest.mark.parametrize(
+        "cfg, size, message",
+        [(SystemConfig(4, 8, 28e9, 3e9), 1001, "grid too large"), (SystemConfig(7, 8, 28e9, 3e9), 4, "N <= 6")],
+    )
+    def test_refuses_problems_over_the_cap(self, cfg, size, message):
+        # 1001 delays x 1001 phases x 4 antennas is just over 4e6 evaluations
+        grid = np.linspace(0.0, 1e-9, size)
+        with pytest.raises(ValueError, match=message):
+            exhaustive_oracle(np.ones((cfg.n_antennas, 8)), cfg, grid, grid)
+
     def test_planted_on_grid(self, cfg_tiny, rng):
         d = delay_grid(default_max_delay(cfg_tiny), 16)
         p = np.linspace(-np.pi, np.pi, 13)

@@ -16,7 +16,6 @@ from ttdbeam.splitbeam import (
     dirichlet_gain,
     expand_directions,
     ideal_split_precoder,
-    subband_of,
     subband_width,
 )
 
@@ -29,6 +28,11 @@ class TestDirectionMap:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="lie in"):
             DirectionMap(np.array([0.2, np.nan]))
+
+    @pytest.mark.parametrize("directions", [[], [[0.1, 0.2]], [[0.1], [0.2]]])
+    def test_one_vector_of_at_least_one_direction(self, directions):
+        with pytest.raises(ValueError, match="need at least one direction"):
+            DirectionMap(np.array(directions))
 
     def test_divisibility_enforced(self):
         cfg = SystemConfig(4, 10, 1e9, 1e8)
@@ -51,25 +55,6 @@ class TestExpandDirections:
         cfg = SystemConfig(4, 4, 1e9, 1e8)
         dirs = np.array([0.1, -0.2, 0.3, 0.9])
         np.testing.assert_array_equal(expand_directions(DirectionMap(dirs), cfg), dirs)
-
-
-class TestSubbandOf:
-    def test_boundary(self):
-        assert subband_of(400, 3, 1200) == 1
-        assert subband_of(401, 3, 1200) == 2
-
-    def test_last(self):
-        assert subband_of(1200, 3, 1200) == 3
-
-    def test_single_band(self):
-        for m in (1, 7, 12):
-            assert subband_of(m, 1, 12) == 1
-
-    def test_errors(self):
-        with pytest.raises(IndexError):
-            subband_of(0, 3, 1200)
-        with pytest.raises(ValueError):
-            subband_of(1, 5, 12)
 
 
 class TestSubbandWidth:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ def test_heatmap_grey_levels_match_beampattern(rng):
         greys += [int(grey, 16)] * round(float(width) / (760 / cols.size))
     drawn = np.array(greys).reshape(rows, cols.size)[::-1]
     np.testing.assert_array_equal(drawn, expected)
+
+
+def test_heatmap_memory_does_not_grow_with_the_subcarrier_count():
+    # only the drawn columns are formed: the 2**22-column precoder alone would take 64 MiB
+    cfg = SystemConfig(1, 2**22, 28e9, 3e9)
+    tracemalloc.start()
+    try:
+        svg = render_config_heatmap(zero_config(1), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.startswith("<svg") and peak < 8 * 2**20
 
 
 def test_heatmap_rejects_gains_that_are_not_finite(cfg_small):
