@@ -1,6 +1,6 @@
 """Command-line interface: dictionary builds, synthesis, evaluation, benchmarks, plots.
 
-Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input.
+Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input, 6 out of memory.
 TTDBEAM_THREADS caps the dictionary build's worker count (0 = auto);
 evaluation runs its trials on the calling thread.
 """
@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PARSE = 5
+EXIT_MEMORY = 6
 
 
 def _directions_arg(raw: str) -> np.ndarray:
@@ -99,6 +100,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         doc = config_to_json_dict(phi, cfg)
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)
+    gains = np.abs(gain_at_directions(phi, expand_directions(dmap, cfg), cfg))  # before --out is written
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -108,7 +110,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         snapped = float(built.offsets[built.index(delta)])
         print(f"generator {g}: offset {delta:+.6f} snapped to {snapped:+.6f}, "
               f"error {abs(snapped - delta):.3g}")
-    gains = np.abs(gain_at_directions(phi, expand_directions(dmap, cfg), cfg))
     block = subband_width(dmap.n_subbands, cfg.n_subcarriers)
     peak = np.sqrt(cfg.n_antennas)
     for b in range(dmap.n_subbands):
@@ -283,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

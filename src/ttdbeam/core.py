@@ -28,8 +28,6 @@ __all__ = [
     "subcarrier_freqs",
     "precoder_matrix",
     "beampattern_of_precoder",
-    "beampattern_of_config",
-    "compose",
     "gain_at_directions",
     "argmax_directions",
     "wrap_sine",
@@ -297,22 +295,6 @@ def _pattern(rows, psi, f, fc: float) -> np.ndarray:
         acc = acc * z  # not in place: numpy rounds a lone 1-element ``*=`` unlike its vector loop
         acc += row
     return acc
-
-
-def beampattern_of_config(phi: ArrayConfig, cfg: SystemConfig, grid: PsiGrid) -> Beampattern:
-    """Beampattern generated by a delay/phase config (precoder then response)."""
-    return beampattern_of_precoder(precoder_matrix(phi, cfg), cfg, grid)
-
-
-def compose(phi1: ArrayConfig, phi2: ArrayConfig, cfg: SystemConfig, grid: PsiGrid) -> Beampattern:
-    """Pattern of the summed configuration phi1 + phi2.
-
-    Equals the sqrt(N)-scaled column-wise circular convolution of the two
-    individual patterns over one period of the response; evaluating the sum
-    config in the antenna domain gives that composition exactly, without any
-    discretization of the convolution.
-    """
-    return beampattern_of_config(phi1 + phi2, cfg, grid)
 
 
 def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:

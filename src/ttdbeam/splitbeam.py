@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemConfig, _freqs, _pattern, _readonly, subcarrier_freqs
+from .core import SystemConfig, _readonly, subcarrier_freqs
 
 __all__ = [
     "DirectionMap",
     "expand_directions",
     "ideal_split_precoder",
-    "dirichlet_gain",
     "subband_width",
 ]
 
@@ -76,15 +75,3 @@ def ideal_split_precoder(dmap: DirectionMap, cfg: SystemConfig) -> np.ndarray:
     """
     return _steering_precoder(expand_directions(dmap, cfg), cfg)
 
-
-def dirichlet_gain(psi_offset: float, m: int, cfg: SystemConfig) -> complex:
-    """Periodic-sinc gain of an N-element array at a direction offset.
-
-    ``dirichlet_gain(0, m, cfg)`` is sqrt(N); the first null sits at
-    ``2*fc/(N*f_m)``.  Matches the pattern of the ideal split precoder as a
-    function of psi - psi_m.
-    """
-    if not 1 <= m <= cfg.n_subcarriers:
-        raise IndexError(f"subcarrier index {m} out of range 1..{cfg.n_subcarriers}")
-    v = np.full((cfg.n_antennas, 1), 1.0 / np.sqrt(cfg.n_antennas))  # the zero config's weights
-    return complex(_pattern(v[::-1], psi_offset, _freqs(cfg, np.array([float(m)])), cfg.carrier_freq)[0])

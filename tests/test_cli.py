@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import re
+import resource
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -105,6 +109,14 @@ class TestDictBuild:
         )
         assert rc == 0
         assert load(out) == build_dictionary(cfg, 9, params)
+
+    def test_reports_degenerate_entries(self, tmp_path, capsys):
+        # a 64-point delay search at N=2 leaves entries 3 and 5, at offsets -0.5 and +0.5, degenerate
+        rc = main(["dict-build", "--n", "2", "--m", "120", "--fc", "28e9", "--bw", "3e9",
+                   "--grid", "5", "--delay-grid", "64", "--out", str(tmp_path / "d.ttdd")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "degenerate entries: 2\n" in out and "fidelity warnings: 6\n" in out
 
 
 class TestSynth:
@@ -550,6 +562,37 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--dict", str(built_dict), "--dirs", "0", "--frobnicate", "1"])
         assert exc.value.code == 2
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "args",
+        [["eval", "--ues", "1", "--trials", "2", "--out-prefix", "x"],
+         ["synth", "--dirs", "0.5", "--out", "o.json"],
+         ["dict-build", "--n", "4", "--m", "24", "--fc", "28e9", "--bw", "3e9", "--grid", "100000000",
+          "--out", "d.ttdd"],
+         ["dict-build", "--n", "4", "--m", "24", "--fc", "28e9", "--bw", "3e9", "--grid", "9",
+          "--delay-grid", "1000000000000", "--out", "d.ttdd"]],
+        ids=["eval_huge_m", "synth_huge_m", "huge_grid", "huge_delay_grid"],
+    )
+    def test_allocation_failure_exit_6(self, tmp_path, args):
+        # the command runs in a child process capped at 1 GiB of address space;
+        # the .ttdd header declares M = 2**31 - 1 subcarriers over a 256-byte file
+        huge = tmp_path / "huge.ttdd"
+        _write_ttdd(huge, n=4, m=2**31 - 1, fc=28e9, bw=3e9, a=2, phase=0.0)
+        if args[0] != "dict-build":
+            args = [args[0], "--dict", str(huge), *args[1:]]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+        assert run.returncode == 6, run.stderr
+        assert run.stderr.splitlines()[-1].startswith("error: out of memory:") and "Traceback" not in run.stderr
+        assert list(tmp_path.iterdir()) == [huge]
 
 
 class TestBench:

@@ -535,6 +535,9 @@ class TestPersistence:
         assert loaded.delays.tobytes() == small_dict.delays.tobytes()
         assert loaded.phases.tobytes() == small_dict.phases.tobytes()
 
+    def test_unequal_to_a_non_dictionary(self, small_dict):
+        assert small_dict != object()
+
     def test_sidecar_written(self, small_dict, tmp_path):
         import json
 

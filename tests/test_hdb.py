@@ -11,7 +11,7 @@ from ttdbeam.core import (
     SystemConfig,
     _gain_profile,
     argmax_directions,
-    beampattern_of_config,
+    beampattern_of_precoder,
     precoder_matrix,
     wrap_sine,
 )
@@ -249,7 +249,7 @@ class TestSynthesize:
             for g_count in (2, 3, 4):
                 dirs = grid_dirs[rng.integers(0, a, size=g_count)]
                 phi = synthesize(DirectionMap(dirs), small_dict, cfg_dict)
-                pattern = beampattern_of_config(phi, cfg_dict, psi_grid)
+                pattern = beampattern_of_precoder(precoder_matrix(phi, cfg_dict), cfg_dict, psi_grid)
                 peaks = argmax_directions(pattern)
                 block = cfg_dict.n_subcarriers // g_count
                 ok = True

@@ -6,7 +6,7 @@ from ttdbeam.core import (
     PsiGrid,
     SystemConfig,
     argmax_directions,
-    beampattern_of_config,
+    beampattern_of_precoder,
     gain_at_directions,
     precoder_matrix,
     subcarrier_freqs,
@@ -45,7 +45,8 @@ class TestConstantDirection:
 
     def test_steers_all_subcarriers(self, cfg_small):
         grid = PsiGrid.uniform(801)
-        p = beampattern_of_config(constant_direction_config(-0.35, cfg_small), cfg_small, grid)
+        phi = constant_direction_config(-0.35, cfg_small)
+        p = beampattern_of_precoder(precoder_matrix(phi, cfg_small), cfg_small, grid)
         assert np.max(np.abs(argmax_directions(p) + 0.35)) <= grid.step + 1e-12
 
     def test_domain(self, cfg_small):
@@ -103,7 +104,7 @@ class TestJptaApprox:
         dmap = DirectionMap(np.array([0.0, 0.2]))
         phi = jpta_approx(ideal_split_precoder(dmap, cfg_dict), params, cfg_dict)
         grid = PsiGrid.uniform(1001)
-        p = beampattern_of_config(phi, cfg_dict, grid)
+        p = beampattern_of_precoder(precoder_matrix(phi, cfg_dict), cfg_dict, grid)
         peaks = argmax_directions(p)
         half = cfg_dict.n_subcarriers // 2
         # check at the subband-center subcarriers

@@ -6,6 +6,7 @@ from ttdbeam.core import (
     SystemConfig,
     argmax_directions,
     beampattern_of_precoder,
+    gain_at_directions,
     precoder_matrix,
     subcarrier_freqs,
     wrap_sine,
@@ -13,7 +14,6 @@ from ttdbeam.core import (
 )
 from ttdbeam.splitbeam import (
     DirectionMap,
-    dirichlet_gain,
     expand_directions,
     ideal_split_precoder,
     subband_width,
@@ -89,29 +89,25 @@ class TestIdealSplitPrecoder:
 
 
 class TestDirichletGain:
-    def test_peak(self, cfg_small):
-        assert dirichlet_gain(0.0, 1, cfg_small) == pytest.approx(4.0)
-
     def test_first_null(self, cfg_small):
-        f = subcarrier_freqs(cfg_small)
-        for m in (1, 24, 48):
-            null = 2.0 * cfg_small.carrier_freq / (16 * f[m - 1])
-            assert abs(dirichlet_gain(null, m, cfg_small)) < 1e-9
+        # the N-element periodic sinc's first null sits at psi = 2*fc/(N*f_m)
+        null = 2.0 * cfg_small.carrier_freq / (16 * subcarrier_freqs(cfg_small))
+        assert np.max(np.abs(gain_at_directions(zero_config(16), null, cfg_small))) < 1e-9
 
     def test_matches_ideal_pattern(self, cfg_small):
-        # the ideal split pattern is this kernel evaluated at psi - psi_m
+        # the ideal split pattern is the periodic sinc
+        # sum_n exp(-j*pi*n*(psi - psi_m)*f_m/fc) / sqrt(N)
         dmap = DirectionMap(np.array([0.2]))
         v = ideal_split_precoder(dmap, cfg_small)
         grid = PsiGrid.uniform(41)
         p = beampattern_of_precoder(v, cfg_small, grid)
+        f = subcarrier_freqs(cfg_small)
+        n = np.arange(16)
         for gi in (0, 20, 40):
             for m in (1, 48):
-                expected = dirichlet_gain(float(grid.points[gi]) - 0.2, m, cfg_small)
+                offset = float(grid.points[gi]) - 0.2
+                expected = np.exp(-1j * np.pi * n * offset * f[m - 1] / cfg_small.carrier_freq).sum() / 4.0
                 assert abs(p.gains[gi, m - 1] - expected) < 1e-12
-
-    def test_index_validation(self, cfg_small):
-        with pytest.raises(IndexError):
-            dirichlet_gain(0.0, 0, cfg_small)
 
 
 class TestDirectionAddition:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttdbeam.core import ArrayConfig, PsiGrid, SystemConfig, beampattern_of_config, zero_config
+from ttdbeam.core import ArrayConfig, PsiGrid, SystemConfig, beampattern_of_precoder, precoder_matrix, zero_config
 from ttdbeam.hdb import synthesize
 from ttdbeam.splitbeam import DirectionMap
 from ttdbeam.svgrender import render_config_heatmap, render_summary_charts
@@ -22,7 +22,7 @@ def test_heatmap_grey_levels_match_beampattern(rng):
     phi = ArrayConfig(rng.uniform(-2e-10, 2e-10, 16), rng.uniform(-np.pi, np.pi, 16))
     svg = render_config_heatmap(phi, cfg)
     rows, cols = 201, np.unique(np.linspace(0, 1199, 150).astype(int))
-    gains = beampattern_of_config(phi, cfg, PsiGrid.uniform(rows)).gains[:, cols]
+    gains = beampattern_of_precoder(precoder_matrix(phi, cfg), cfg, PsiGrid.uniform(rows)).gains[:, cols]
     expected = (255.0 * np.clip(np.abs(gains) / np.sqrt(16), 0.0, 1.0)).round().astype(int)
     # expand the run-length rects of the 760-px-wide plot, drawn row by row from psi = +1 down
     plot = svg[svg.index('<g shape-rendering="crispEdges">') : svg.index("</g>")]
