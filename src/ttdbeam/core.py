@@ -252,12 +252,6 @@ def precoder_matrix(phi: ArrayConfig, cfg: SystemConfig) -> np.ndarray:
     return _comb_product(*_comb_factors(phi.delays, phi.phases, cfg))
 
 
-def _precoder_columns(phi: ArrayConfig, cfg: SystemConfig, cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` (0-based ints) of :func:`precoder_matrix`, bitwise, in O(N * len(cols))."""
-    _require_antennas(phi, cfg)
-    return np.multiply(*_comb_factors(phi.delays, phi.phases, cfg, cols))
-
-
 def _require_antennas(phi: ArrayConfig, cfg: SystemConfig) -> None:
     if phi.n_antennas != cfg.n_antennas:
         raise ValueError(f"config has {phi.n_antennas} antennas, system expects {cfg.n_antennas}")
@@ -282,19 +276,33 @@ def _pattern(rows, psi, f, fc: float) -> np.ndarray:
 
     ``rows`` yields v[N-1], ..., v[0], last antenna first, the order Horner
     adds them in: ``v[::-1]`` of an array, or a generator making each row
-    as it is added.  ``psi`` broadcasts against ``f``: ``psi[:, None]`` gives
-    a (psi, column) grid.  Horner evaluation in z = exp(-j*pi*psi*f/fc),
-    elementwise and in a fixed order, so results do not depend on BLAS
-    threading.  No range checks: directions outside [-1, 1] are evaluated
-    as their aliases.
+    as it is added.  ``psi`` broadcasts against ``f`` and the rows:
+    ``psi[:, None]`` gives a (psi, column) grid.  Horner evaluation in
+    z = exp(-j*pi*psi*f/fc), elementwise and in a fixed order, so results
+    do not depend on BLAS threading.  No range checks: directions outside
+    [-1, 1] are evaluated as their aliases.
     """
     z = np.exp(-1j * np.pi * (psi * (f / fc)))
     rows = iter(rows)
-    acc = np.broadcast_to(next(rows), z.shape).astype(np.complex128)
+    first = next(rows)
+    acc = np.broadcast_to(first, np.broadcast_shapes(np.shape(first), z.shape)).astype(np.complex128)
+    z = np.ascontiguousarray(np.broadcast_to(z, acc.shape))  # as wide as the rows: a broadcast z slows each step
     for row in rows:
         acc = acc * z  # not in place: numpy rounds a lone 1-element ``*=`` unlike its vector loop
         acc += row
     return acc
+
+
+def _column_patterns(delays: np.ndarray, phases: np.ndarray, cols: np.ndarray, psi: np.ndarray,
+                     cfg: SystemConfig) -> np.ndarray:
+    """Responses (..., len(cols), len(psi)) of configs (..., N) at 0-based subcarriers ``cols``.
+
+    Unchecked.  Only those columns' weights are formed, in O(N * len(cols))
+    whatever M: the :func:`_comb_factors` at ``cols``, bitwise columns
+    ``cols`` of :func:`precoder_matrix`.  Each Horner step runs along ``psi``.
+    """
+    v = np.multiply(*_comb_factors(delays, phases, cfg, cols))
+    return _pattern(np.moveaxis(v, -2, 0)[::-1, ..., None], psi, _freqs(cfg, cols + 1.0)[:, None], cfg.carrier_freq)
 
 
 def gain_at_directions(phi: ArrayConfig, per_subcarrier_psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:

@@ -51,10 +51,9 @@ from .core import (
     ArrayConfig,
     SystemConfig,
     _check_delay_phase,
+    _column_patterns,
     _gain_profile,
-    _pattern,
     _readonly,
-    _weights,
     direction_grid,
     subcarrier_freqs,
     zero_config,
@@ -278,12 +277,10 @@ def _entry_diagnostics(
     points = direction_grid(direction_grid_size)
     step = points[1] - points[0]
     floor = _GAIN_THRESHOLD * np.sqrt(cfg.n_antennas)
-    f_c = subcarrier_freqs(cfg)[[half // 2, half + half // 2]]  # subband-centre frequencies
+    centres = np.array([half // 2, half + half // 2])  # subband-centre subcarriers
+    f_c = subcarrier_freqs(cfg)[centres]
     sign = np.array([[-1.0], [1.0]])  # the mirror, then the entry
-    v = _weights(sign * phi.delays, sign * phi.phases, f_c) / np.sqrt(cfg.n_antennas)
-    # one row of directions per (config, subband), so each Horner step runs along the grid
-    f = np.tile(f_c, (2, 1))[..., None]
-    gains = _pattern(np.moveaxis(v, 1, 0)[::-1, ..., None], points, f, cfg.carrier_freq)
+    gains = _column_patterns(sign * phi.delays, sign * phi.phases, centres, points, cfg)
     found: tuple[list[str], list[str]] = ([], [])
     for offset, peaks, warnings in zip((-delta, delta), points[np.argmax(np.abs(gains), axis=-1)], found):
         for band, (target, f_m, peak, low) in enumerate(zip((0.0, offset), f_c, peaks, band_minima), start=1):

@@ -1,29 +1,47 @@
 """Static SVG figures for configs and evaluation summaries.
 
 Emits plain SVG markup with fixed formatting so identical inputs produce
-identical bytes; no plotting library involved.
+identical bytes; no plotting library involved.  Every element comes from
+one writer, which XML-escapes its text.
 """
 
 from __future__ import annotations
 
+import re
+from xml.sax.saxutils import escape
+
 import numpy as np
 
-from .core import ArrayConfig, SystemConfig, _freqs, _pattern, _precoder_columns, direction_grid
+from .core import ArrayConfig, SystemConfig, _column_patterns, _is_json_number, _require_antennas, direction_grid
 
 __all__ = ["render_config_heatmap", "render_summary_charts"]
 
 _W, _H = 860, 560
 _ML, _MT, _MR, _MB = 70, 40, 30, 50
 _PSI_ROWS, _MAX_COLS = 201, 150  # heatmap directions, and its subcarrier column limit
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")  # not an XML 1.0 Char
+
+
+def _el(tag: str, text=None, **attrs) -> str:
+    """One element: attributes in the order given, ``a_b`` written ``a-b``; the text XML-escaped.
+
+    ValueError when the text holds a character that XML 1.0 has no form for, escaped or not.
+    """
+    head = " ".join([tag, *(f'{k.replace("_", "-")}="{v}"' for k, v in attrs.items())])
+    if text is not None and _NOT_XML.search(str(text)):
+        raise ValueError(f"text {str(text)!r} holds a character XML cannot carry")
+    return f"<{head}/>" if text is None else f"<{head}>{escape(str(text))}</{tag}>"
+
+
+def _label(x, y, text, size: int, anchor: str = "middle") -> str:
+    return _el("text", text, x=x, y=y, text_anchor=anchor, font_family="sans-serif", font_size=size)
 
 
 def _header(title: str) -> list[str]:
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>',
-        f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
+        _el("rect", width=_W, height=_H, fill="#ffffff"),
+        _label(f"{_W / 2:.1f}", 24, title, 15),
     ]
 
 
@@ -35,13 +53,12 @@ def render_config_heatmap(phi: ArrayConfig, cfg: SystemConfig) -> str:
     150 columns, each evaluated at its true frequency; only their weights
     are formed, whatever M.  ValueError when a gain is not finite.
     """
+    _require_antennas(phi, cfg)
     cols = np.unique(
         np.linspace(0, cfg.n_subcarriers - 1, min(_MAX_COLS, cfg.n_subcarriers)).astype(int)
     )
-    psi = direction_grid(_PSI_ROWS)
-    v = _precoder_columns(phi, cfg, cols)
-    gains = _pattern(v[::-1], psi[:, None], _freqs(cfg, cols + 1.0), cfg.carrier_freq)
-    level = np.clip(np.abs(gains) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
+    gains = _column_patterns(phi.delays, phi.phases, cols, direction_grid(_PSI_ROWS), cfg)
+    level = np.clip(np.abs(gains.T) / np.sqrt(cfg.n_antennas), 0.0, 1.0)
     if not np.isfinite(level).all():
         raise ValueError("gain levels must be finite")
 
@@ -51,46 +68,31 @@ def render_config_heatmap(phi: ArrayConfig, cfg: SystemConfig) -> str:
     cell_h = plot_h / _PSI_ROWS
     out = _header(f"gain magnitude, N={cfg.n_antennas}, M={cfg.n_subcarriers}")
     out.append('<g shape-rendering="crispEdges">')
-    for r in range(_PSI_ROWS):
-        # row r drawn top-down: top row is psi = +1
-        y = _MT + r * cell_h
-        greys = (255.0 * level[_PSI_ROWS - 1 - r]).round().astype(int)
-        c = 0
-        while c < cols.size:
-            run = c
-            while run + 1 < cols.size and greys[run + 1] == greys[c]:
-                run += 1
-            g = greys[c]
-            out.append(
-                f'<rect x="{_ML + c * cell_w:.2f}" y="{y:.2f}" '
-                f'width="{(run - c + 1) * cell_w:.2f}" height="{cell_h + 0.5:.2f}" '
-                f'fill="#{g:02x}{g:02x}{g:02x}"/>'
-            )
-            c = run + 1
+    # up to 30 150 cells share one _el template; an _el call per cell would double the render time
+    cell = _el("rect", x="{0:.2f}", y="{1:.2f}", width="{2:.2f}", height=f"{cell_h + 0.5:.2f}",
+               fill="#{3:02x}{3:02x}{3:02x}")
+    # rows drawn top-down from psi = +1, one rect per run of equal greys
+    for r, greys in enumerate((255.0 * level[::-1]).round().astype(int).tolist()):
+        edges = np.flatnonzero(np.diff(greys, prepend=-1, append=-1)).tolist()
+        out += [cell.format(_ML + c * cell_w, _MT + r * cell_h, (end - c) * cell_w, greys[c])
+                for c, end in zip(edges, edges[1:])]
     out.append("</g>")
-    out.append(
-        f'<text x="16" y="{_MT + plot_h / 2:.1f}" font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_MT + plot_h / 2:.1f})" text-anchor="middle">direction (sine space)</text>'
-    )
-    out.append(
-        f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">subcarrier</text>'
-    )
+    mid = f"{_MT + plot_h / 2:.1f}"
+    out.append(_el("text", "direction (sine space)", x=16, y=mid, font_family="sans-serif", font_size=12,
+                   transform=f"rotate(-90 16 {mid})", text_anchor="middle"))
+    out.append(_label(f"{_ML + plot_w / 2:.1f}", _H - 14, "subcarrier", 12))
     for psi, label in ((1.0, "+1"), (0.0, "0"), (-1.0, "-1")):
-        y = _MT + (1.0 - psi) / 2.0 * plot_h
-        out.append(
-            f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        out.append(_label(_ML - 8, f"{_MT + (1.0 - psi) / 2.0 * plot_h + 4:.1f}", label, 11, "end"))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
 def render_summary_charts(summary: dict) -> str:
     """Per-subband ASE bars plus the SE distribution polyline from a summary; ValueError if malformed."""
-    ase = [float(v) for v in summary["ase_per_subband"]]
-    curve = [float(v) for v in summary["ecdf_curve"]]
-    bound = float(summary["upper_bound"])
+    ase, curve, bound = (summary[key] for key in ("ase_per_subband", "ecdf_curve", "upper_bound"))
+    if not (isinstance(ase, list) and isinstance(curve, list) and all(map(_is_json_number, [*ase, *curve, bound]))):
+        raise ValueError("ase_per_subband and ecdf_curve must be lists of numbers, and upper_bound a number")
+    ase, curve, bound = [float(v) for v in ase], [float(v) for v in curve], float(bound)
     finite = np.isfinite(ase + curve + [bound]).all()
     # an ASE is a mean of log2(1 + x) >= 0; a negative one would draw a bar of negative height
     if not (ase and min(ase) >= 0.0 and len(curve) >= 2 and bound > 0.0 and finite):
@@ -113,50 +115,26 @@ def render_summary_charts(summary: dict) -> str:
     bar_w = panel_w / (len(ase) * 1.5 + 0.5)
     for i, (val, h) in enumerate(zip(ase, heights)):
         x = x0 + (0.5 + 1.5 * i) * bar_w
-        out.append(
-            f'<rect x="{x:.2f}" y="{y0 + panel_h - h:.2f}" width="{bar_w:.2f}" '
-            f'height="{h:.2f}" fill="#4878a8"/>'
-        )
-        out.append(
-            f'<text x="{x + bar_w / 2:.2f}" y="{y0 + panel_h + 16:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{i + 1}</text>'
-        )
-        out.append(
-            f'<text x="{x + bar_w / 2:.2f}" y="{y0 + panel_h - h - 6:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{val:.2f}</text>'
-        )
+        out += [
+            _el("rect", x=f"{x:.2f}", y=f"{y0 + panel_h - h:.2f}", width=f"{bar_w:.2f}", height=f"{h:.2f}",
+                fill="#4878a8"),
+            _label(f"{x + bar_w / 2:.2f}", f"{y0 + panel_h + 16:.1f}", i + 1, 11),
+            _label(f"{x + bar_w / 2:.2f}", f"{y0 + panel_h - h - 6:.2f}", f"{val:.2f}", 10),
+        ]
     yb = y0 + panel_h - bound / top * panel_h
-    out.append(
-        f'<line x1="{x0}" y1="{yb:.2f}" x2="{x0 + panel_w:.2f}" y2="{yb:.2f}" '
-        f'stroke="#c04040" stroke-dasharray="6 3"/>'
-    )
-    out.append(
-        f'<text x="{x0}" y="{yb - 6:.2f}" font-family="sans-serif" font-size="10" '
-        f'fill="#c04040">upper bound {bound:.2f}</text>'
-    )
-    out.append(
-        f'<text x="{x0 + panel_w / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">ASE per subband (bps/Hz)</text>'
-    )
+    out.append(_el("line", x1=x0, y1=f"{yb:.2f}", x2=f"{x0 + panel_w:.2f}", y2=f"{yb:.2f}", stroke="#c04040",
+                   stroke_dasharray="6 3"))
+    out.append(_el("text", f"upper bound {bound:.2f}", x=x0, y=f"{yb - 6:.2f}", font_family="sans-serif",
+                   font_size=10, fill="#c04040"))
+    out.append(_label(f"{x0 + panel_w / 2:.1f}", _H - 14, "ASE per subband (bps/Hz)", 12))
 
     # right panel: ECDF polyline
     x1 = _ML + panel_w + 60
-    pts = []
-    for i, val in enumerate(curve):
-        q = i / (len(curve) - 1)
-        px = x1 + (val - lo) / span * panel_w
-        py = y0 + panel_h - q * panel_h
-        pts.append(f"{px:.2f},{py:.2f}")
-    out.append(
-        f'<polyline points="{" ".join(pts)}" fill="none" stroke="#2a7a2a" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<rect x="{x1:.2f}" y="{y0:.2f}" width="{panel_w:.2f}" height="{panel_h:.2f}" '
-        f'fill="none" stroke="#888888"/>'
-    )
-    out.append(
-        f'<text x="{x1 + panel_w / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">SE distribution: {lo:.2f} to {hi:.2f} bps/Hz</text>'
-    )
+    pts = " ".join(f"{x1 + (val - lo) / span * panel_w:.2f},{y0 + panel_h - i / (len(curve) - 1) * panel_h:.2f}"
+                   for i, val in enumerate(curve))
+    out.append(_el("polyline", points=pts, fill="none", stroke="#2a7a2a", stroke_width=1.5))
+    out.append(_el("rect", x=f"{x1:.2f}", y=f"{y0:.2f}", width=f"{panel_w:.2f}", height=f"{panel_h:.2f}",
+                   fill="none", stroke="#888888"))
+    out.append(_label(f"{x1 + panel_w / 2:.1f}", _H - 14, f"SE distribution: {lo:.2f} to {hi:.2f} bps/Hz", 12))
     out.append("</svg>")
     return "\n".join(out) + "\n"

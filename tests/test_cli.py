@@ -10,10 +10,11 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttdbeam import cli
@@ -21,6 +22,14 @@ from ttdbeam.cli import main
 from ttdbeam.core import SystemConfig, config_from_json_dict
 from ttdbeam.dictionary import build_dictionary, load, offset_grid
 from ttdbeam.solvers import SolverParams, constant_direction_config, default_max_delay
+
+
+def _render(kind, path, out):
+    """Exit code of ``render --<kind> path --out out``; an SVG written with exit 0 must parse as XML."""
+    rc = main(["render", f"--{kind}", str(path), "--out", str(out)])
+    if rc == 0:
+        ElementTree.parse(out)
+    return rc
 
 
 def _write_ttdd(path, n, m, fc, bw, a, phase):
@@ -228,8 +237,8 @@ class TestRender:
         cfg_path = tmp_path / "c.json"
         assert main(["synth", "--dict", str(built_dict), "--dirs", "0", "--out", str(cfg_path)]) == 0
         s1, s2 = tmp_path / "one.svg", tmp_path / "two.svg"
-        assert main(["render", "--config", str(cfg_path), "--out", str(s1)]) == 0
-        assert main(["render", "--config", str(cfg_path), "--out", str(s2)]) == 0
+        assert _render("config", cfg_path, s1) == 0
+        assert _render("config", cfg_path, s2) == 0
         assert s1.read_bytes() == s2.read_bytes()
         assert s1.read_text().startswith("<svg")
 
@@ -237,7 +246,7 @@ class TestRender:
         cfg_path = tmp_path / "c.json"
         main(["synth", "--dict", str(built_dict), "--dirs", "0", "--out", str(cfg_path)])
         svg_path = tmp_path / "h.svg"
-        main(["render", "--config", str(cfg_path), "--out", str(svg_path)])
+        _render("config", cfg_path, svg_path)
         # brightest rects (pure white) should cluster at the vertical middle
         text = svg_path.read_text()
         ys = [float(m.group(1)) for m in re.finditer(r'y="([0-9.]+)" width="[0-9.]+" height="[0-9.]+" fill="#ffffff"', text)]
@@ -255,14 +264,14 @@ class TestRender:
             ]
         )
         out = tmp_path / "summary.svg"
-        assert main(["render", "--summary", f"{prefix}.summary.json", "--out", str(out)]) == 0
+        assert _render("summary", f"{prefix}.summary.json", out) == 0
         text = out.read_text()
         assert "polyline" in text and "upper bound" in text
 
     def test_unparseable_input_exit_5(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["render", "--summary", str(bad), "--out", str(tmp_path / "x.svg")]) == 5
+        assert _render("summary", bad, tmp_path / "x.svg") == 5
 
     def test_wrong_schema_exit_5(self, tmp_path):
         good = {"ase_per_subband": [1.0, 2.0], "ecdf_curve": [0.5, 1.0, 2.0], "upper_bound": 8.0}
@@ -281,7 +290,7 @@ class TestRender:
         for doc in [good, *bad_docs]:
             path = tmp_path / "bad2.json"
             path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
-            rc = main(["render", "--summary", str(path), "--out", str(out)])
+            rc = _render("summary", path, out)
             assert (rc, out.exists()) == ((0, True) if doc is good else (5, False)), doc
             out.unlink(missing_ok=True)
 
@@ -291,7 +300,7 @@ class TestRender:
                "phases_rad": [0.0, 0.1, 0.2, 0.3]}
         path, out = tmp_path / "c.json", tmp_path / "x.svg"
         path.write_text(json.dumps(doc))
-        assert main(["render", "--config", str(path), "--out", str(out)]) == 0
+        assert _render("config", path, out) == 0
         text = out.read_text()
         assert "M=1000000000000" in text and all(math.isfinite(x) for x in _svg_numbers(text))
         fills = re.findall(r'fill="([^"]*)"', text)
@@ -304,7 +313,7 @@ class TestRender:
         for key, raw in [(None, None), ("fc_hz", "1e400"), ("m", "5.5"), ("n", "4.9"), ("m", "1e400")]:
             text = json.dumps(good) if key is None else json.dumps({**good, key: "RAW"}).replace('"RAW"', raw)
             path.write_text(text)
-            rc = main(["render", "--config", str(path), "--out", str(out)])
+            rc = _render("config", path, out)
             assert (rc, out.exists()) == ((0, True) if key is None else (5, False)), text
             out.unlink(missing_ok=True)
 
@@ -324,7 +333,7 @@ class TestRender:
         good = {"n": 4, "m": 8, "fc_hz": 28e9, "bw_hz": 3e9, "delays_s": [0.0] * 4, "phases_rad": [0.0] * 4}
         path, out = tmp_path / "c.json", tmp_path / "x.svg"
         path.write_text(json.dumps({**good, key: value}))
-        assert main(["render", "--config", str(path), "--out", str(out)]) == 5
+        assert _render("config", path, out) == 5
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: unusable input {path}") and "Traceback" not in err
@@ -343,7 +352,7 @@ class TestRenderSummaryContract:
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "s.json", Path(tmp) / "s.svg"
             path.write_text(json.dumps(doc))
-            rc = main(["render", "--summary", str(path), "--out", str(out)])
+            rc = _render("summary", path, out)
             assert rc in (0, 5)
             assert out.exists() == (rc == 0)
             if rc == 0:
@@ -359,9 +368,57 @@ class TestRenderSummaryContract:
         path, out = tmp_path / "s.json", tmp_path / "s.svg"
         doc = {"ase_per_subband": [1.0], "ecdf_curve": [-1e308, 1e308], "upper_bound": 8.0}
         path.write_text(json.dumps(doc))
-        assert main(["render", "--summary", str(path), "--out", str(out)]) == 5
+        assert _render("summary", path, out) == 5
         assert "overflows float64" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("ase_per_subband", "12"), ("ase_per_subband", [1.0, True]), ("ase_per_subband", 2.0),
+         ("ecdf_curve", [0.5, "1.0", 2.0]), ("ecdf_curve", {"0.5": 1, "2.0": 2}), ("upper_bound", True),
+         ("upper_bound", "8"),
+         pytest.param("upper_bound", 10**400, id="upper_bound-huge-int"),
+         pytest.param("ecdf_curve", [0.5, 10**400], id="ecdf_curve-huge-int")],
+    )
+    def test_summary_field_exit_5(self, tmp_path, capsys, key, value):
+        # lists and bounds given as strings, bools or ints no float64 holds: "12" used to draw bars 1
+        # and 2, True a bar of 1.0, and a 400-digit upper_bound ended in an OverflowError traceback
+        good = {"ase_per_subband": [1.0, 2.0], "ecdf_curve": [0.5, 1.0, 2.0], "upper_bound": 8.0}
+        path, out = tmp_path / "s.json", tmp_path / "x.svg"
+        path.write_text(json.dumps({**good, key: value}))
+        assert _render("summary", path, out) == 5
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unusable input {path}") and "Traceback" not in err
+
+    @given(
+        name=st.text(st.characters(exclude_categories=("Cc", "Cs", "Cn"))),
+        trials=st.one_of(st.integers(), st.text(st.characters(exclude_categories=("Cc", "Cs", "Cn")))),
+    )
+    @example(name="a</text><script>x</script>&", trials='"1" & <2>')
+    @settings(max_examples=100, deadline=None)
+    def test_title_text_is_escaped(self, name, trials):
+        # printable synthesizer and n_trials text: exit 0 writes XML whose title reads back as written
+        doc = {"synthesizer": name, "n_trials": trials, "ase_per_subband": [1.0, 2.0], "ecdf_curve": [0.5, 2.0],
+               "upper_bound": 8.0}
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "s.json", Path(tmp) / "s.svg"
+            path.write_text(json.dumps(doc))
+            assert _render("summary", path, out) == 0
+            title = ElementTree.parse(out).getroot().find("{http://www.w3.org/2000/svg}text")
+            assert title.text == f"{name} summary, {trials} trials"
+
+    @pytest.mark.parametrize("key, value", [("synthesizer", "hdb\x01"), ("n_trials", "\x1f"),
+                                            ("synthesizer", "\ufffe"), ("synthesizer", "\ud800")])
+    def test_title_text_xml_cannot_carry_exit_5(self, tmp_path, capsys, key, value):
+        # a control character used to exit 0 with an SVG no XML parser reads, and a lone surrogate
+        # to exit 2 with an empty SVG left behind
+        doc = {"ase_per_subband": [1.0, 2.0], "ecdf_curve": [0.5, 2.0], "upper_bound": 8.0, key: value}
+        path, out = tmp_path / "s.json", tmp_path / "x.svg"
+        path.write_text(json.dumps(doc))
+        assert _render("summary", path, out) == 5
+        assert not out.exists()
+        assert "holds a character XML cannot carry" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -8,11 +8,10 @@ from ttdbeam.core import (
     Beampattern,
     PsiGrid,
     SystemConfig,
+    _column_patterns,
     _comb_factors,
-    _freqs,
     _gains_at_directions,
     _pattern,
-    _precoder_columns,
     argmax_directions,
     beampattern_of_precoder,
     config_from_json_dict,
@@ -419,15 +418,21 @@ class TestResponse:
         scale=st.floats(min_value=1e-2, max_value=1e3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_precoder_columns_are_bitwise_the_matrix_columns(self, n, m, seed, scale):
-        # what render --config draws: at most 150 columns, formed without the other M - 150
+    def test_column_patterns_are_bitwise_the_matrix_columns(self, n, m, seed, scale):
+        # what render --config draws and the build's peak check reads: a few columns, formed without the others
         cfg = SystemConfig(n, m, 28e9, 3e9)
         rng = np.random.default_rng(seed)
         period = scale * m / cfg.bandwidth
-        phi = ArrayConfig(rng.uniform(-period, period, n), rng.uniform(-2 * np.pi, 2 * np.pi, n))
-        cols = np.unique(rng.integers(0, m, 150))
-        assert _precoder_columns(phi, cfg, cols).tobytes() == precoder_matrix(phi, cfg)[:, cols].tobytes()
-        assert _freqs(cfg, cols + 1.0).tobytes() == subcarrier_freqs(cfg)[cols].tobytes()
+        delays, phases = rng.uniform(-period, period, (2, n)), rng.uniform(-2 * np.pi, 2 * np.pi, (2, n))
+        cols, grid = np.unique(rng.integers(0, m, 150)), PsiGrid.uniform(21)
+        got = _column_patterns(delays, phases, cols, grid.points, cfg)
+        assert got.shape == (2, cols.size, len(grid))
+        for b in range(2):
+            phi = ArrayConfig(delays[b], phases[b])
+            alone = _column_patterns(phi.delays, phi.phases, cols, grid.points, cfg)
+            expected = beampattern_of_precoder(precoder_matrix(phi, cfg), cfg, grid).gains[:, cols].T
+            assert alone.tobytes() == expected.tobytes(), b
+            assert got[b].tobytes() == alone.tobytes(), b
 
     @given(
         n=st.integers(min_value=1, max_value=8),

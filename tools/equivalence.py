@@ -3,8 +3,9 @@
 Run from anywhere as ``python3 tools/equivalence.py`` (no options).  The
 script imports ``ttdbeam`` from the ``src`` directory of the checkout it sits
 in, builds the reference system's dictionaries at A=61 and A=499, runs the
-CLI's ``synth``, ``eval`` (hdb and jpta) and ``render --config`` on them, and
-prints one ``sha256  label`` line per output file.  A change that claims the
+CLI's ``synth``, ``eval`` (hdb and jpta) and ``render`` (of the A=61 hdb
+``eval`` summary and of the ``synth`` config) on them, and prints one
+``sha256  label`` line per output file.  A change that claims the
 same bytes diffs this output against the parent commit's.
 
 The dictionaries are built through the API so that their ``build_warnings``
@@ -49,6 +50,8 @@ RUNS = (
         ("eval --ues 8 --trials 200 --seed 7",
          ["eval", "--dict", "{dict}", "--ues", "8", "--trials", "200", "--seed", "7",
           "--out-prefix", "{out}"], (".csv", ".summary.json")),
+        ("render --summary (of that eval summary)",
+         ["render", "--summary", "{prev}.summary.json", "--out", "{out}.svg"], (".svg",)),
         ("eval --synth jpta --ues 3 --trials 40 --seed 11",
          ["eval", "--dict", "{dict}", "--synth", "jpta", "--ues", "3", "--trials", "40",
           "--seed", "11", "--out-prefix", "{out}"], (".csv", ".summary.json")),
