@@ -1,8 +1,8 @@
 """Command-line interface: dictionary builds, synthesis, evaluation, benchmarks, plots.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input, 6 out of memory.
-TTDBEAM_THREADS caps the dictionary build's worker count (0 = auto);
-evaluation runs its trials on the calling thread.
+TTDBEAM_THREADS caps the worker processes of the dictionary build and of
+eval's CSV formatting (0 = auto); evaluation runs its trials on the calling thread.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import time
 import warnings
@@ -139,10 +140,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         master_seed=args.seed,
     )
     report = monte_carlo(scenario, synth)
+    csv_items = report_csv_lines(report, scenario)  # reads TTDBEAM_THREADS before any file is opened
     csv_path = f"{args.out_prefix}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in report_csv_lines(report, scenario):
-            fh.write(line)
+        for item in csv_items:
+            fh.write(item)
             fh.write("\n")
     summary_path = f"{args.out_prefix}.summary.json"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -192,8 +194,20 @@ def _cmd_render(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: unusable input {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    try:
+        regular = stat.S_ISREG(os.lstat(args.out).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:  # a symlink, FIFO or device such as /dev/stdout is written through, not replaced
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(svg)
+    else:  # a failed write leaves --out as it was
+        tmp = dict_io._write_temp(args.out, svg.encode("utf-8"))
+        try:
+            os.replace(tmp, args.out)
+        except OSError:
+            os.unlink(tmp)
+            raise
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numbers
 import time
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,8 @@ __all__ = [
 RNG_ALGORITHM = "pcg64-seedsequence(master_seed, trial)"
 _WARMUP_CALLS = 3  # untimed calls per synthesizer in runtime_bench
 _CHUNK_TRIALS = 16  # trials whose gains are evaluated together; their (chunk, M) arrays stay in cache
+_BLOCK_ROWS = 10_000  # CSV rows per formatting task, in whole trials: 8 trials at M = 1200
+_POOL_ROWS = 50_000  # smaller CSVs are formatted in the calling process: in-process a pool cost more below ~30 000
 
 
 @dataclass(frozen=True)
@@ -259,18 +262,54 @@ def runtime_bench(
     return means
 
 
-def report_csv_lines(report: EvalReport, scenario: EvalScenario):
-    """Rows ``trial,m,subband,direction,se_bps_hz`` (1-based trial and m)."""
-    yield "trial,m,subband,direction,se_bps_hz"
+def report_csv_lines(report: EvalReport, scenario: EvalScenario) -> Iterator[str]:
+    """The CSV ``trial,m,subband,direction,se_bps_hz`` (1-based trial and m), item by item.
+
+    The header comes first, then blocks of whole trials, each block its rows
+    joined by newlines with none at the end: writing every item followed by
+    a newline, or joining the items with newlines, gives the file.  A report
+    of at least ``_POOL_ROWS`` rows is formatted by a pool of
+    :func:`~ttdbeam.dictionary.worker_count` processes, each task passed its
+    block's slices of the report, and the blocks come back in order, so the
+    bytes do not depend on the worker count.  The count is read at this
+    call, so a bad TTDBEAM_THREADS raises ValueError before the first item;
+    the pool starts with the first block.
+    """
+    workers = worker_count()
     m_count = scenario.cfg.n_subcarriers
     block = subband_width(scenario.n_subbands, m_count)
     bands = [m // block for m in range(m_count)]  # 0-based subband of each subcarrier
     middles = [f",{m + 1},{b + 1}," for m, b in enumerate(bands)]
-    rows = zip(report.trial_directions, report.se_per_subcarrier)
-    for trial, (directions, se_row) in enumerate(rows, start=1):
+    per_block = max(1, _BLOCK_ROWS // m_count)
+    tasks = []  # each block's first trial and its slices of the report: a task pickles about 100 KB
+    for first in range(0, report.n_trials, per_block):
+        trials = slice(first, first + per_block)
+        tasks.append((first, report.trial_directions[trials], report.se_per_subcarrier[trials], middles, bands))
+    return _csv_items(tasks, workers if report.n_trials * m_count >= _POOL_ROWS else 1)
+
+
+def _csv_items(tasks: list[tuple], workers: int) -> Iterator[str]:
+    yield "trial,m,subband,direction,se_bps_hz"
+    if workers == 1:
+        yield from map(_csv_block, tasks)
+        return
+    pool = ProcessPoolExecutor(min(workers, len(tasks)))
+    try:
+        yield from pool.map(_csv_block, tasks)
+    finally:  # also when the caller closes this generator early: no worker outlives it
+        pool.shutdown(cancel_futures=True)
+
+
+def _csv_block(task: tuple) -> str:
+    """The rows of one block of trials, joined by newlines."""
+    first, trial_directions, se_rows, middles, bands = task
+    rows: list[str] = []
+    for trial, (directions, se_row) in enumerate(zip(trial_directions, se_rows), start=first + 1):
         dirs = [repr(x) for x in directions.tolist()]
-        for middle, b, se in zip(middles, bands, se_row.tolist()):
-            yield f"{trial}{middle}{dirs[b]},{se!r}"
+        # a list's repr is its floats' reprs joined by ", ": one call formats the whole row
+        values = repr(se_row.tolist())[1:-1].split(", ")
+        rows += [f"{trial}{middle}{dirs[b]},{se}" for middle, b, se in zip(middles, bands, values)]
+    return "\n".join(rows)
 
 
 def summary_dict(report: EvalReport, scenario: EvalScenario) -> dict:

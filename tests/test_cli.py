@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import resource
@@ -8,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ttdbeam import cli
+from ttdbeam import cli, evaluation
 from ttdbeam.cli import main
 from ttdbeam.core import SystemConfig, config_from_json_dict
 from ttdbeam.dictionary import build_dictionary, load, offset_grid
@@ -225,6 +228,18 @@ class TestEval:
         assert main(args + ["--synth", "jpta", "--out-prefix", str(tmp_path / "j")]) == 2
         assert not (tmp_path / "j.csv").exists()
 
+    def test_bytes_do_not_depend_on_the_thread_cap(self, built_dict, tmp_path, monkeypatch):
+        m_count = load(built_dict).meta.n_subcarriers
+        trials = evaluation._POOL_ROWS // m_count + 1  # a CSV the pool formats
+        args = ["eval", "--dict", str(built_dict), "--ues", "3", "--trials", str(trials), "--seed", "4"]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TTDBEAM_THREADS", threads)
+            assert main(args + ["--out-prefix", str(tmp_path / threads)]) == 0
+            assert multiprocessing.active_children() == []
+        for suffix in (".csv", ".summary.json"):
+            assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
+        assert (tmp_path / "1.csv").read_bytes().count(b"\n") == 1 + trials * m_count
+
     def test_iters_flag_removed(self, built_dict, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--dict", str(built_dict), "--ues", "2", "--iters", "2",
@@ -267,6 +282,67 @@ class TestRender:
         assert _render("summary", f"{prefix}.summary.json", out) == 0
         text = out.read_text()
         assert "polyline" in text and "upper bound" in text
+
+    @pytest.mark.parametrize("earlier", [None, b"<svg>earlier</svg>\n"])
+    def test_failed_write_leaves_out_untouched(self, tmp_path, capsys, monkeypatch, earlier):
+        class FullDisk:
+            """A file whose writes store half their data and then fail, as on a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return FullDisk(fh) if set(mode) & set("wxa") else fh
+
+        summary = tmp_path / "s.json"
+        summary.write_text(json.dumps({"ase_per_subband": [1.0, 2.0], "ecdf_curve": [0.5, 1.0, 2.0],
+                                       "upper_bound": 8.0}))
+        out = tmp_path / "s.svg"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        real_open = open
+        with monkeypatch.context() as patch:
+            patch.setattr("builtins.open", full_disk_open)
+            rc = main(["render", "--summary", str(summary), "--out", str(out)])
+        assert rc == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["s.json"] + ["s.svg"] * (earlier is not None))
+
+    @pytest.mark.parametrize("kind", ["symlink", "fifo"])
+    def test_non_regular_out_is_written_through(self, tmp_path, kind):
+        summary = tmp_path / "s.json"
+        summary.write_text(json.dumps({"ase_per_subband": [1.0, 2.0], "ecdf_curve": [0.5, 1.0, 2.0],
+                                       "upper_bound": 8.0}))
+        out = tmp_path / "s.svg"
+        received = []
+        if kind == "symlink":
+            (tmp_path / "target.svg").write_bytes(b"")
+            out.symlink_to("target.svg")
+            rc = main(["render", "--summary", str(summary), "--out", str(out)])
+            received.append((tmp_path / "target.svg").read_bytes())
+            assert out.is_symlink()
+        else:  # as a shell's /dev/stdout or a pipe
+            os.mkfifo(out)
+            reader = threading.Thread(target=lambda: received.append(out.read_bytes()), daemon=True)
+            reader.start()
+            rc = main(["render", "--summary", str(summary), "--out", str(out)])
+            reader.join(timeout=10)
+            assert out.is_fifo()
+        assert rc == 0
+        assert received and received[0].startswith(b"<svg") and received[0].endswith(b"</svg>\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["s.json", "s.svg"] + ["target.svg"] * (kind == "symlink"))
 
     def test_unparseable_input_exit_5(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -504,6 +580,14 @@ class TestExitCodes:
                    "--grid", "5", "--out", str(tmp_path / "d.ttdd")])
         assert rc == 2
         assert "subcarrier spacing" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_thread_cap_eval_usage_error(self, built_dict, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TTDBEAM_THREADS", "lots")
+        rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2",
+                   "--out-prefix", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: TTDBEAM_THREADS must be an integer, got 'lots'\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_indivisible_ues_usage_error(self, built_dict, tmp_path):

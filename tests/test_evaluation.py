@@ -1,3 +1,4 @@
+import multiprocessing
 import threading
 from unittest import mock
 
@@ -381,14 +382,16 @@ class TestBenchAndOutputs:
     def test_csv_shape(self, small_dict, cfg_dict):
         scen = scenario_for(cfg_dict, small_dict, trials=2)
         report = monte_carlo(scen, make_hdb_synthesizer(small_dict), workers=1)
-        lines = list(report_csv_lines(report, scen))
+        lines = "\n".join(report_csv_lines(report, scen)).split("\n")
         assert lines[0] == "trial,m,subband,direction,se_bps_hz"
         assert len(lines) == 1 + 2 * cfg_dict.n_subcarriers
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1" and first[2] == "1"
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+    @pytest.mark.parametrize("trials_past_block", [None, -1, 0, 1], ids=["1", "k-1", "k", "k+1"])
     @pytest.mark.parametrize("g", [3, 8])
-    def test_csv_bytes_match_row_by_row_formatter(self, cfg_dict, rng, g):
+    def test_csv_bytes_match_row_by_row_formatter(self, cfg_dict, rng, monkeypatch, g, trials_past_block, pooled):
         # the plain per-row formatter the CSV format was defined by
         def oracle(report, scenario):
             yield "trial,m,subband,direction,se_bps_hz"
@@ -401,16 +404,34 @@ class TestBenchAndOutputs:
                     band = (m - 1) // block + 1
                     yield f"{t + 1},{m},{band},{dirs[band - 1]},{float(row[m - 1])!r}"
 
-        trials = 11
+        if pooled:  # the pool for any size and on any machine
+            monkeypatch.setattr(evaluation, "_POOL_ROWS", 0)
+            monkeypatch.setattr(evaluation, "worker_count", lambda: 2)
+        per_task = evaluation._BLOCK_ROWS // cfg_dict.n_subcarriers  # k trials per formatting task
+        trials = 1 if trials_past_block is None else per_task + trials_past_block
         dirs = rng.uniform(-1.0, 1.0, size=(trials, g))
-        dirs[0, 0], dirs[1, -1], dirs[2, 1] = -0.0, 1.0, 1e-300
+        dirs[0, 0], dirs[-1, -1], dirs[0, 1] = -0.0, 1.0, 1e-300
         se = rng.exponential(4.0, size=(trials, cfg_dict.n_subcarriers))
         se[0, :3] = (0.0, 5e-324, 1e22)
+        se[-1, -1] = -0.0
         report = EvalReport(se, dirs, upper_bound=7.0, synthesizer="hdb", master_seed=3)
         scen = EvalScenario(cfg_dict, g, 10.0, 41, trials, 3)
         new = "\n".join(report_csv_lines(report, scen)).encode("ascii")
         assert new == "\n".join(oracle(report, scen)).encode("ascii")
         assert ",-0.0," in new.decode("ascii").splitlines()[1]
+
+    def test_closing_the_csv_early_leaves_no_worker(self, cfg_dict, rng, monkeypatch):
+        monkeypatch.setattr(evaluation, "_POOL_ROWS", 0)
+        monkeypatch.setattr(evaluation, "worker_count", lambda: 2)
+        trials = 8 * (evaluation._BLOCK_ROWS // cfg_dict.n_subcarriers)
+        se = rng.exponential(4.0, size=(trials, cfg_dict.n_subcarriers))
+        report = EvalReport(se, rng.uniform(-1.0, 1.0, size=(trials, 3)), 7.0, "hdb", 3)
+        items = report_csv_lines(report, EvalScenario(cfg_dict, 3, 10.0, 41, trials, 3))
+        assert next(items) == "trial,m,subband,direction,se_bps_hz"
+        assert next(items).startswith("1,1,1,")
+        assert multiprocessing.active_children()  # the first block came from the pool
+        items.close()
+        assert multiprocessing.active_children() == []
 
     def test_summary_contents(self, small_dict, cfg_dict):
         scen = scenario_for(cfg_dict, small_dict, trials=2)
