@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import stat
 import sys
 import time
 import warnings
@@ -102,7 +101,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)
     gains = np.abs(gain_at_directions(phi, expand_directions(dmap, cfg), cfg))  # before --out is written
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with dict_io._replacing(args.out) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     deltas = generator_set(dmap).tolist()
@@ -142,14 +141,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = monte_carlo(scenario, synth)
     csv_items = report_csv_lines(report, scenario)  # reads TTDBEAM_THREADS before any file is opened
     csv_path = f"{args.out_prefix}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        for item in csv_items:
-            fh.write(item)
-            fh.write("\n")
     summary_path = f"{args.out_prefix}.summary.json"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary_dict(report, scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # the CSV moves first; a failed write of either file leaves both names as they were
+    with dict_io._replacing(summary_path) as summary_fh, dict_io._replacing(csv_path) as csv_fh:
+        for item in csv_items:
+            csv_fh.write(item)
+            csv_fh.write("\n")
+        json.dump(summary_dict(report, scenario), summary_fh, indent=2, sort_keys=True)
+        summary_fh.write("\n")
+        summary_fh.flush()  # a write held in its buffer fails here, before the CSV moves
     ratios = report.ase_per_subband / report.upper_bound
     print(f"trials: {report.n_trials} ({len(report.failures)} failed)")
     print(f"upper bound: {report.upper_bound:.4f} bps/Hz")
@@ -194,20 +194,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: unusable input {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        regular = stat.S_ISREG(os.lstat(args.out).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if not regular:  # a symlink, FIFO or device such as /dev/stdout is written through, not replaced
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    else:  # a failed write leaves --out as it was
-        tmp = dict_io._write_temp(args.out, svg.encode("utf-8"))
-        try:
-            os.replace(tmp, args.out)
-        except OSError:
-            os.unlink(tmp)
-            raise
+    with dict_io._replacing(args.out) as fh:
+        fh.write(svg)
     print(f"wrote {args.out}")
     return EXIT_OK
 

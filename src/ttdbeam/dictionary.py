@@ -35,9 +35,11 @@ mirroring the header is written next to the file for inspection.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import stat
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -370,17 +372,30 @@ def build_dictionary(
     )
 
 
-def _write_temp(path: str, data: bytes) -> str:
-    """Write ``data`` to a new file next to ``path`` and return its name; removed if the write fails."""
+@contextlib.contextmanager
+def _replacing(path: str, mode: str = "w"):
+    """Yield a file whose contents replace ``path`` once the block ends without error.
+
+    The file is a new one next to ``path``, moved over it with ``os.replace``
+    and removed if the write or the move fails, so ``path`` keeps what it held.
+    An existing ``path`` that is not a regular file (a symlink, a FIFO, a device
+    such as /dev/stdout) is written through in place.  Text is UTF-8 with "\n" line ends.
+    Of two nested blocks the inner file moves first: flush the outer one inside it.
+    """
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, mode, **text) as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "xb")
+    fh = open(tmp, mode.replace("w", "x"), **text)
     try:
         with fh:
-            fh.write(data)
+            yield fh
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return tmp
 
 
 def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
@@ -403,18 +418,12 @@ def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
     }
     header = _HEADER.pack(_MAGIC, *list(sidecar.values())[1:])
     rows = np.hstack([dictionary.delays, dictionary.phases]).astype("<f8")
-    binary = header + dictionary.offsets.astype("<f8").tobytes() + rows.tobytes()
-    text = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
     path = os.fspath(path)
-    binary_tmp = _write_temp(path, binary)
-    try:
-        sidecar_tmp = _write_temp(f"{path}.json", text)
-    except BaseException:
-        os.unlink(binary_tmp)
-        raise
-    os.replace(binary_tmp, path)
-    os.replace(sidecar_tmp, f"{path}.json")
+    # the binary moves first; a failed write of either file, or of the binary's move, moves neither
+    with _replacing(f"{path}.json") as side, _replacing(path, "wb") as fh:
+        fh.write(header + dictionary.offsets.astype("<f8").tobytes() + rows.tobytes())
+        side.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        side.flush()  # a write held in its buffer fails here, before the binary moves
 
 
 def load(path: str | os.PathLike) -> GeneratorDictionary:

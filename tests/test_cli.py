@@ -130,6 +130,15 @@ class TestDictBuild:
         out = capsys.readouterr().out
         assert "degenerate entries: 2\n" in out and "fidelity warnings: 6\n" in out
 
+    def test_out_that_is_a_directory_leaves_no_file(self, tmp_path, capsys):
+        (tmp_path / "d.ttdd").mkdir()
+        rc = main(["dict-build", "--n", "4", "--fc", "28e9", "--bw", "3e9", "--m", "8", "--grid", "5",
+                   "--out", str(tmp_path / "d.ttdd")])
+        assert rc == 3
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["d.ttdd"]  # no sidecar, no temporary file
+        assert list((tmp_path / "d.ttdd").iterdir()) == []
+
 
 class TestSynth:
     def test_emits_config_json(self, built_dict, tmp_path, capsys):
@@ -240,6 +249,62 @@ class TestEval:
             assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
         assert (tmp_path / "1.csv").read_bytes().count(b"\n") == 1 + trials * m_count
 
+    @pytest.mark.parametrize("earlier", [False, True])
+    @pytest.mark.parametrize("at", ["write", "flush"])
+    @pytest.mark.parametrize("failing", [".csv", ".summary.json"])
+    def test_failed_write_leaves_outputs_untouched(self, built_dict, tmp_path, capsys, monkeypatch, failing, at, earlier):
+        class FullDisk:
+            """A file on a full disk: its fourth write stores half its data and fails,
+            or (``at="flush"``) its writes are held back and fail when flushed, as on close."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+                self.held = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                try:
+                    self.flush()
+                finally:
+                    self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if at == "flush":
+                    self.held.append(data)
+                    return len(data)
+                if self.writes < 4:
+                    return self.fh.write(data)
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def flush(self):
+                if self.held:
+                    self.held.clear()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.fh.flush()
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            # the write of ``failing``, whatever temporary name it goes through
+            hit = set(mode) & set("wxa") and os.path.basename(file).startswith(f"e{failing}")
+            return FullDisk(fh) if hit else fh
+
+        before = {"e.csv": b"earlier csv\n", "e.summary.json": b"{}\n"} if earlier else {}
+        for name, data in before.items():
+            (tmp_path / name).write_bytes(data)
+        real_open = open
+        with monkeypatch.context() as patch:
+            patch.setattr("builtins.open", full_disk_open)
+            rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "3",
+                       "--out-prefix", str(tmp_path / "e")])
+        assert rc == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_iters_flag_removed(self, built_dict, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--dict", str(built_dict), "--ues", "2", "--iters", "2",
@@ -320,29 +385,49 @@ class TestRender:
         assert (out.read_bytes() if out.exists() else None) == earlier
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["s.json"] + ["s.svg"] * (earlier is not None))
 
-    @pytest.mark.parametrize("kind", ["symlink", "fifo"])
-    def test_non_regular_out_is_written_through(self, tmp_path, kind):
+    @pytest.mark.parametrize("command, kind", [  # render's cases keep their bare ids
+        pytest.param("render", "symlink", id="symlink"),
+        pytest.param("render", "fifo", id="fifo"),
+        *(pytest.param(c, k, id=f"{c}-{k}") for c in ("dict-build", "synth", "eval") for k in ("symlink", "fifo")),
+    ])
+    def test_non_regular_out_is_written_through(self, built_dict, tmp_path, command, kind):
         summary = tmp_path / "s.json"
         summary.write_text(json.dumps({"ase_per_subband": [1.0, 2.0], "ecdf_curve": [0.5, 1.0, 2.0],
                                        "upper_bound": 8.0}))
-        out = tmp_path / "s.svg"
+        # argv writing into a directory, the output made non-regular, the command's other outputs
+        argv, name, others = {
+            "render": (lambda d: ["render", "--summary", str(summary), "--out", str(d / "s.svg")], "s.svg", []),
+            "dict-build": (lambda d: ["dict-build", "--n", "4", "--fc", "28e9", "--bw", "3e9", "--m", "8",
+                                      "--grid", "5", "--out", str(d / "d.ttdd")], "d.ttdd", ["d.ttdd.json"]),
+            "synth": (lambda d: ["synth", "--dict", str(built_dict), "--dirs", "0", "--out", str(d / "c.json")],
+                      "c.json", []),
+            "eval": (lambda d: ["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2",
+                                "--out-prefix", str(d / "e")], "e.csv", ["e.summary.json"]),
+        }[command]
+        plain, work = tmp_path / "plain", tmp_path / "work"
+        plain.mkdir()
+        work.mkdir()
+        assert main(argv(plain)) == 0
+        out = work / name
         received = []
         if kind == "symlink":
-            (tmp_path / "target.svg").write_bytes(b"")
-            out.symlink_to("target.svg")
-            rc = main(["render", "--summary", str(summary), "--out", str(out)])
-            received.append((tmp_path / "target.svg").read_bytes())
+            (work / "target").write_bytes(b"")
+            out.symlink_to("target")
+            rc = main(argv(work))
+            received.append((work / "target").read_bytes())
             assert out.is_symlink()
         else:  # as a shell's /dev/stdout or a pipe
             os.mkfifo(out)
             reader = threading.Thread(target=lambda: received.append(out.read_bytes()), daemon=True)
             reader.start()
-            rc = main(["render", "--summary", str(summary), "--out", str(out)])
+            rc = main(argv(work))
             reader.join(timeout=10)
             assert out.is_fifo()
         assert rc == 0
-        assert received and received[0].startswith(b"<svg") and received[0].endswith(b"</svg>\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["s.json", "s.svg"] + ["target.svg"] * (kind == "symlink"))
+        assert received == [(plain / name).read_bytes()]
+        assert sorted(p.name for p in work.iterdir()) == sorted([name, *others] + ["target"] * (kind == "symlink"))
+        for other in others:
+            assert (work / other).read_bytes() == (plain / other).read_bytes()
 
     def test_unparseable_input_exit_5(self, tmp_path):
         bad = tmp_path / "bad.json"

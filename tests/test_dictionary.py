@@ -646,6 +646,50 @@ class TestPersistence:
             save(small_dict, path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("failing", ["gen.ttdd", "gen.ttdd.json"])
+    def test_failed_flush_keeps_previous_files(self, small_dict, cfg_dict, tmp_path, monkeypatch, failing):
+        path = tmp_path / "gen.ttdd"
+        previous = GeneratorDictionary(
+            offsets=offset_grid(2), delays=np.zeros((3, 16)), phases=np.zeros((3, 16)),
+            meta=cfg_dict, direction_grid_size=2,
+        )
+        save(previous, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class FullAtFlush:
+            """A file that holds its writes back and runs out of space when they are flushed, as on close."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.held = []
+
+            def write(self, data):
+                self.held.append(data)
+                return len(data)
+
+            def flush(self):
+                if self.held:
+                    self.held.clear()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                try:
+                    self.flush()
+                finally:
+                    self.fh.close()
+
+        def open_failing(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return FullAtFlush(fh) if os.path.basename(file).rsplit(".", 2)[0] == failing else fh
+
+        monkeypatch.setattr(dictionary_module, "open", open_failing, raising=False)
+        with pytest.raises(OSError):
+            save(small_dict, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @given(
         a=st.integers(min_value=2, max_value=12),
         n=st.integers(min_value=1, max_value=4),

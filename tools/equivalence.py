@@ -14,6 +14,8 @@ counts); ``ttdbeam dict-build`` runs as well at A=61 to cover the CLI path.
 After each scale's CLI runs, one more line hashes the delays and phases bytes
 of ``hdb.synthesize`` over a seeded stream of targets on that dictionary.
 All work happens in a temporary directory that is removed on exit.
+The script exits non-zero if a CLI run fails or leaves a ``*.tmp`` file in
+that directory.
 """
 
 from __future__ import annotations
@@ -97,11 +99,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _cli(argv: list[str]) -> None:
+def _cli(argv: list[str], work: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"ttdbeam {' '.join(argv)} exited {code}: {err.getvalue().strip()}")
+    leftovers = sorted(p.name for p in work.glob("*.tmp"))
+    if leftovers:
+        raise SystemExit(f"ttdbeam {' '.join(argv)} left temporary files: {', '.join(leftovers)}")
 
 
 def main() -> None:
@@ -125,7 +130,7 @@ def main() -> None:
             prev = None
             for i, (label, argv, suffixes) in enumerate(runs):
                 out = work / f"a{grid}-run{i}"
-                _cli([a.format(dict=dict_path, out=out, prev=prev) for a in argv])
+                _cli([a.format(dict=dict_path, out=out, prev=prev) for a in argv], work)
                 for suffix in suffixes:
                     print(f"{_sha256(Path(f'{out}{suffix}'))}  {scale} {label} {suffix}")
                 prev = out
