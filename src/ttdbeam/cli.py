@@ -40,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PARSE = 5
 EXIT_MEMORY = 6
+MAX_SE_VALUES = 2**28  # eval's trials x M: its SE array takes 2 GiB, its CSV about 12 GB
 
 
 def _directions_arg(raw: str) -> np.ndarray:
@@ -124,6 +125,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     built = dict_io.load(args.dict)
+    m_count = built.meta.n_subcarriers
+    if m_count <= MAX_SE_VALUES < args.trials * m_count:  # an M past the bound alone is the file's fault
+        raise ValueError(f"--trials {args.trials} at M = {m_count} asks for {args.trials * m_count} SE values; "
+                         f"the bound is {MAX_SE_VALUES} (2**28), so at most {MAX_SE_VALUES // m_count} trials")
     synth = (make_hdb_synthesizer(built) if args.synth == "hdb"
              else make_jpta_synthesizer(_solver_params(args, built.meta)))
     try:

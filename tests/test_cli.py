@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree
@@ -239,6 +240,7 @@ class TestEval:
 
     def test_bytes_do_not_depend_on_the_thread_cap(self, built_dict, tmp_path, monkeypatch):
         m_count = load(built_dict).meta.n_subcarriers
+        monkeypatch.setattr(evaluation, "_POOL_ROWS", 5 * evaluation._BLOCK_ROWS)  # the size it was first set to
         trials = evaluation._POOL_ROWS // m_count + 1  # a CSV the pool formats
         args = ["eval", "--dict", str(built_dict), "--ues", "3", "--trials", str(trials), "--seed", "4"]
         for threads in ("1", "2"):
@@ -819,6 +821,34 @@ class TestOutOfMemory:
         assert run.returncode == 6, run.stderr
         assert run.stderr.splitlines()[-1].startswith("error: out of memory:") and "Traceback" not in run.stderr
         assert list(tmp_path.iterdir()) == [huge]
+
+
+class TestTrialBound:
+    def test_too_many_trials_exit_2_before_any_draw(self, tmp_path):
+        # 3e7 trials at M = 1200 is 3.6e10 SE values: refused at once, in a child process
+        # capped at 1 GiB of address space, before the draws or the SE array
+        small = tmp_path / "a9.ttdd"
+        _write_ttdd(small, n=4, m=1200, fc=28e9, bw=3e9, a=9, phase=0.0)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        args = ["eval", "--dict", str(small), "--ues", "3", "--trials", "30000000", "--out-prefix", "x"]
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+        assert time.perf_counter() - start < 5.0
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.splitlines() == [
+            "error: --trials 30000000 at M = 1200 asks for 36000000000 SE values; "
+            "the bound is 268435456 (2**28), so at most 223696 trials"]
+        assert list(tmp_path.iterdir()) == [small]
+
+    def test_bound_is_trials_times_m(self, built_dict, tmp_path, monkeypatch):
+        m_count = load(built_dict).meta.n_subcarriers
+        monkeypatch.setattr(cli, "MAX_SE_VALUES", 3 * m_count)
+        args = ["eval", "--dict", str(built_dict), "--ues", "2"]
+        assert main(args + ["--trials", "3", "--out-prefix", str(tmp_path / "ok")]) == 0
+        assert main(args + ["--trials", "4", "--out-prefix", str(tmp_path / "over")]) == 2
+        assert not (tmp_path / "over.csv").exists()
 
 
 class TestBench:

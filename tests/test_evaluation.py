@@ -1,5 +1,6 @@
 import multiprocessing
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,58 @@ from ttdbeam.evaluation import (
 from ttdbeam.hdb import DictionaryCompatibilityError, make_hdb_synthesizer
 from ttdbeam.solvers import constant_direction_config
 from ttdbeam.splitbeam import DirectionMap, expand_directions
+
+
+def _row_by_row_csv(report, scenario):
+    """The plain per-row formatter the CSV format was defined by: repr of every number."""
+    yield "trial,m,subband,direction,se_bps_hz"
+    m_count = scenario.cfg.n_subcarriers
+    block = m_count // scenario.n_subbands
+    for t in range(report.n_trials):
+        dirs = [repr(float(x)) for x in report.trial_directions[t]]
+        row = report.se_per_subcarrier[t]
+        for m in range(1, m_count + 1):
+            band = (m - 1) // block + 1
+            yield f"{t + 1},{m},{band},{dirs[band - 1]},{float(row[m - 1])!r}"
+
+
+def _csv_with_warnings_as_errors(report, scenario, pooled):
+    """``report_csv_lines`` joined by newlines, in a 2-worker pool or in this process; a numpy warning raises."""
+    with warnings.catch_warnings(), mock.patch.object(evaluation, "_POOL_ROWS", 0 if pooled else 10**9), \
+            mock.patch.object(evaluation, "worker_count", lambda: 2):
+        warnings.simplefilter("error")
+        return "\n".join(report_csv_lines(report, scenario))
+
+
+def _adversarial_values():
+    """Doubles that stress a shortest round-trip digit kernel, deterministic.
+
+    40 ulps either side of each 10**k and float("1e{k}") for k = -5 .. 16,
+    powers of two, integers, decimals of 1 .. 17 significant digits, values
+    halfway between two 17- or 16-digit decimals, and nan, +-inf, +-0,
+    subnormals, 5e-324 and the largest double.
+    """
+    values = []
+    for k in range(-5, 17):
+        for base in (10.0**k, float(f"1e{k}")):
+            up = down = base
+            values.append(base)
+            for _ in range(40):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                values += [up, down]
+    values += [2.0**e for e in range(-20, 60)] + [-(2.0**e) for e in range(-3, 4)]
+    values += [float(i) for i in range(1, 1001)] + [float(3**e) for e in range(40)]
+    digits = np.random.default_rng(17)
+    for n in range(1, 18):
+        for _ in range(200):
+            mantissa = int(digits.integers(10 ** (n - 1), 10**n))
+            values.append(float(f"{mantissa}e{int(digits.integers(-6, 17)) - n + 1}"))
+    for start in (2**50, 2**51, 2**52 - 200):  # quarters: x * 10 ends in .5, a 17-digit tie
+        values += [start + i + q for i in range(50) for q in (0.25, 0.5, 0.75)]
+    tiny = np.finfo(np.float64).tiny
+    values += [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, tiny, tiny / 3, 1e-310, 2.5e-308,
+               np.finfo(np.float64).max, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05]
+    return np.array(values, dtype=np.float64)
 
 
 def scenario_for(cfg, dictionary, trials=20, g=3, seed=7):
@@ -392,18 +445,6 @@ class TestBenchAndOutputs:
     @pytest.mark.parametrize("trials_past_block", [None, -1, 0, 1], ids=["1", "k-1", "k", "k+1"])
     @pytest.mark.parametrize("g", [3, 8])
     def test_csv_bytes_match_row_by_row_formatter(self, cfg_dict, rng, monkeypatch, g, trials_past_block, pooled):
-        # the plain per-row formatter the CSV format was defined by
-        def oracle(report, scenario):
-            yield "trial,m,subband,direction,se_bps_hz"
-            m_count = scenario.cfg.n_subcarriers
-            block = m_count // scenario.n_subbands
-            for t in range(report.n_trials):
-                dirs = [repr(float(x)) for x in report.trial_directions[t]]
-                row = report.se_per_subcarrier[t]
-                for m in range(1, m_count + 1):
-                    band = (m - 1) // block + 1
-                    yield f"{t + 1},{m},{band},{dirs[band - 1]},{float(row[m - 1])!r}"
-
         if pooled:  # the pool for any size and on any machine
             monkeypatch.setattr(evaluation, "_POOL_ROWS", 0)
             monkeypatch.setattr(evaluation, "worker_count", lambda: 2)
@@ -417,8 +458,45 @@ class TestBenchAndOutputs:
         report = EvalReport(se, dirs, upper_bound=7.0, synthesizer="hdb", master_seed=3)
         scen = EvalScenario(cfg_dict, g, 10.0, 41, trials, 3)
         new = "\n".join(report_csv_lines(report, scen)).encode("ascii")
-        assert new == "\n".join(oracle(report, scen)).encode("ascii")
+        assert new == "\n".join(_row_by_row_csv(report, scen)).encode("ascii")
         assert ",-0.0," in new.decode("ascii").splitlines()[1]
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+    def test_csv_bytes_match_on_adversarial_values(self, cfg_dict, pooled):
+        # every value the digit kernel could get wrong, and every one it must leave to repr
+        values = _adversarial_values()
+        m_count = cfg_dict.n_subcarriers
+        trials = -(-values.size // m_count)
+        se = np.resize(values, trials * m_count).reshape(trials, m_count)
+        dirs = np.resize(values[::-1], trials * 3).reshape(trials, 3)
+        report = EvalReport(se, dirs, upper_bound=7.0, synthesizer="hdb", master_seed=3)
+        scen = EvalScenario(cfg_dict, 3, 10.0, 41, trials, 3)
+        assert _csv_with_warnings_as_errors(report, scen, pooled) == "\n".join(_row_by_row_csv(report, scen))
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_csv_bytes_match_on_raw_bit_patterns(self, cfg_dict, pooled, data):
+        # a bit pattern is any double, nan, inf and subnormal included; half are drawn from the
+        # kernel's own range, 1e-4 <= x < 1e16
+        fast = st.integers(int(np.float64(1e-4).view(np.uint64)), int(np.float64(1e16).view(np.uint64)) - 1)
+        bits = st.one_of(st.integers(0, 2**64 - 1), fast)
+        trials = data.draw(st.integers(1, 3))
+        m_count = cfg_dict.n_subcarriers
+        se = np.array(data.draw(st.lists(bits, min_size=trials * m_count, max_size=trials * m_count)), np.uint64)
+        dirs = np.array(data.draw(st.lists(bits, min_size=trials * 8, max_size=trials * 8)), np.uint64)
+        report = EvalReport(se.view(np.float64).reshape(trials, m_count), dirs.view(np.float64).reshape(trials, 8),
+                            upper_bound=7.0, synthesizer="hdb", master_seed=3)
+        scen = EvalScenario(cfg_dict, 8, 10.0, 41, trials, 3)
+        assert _csv_with_warnings_as_errors(report, scen, pooled) == "\n".join(_row_by_row_csv(report, scen))
+
+    def test_csv_kernel_leaves_few_values_to_repr(self, small_dict, cfg_dict):
+        # a serve-like report (G = 8, 500 trials, 10 dB): at most 0.1 % of its SE values go
+        # through repr; a kernel that sent every value there would still write the same bytes
+        scen = scenario_for(cfg_dict, small_dict, trials=500, g=8)
+        se = monte_carlo(scen, make_hdb_synthesizer(small_dict)).se_per_subcarrier.ravel()
+        exact = evaluation._shortest_digits(se)[0]
+        assert se.size == 60_000 and np.count_nonzero(~exact) <= se.size // 1000
 
     def test_closing_the_csv_early_leaves_no_worker(self, cfg_dict, rng, monkeypatch):
         monkeypatch.setattr(evaluation, "_POOL_ROWS", 0)

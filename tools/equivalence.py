@@ -12,7 +12,9 @@ The dictionaries are built through the API so that their ``build_warnings``
 and ``degenerate`` lists can be hashed too (the CLI prints only their
 counts); ``ttdbeam dict-build`` runs as well at A=61 to cover the CLI path.
 After each scale's CLI runs, one more line hashes the delays and phases bytes
-of ``hdb.synthesize`` over a seeded stream of targets on that dictionary.
+of ``hdb.synthesize`` over a seeded stream of targets on that dictionary.  A
+last line hashes ``report_csv_lines`` over a seeded report of about 10**6
+SE values chosen to stress the CSV's shortest-digit kernel.
 All work happens in a temporary directory that is removed on exit.
 The script exits non-zero if a CLI run fails or leaves a ``*.tmp`` file in
 that directory.
@@ -36,6 +38,7 @@ import numpy as np  # noqa: E402
 from ttdbeam import cli  # noqa: E402
 from ttdbeam.core import SystemConfig, direction_grid  # noqa: E402
 from ttdbeam.dictionary import build_dictionary, save  # noqa: E402
+from ttdbeam.evaluation import EvalReport, EvalScenario, report_csv_lines  # noqa: E402
 from ttdbeam.hdb import synthesize  # noqa: E402
 from ttdbeam.solvers import SolverParams, default_max_delay  # noqa: E402
 from ttdbeam.splitbeam import DirectionMap  # noqa: E402
@@ -95,6 +98,65 @@ def _synth_stream_sha256(built, count: int, user_counts: tuple, on_grid: bool, s
     return digest.hexdigest()
 
 
+def _adversarial_values() -> np.ndarray:
+    """Doubles that stress a shortest round-trip digit kernel, as tests/test_evaluation.py builds them.
+
+    40 ulps either side of each 10**k and float("1e{k}") for k = -5 .. 16,
+    powers of two, integers, decimals of 1 .. 17 significant digits, values
+    halfway between two 17- or 16-digit decimals, and nan, +-inf, +-0,
+    subnormals, 5e-324 and the largest double.
+    """
+    values = []
+    for k in range(-5, 17):
+        for base in (10.0**k, float(f"1e{k}")):
+            up = down = base
+            values.append(base)
+            for _ in range(40):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                values += [up, down]
+    values += [2.0**e for e in range(-20, 60)] + [-(2.0**e) for e in range(-3, 4)]
+    values += [float(i) for i in range(1, 1001)] + [float(3**e) for e in range(40)]
+    digits = np.random.default_rng(17)
+    for n in range(1, 18):
+        for _ in range(200):
+            mantissa = int(digits.integers(10 ** (n - 1), 10**n))
+            values.append(float(f"{mantissa}e{int(digits.integers(-6, 17)) - n + 1}"))
+    for start in (2**50, 2**51, 2**52 - 200):  # quarters: x * 10 ends in .5, a 17-digit tie
+        values += [start + i + q for i in range(50) for q in (0.25, 0.5, 0.75)]
+    tiny = np.finfo(np.float64).tiny
+    values += [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, tiny, tiny / 3, 1e-310, 2.5e-308,
+               np.finfo(np.float64).max, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05]
+    return np.array(values, dtype=np.float64)
+
+
+def _adversarial_csv_sha256() -> str:
+    """sha256 of the CSV of a seeded report of 834 trials x 1200 SE values, 1 000 800 in all.
+
+    The report's values are the adversarial table above, then, in equal
+    thirds, raw float64 bit patterns, bit patterns from 1e-4 to 1e16 (the
+    digit kernel's range) and exponential SE-like values, all from seed 25.
+    Its directions are raw bit patterns too.
+    """
+    rng = np.random.default_rng(25)
+    trials, m_count = 834, SYSTEM.n_subcarriers
+    table = _adversarial_values()
+    third = -(-(trials * m_count - table.size) // 3)
+    fast_bits = (int(np.float64(1e-4).view(np.uint64)), int(np.float64(1e16).view(np.uint64)))
+    se = np.concatenate([
+        table,
+        rng.integers(0, 2**64, third, dtype=np.uint64, endpoint=False).view(np.float64),
+        rng.integers(*fast_bits, third, dtype=np.uint64).view(np.float64),
+        rng.exponential(4.0, third),
+    ])[: trials * m_count].reshape(trials, m_count)
+    dirs = rng.integers(0, 2**64, (trials, 8), dtype=np.uint64, endpoint=False).view(np.float64)
+    report = EvalReport(se, dirs, upper_bound=7.0, synthesizer="hdb", master_seed=25)
+    digest = hashlib.sha256()
+    for item in report_csv_lines(report, EvalScenario(SYSTEM, 8, 10.0, 61, trials, 25)):
+        digest.update(item.encode("ascii"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -139,6 +201,7 @@ def main() -> None:
             print(f"{_synth_stream_sha256(built, count, user_counts, on_grid, seed)}  {scale} "
                   f"hdb.synthesize {count} {kind} targets, G in {set(user_counts)}, seed {seed}")
             sys.stdout.flush()
+    print(f"{_adversarial_csv_sha256()}  report_csv_lines of 1 000 800 adversarial SE values, seed 25")
 
 
 if __name__ == "__main__":
