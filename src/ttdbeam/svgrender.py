@@ -8,7 +8,6 @@ one writer, which XML-escapes its text.
 from __future__ import annotations
 
 import re
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -28,9 +27,13 @@ def _el(tag: str, text=None, **attrs) -> str:
     ValueError when the text holds a character that XML 1.0 has no form for, escaped or not.
     """
     head = " ".join([tag, *(f'{k.replace("_", "-")}="{v}"' for k, v in attrs.items())])
-    if text is not None and _NOT_XML.search(str(text)):
-        raise ValueError(f"text {str(text)!r} holds a character XML cannot carry")
-    return f"<{head}/>" if text is None else f"<{head}>{escape(str(text))}</{tag}>"
+    if text is None:
+        return f"<{head}/>"
+    text = str(text)
+    if _NOT_XML.search(text):
+        raise ValueError(f"text {text!r} holds a character XML cannot carry")
+    # the escapes of xml.sax.saxutils.escape, "&" first; importing it would pull in urllib
+    return f"<{head}>{text.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')}</{tag}>"
 
 
 def _label(x, y, text, size: int, anchor: str = "middle") -> str:

@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 import struct
 import subprocess
@@ -343,6 +344,110 @@ def _differs_from_line_search(delta, params, cfg):
     return differs
 
 
+_INNER_WINDOW_PEAK = dictionary_module._inner_window_peak
+
+
+def _window_oracle(delta, params, cfg):
+    """(t_best, c there) of the fit from its whole lobe windows: the reference for the inner windows.
+
+    Both series are evaluated, one row per antenna, at every point of each
+    antenna's sorted union of the two lobe windows (or of the whole grid),
+    and the first maximum wins.
+    """
+    n_count, m_count, size = cfg.n_antennas, cfg.n_subcarriers, params.delay_grid_size
+    one_period = solvers_module._spans_one_period(params.max_delay, cfg)
+    periods = 1.0 if one_period else params.max_delay * cfg.bandwidth / m_count
+    half = m_count // 2
+    n = np.arange(n_count)
+    s = np.pi * n * delta * cfg.bandwidth / (m_count * cfg.carrier_freq)
+    reach = -(-2 * size // m_count) + 1
+    if not one_period or size < 2 * m_count or 2 * (2 * reach + 1) >= size:
+        k = np.broadcast_to(np.arange(size), (n_count, size))
+    else:
+        steps = np.arange(-reach, reach + 1)
+        centers = np.rint(-s * size / (2.0 * np.pi)).astype(np.int64)
+        k = np.sort(np.hstack([np.broadcast_to(steps, (n_count, steps.size)),
+                               centers[:, None] + steps]) % size, axis=1)
+    theta = 2.0 * np.pi * k * periods / size
+    jump = np.exp(1j * np.pi * n * delta * (cfg.carrier_freq - cfg.bandwidth / 2.0) / cfg.carrier_freq)
+    geometric_sum = dictionary_module._geometric_sum
+    c = geometric_sum(theta, 1, half) + jump[:, None] * geometric_sum(theta + s[:, None], half + 1, half)
+    best = np.argmax(np.abs(c), axis=1)
+    return k[n, best] * (params.max_delay / size), c[n, best]
+
+
+def _fit_and_path(delta, params, cfg, mp):
+    """(t_best, c there, the antennas the inner windows certified) of ``_two_subband_fit``, caught on ``mp``."""
+    seen = {}
+
+    def winning_config(t_best, best, cfg):
+        seen["fit"] = (t_best, best)
+        return solvers_module._winning_config(t_best, best, cfg)
+
+    def inner_window_peak(*args):
+        found = _INNER_WINDOW_PEAK(*args)
+        seen["certified"] = found[2]
+        return found
+
+    mp.setattr(dictionary_module, "_winning_config", winning_config)
+    mp.setattr(dictionary_module, "_inner_window_peak", inner_window_peak)
+    _two_subband_fit(delta, params, cfg)
+    return (*seen["fit"], seen.get("certified", np.zeros(cfg.n_antennas, bool)))
+
+
+def _assert_same_bits(got, expected):
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+# The fit's bitwise claim rests on these ufuncs giving each element the same bits
+# whatever the call's length and layout: the inner windows evaluate a subset of the
+# whole windows' points, and the first series once as one row.  Prints, as JSON,
+# each (ufunc, layout) whose elements differ from the same elements of one long
+# contiguous call, and whether numpy's X86_V4 loops are enabled.
+_LAYOUT_SCRIPT = """
+import json
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+
+rng = np.random.default_rng(26)
+theta = rng.uniform(-np.pi, 3.0 * np.pi, (5, 819))
+theta[:, :5] = [0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi]
+z = np.exp(1j * rng.uniform(-np.pi, np.pi, theta.shape)) * rng.uniform(0.0, 1200.0, theta.shape)
+den = np.sin(theta / 2.0)
+den[den == 0.0] = 0.5
+zeros = den.copy()
+zeros[:, ::97] = 0.0
+cases = {
+    "round": (np.round, (theta / (2.0 * np.pi),)),
+    "sin": (np.sin, (300.0 * theta / 2.0,)),
+    "divide": (np.divide, (np.sin(300.0 * theta / 2.0), den)),
+    "divide where": (lambda a, b: np.divide(a, b, out=np.full(a.shape, 300.0), where=b != 0.0),
+                     (np.sin(300.0 * theta / 2.0), zeros)),
+    "complex exp": (np.exp, (1j * 900.5 * theta,)),
+    "complex abs": (np.abs, (z,)),
+    "complex multiply": (np.multiply, (z, z[::-1].copy())),
+    # one factor per row, as jump[:, None] multiplies the second series
+    "complex multiply by a column": (np.multiply, (z[:, :1].copy(), z)),
+}
+layouts = {
+    "short": [slice(0, 7), slice(0, 129), slice(3, 450)],
+    "single": [slice(i, i + 1) for i in range(16)],
+    "strided": [slice(1, None, 3), slice(2, 800, 7)],
+}
+mismatched = []
+for name, (f, args) in cases.items():
+    whole = f(*args)
+    for layout, cuts in layouts.items():
+        for cut in cuts:
+            got = f(*(a if a.shape[1] == 1 else a[:, cut] for a in args))
+            if got.tobytes() != np.ascontiguousarray(whole[:, cut]).tobytes():
+                mismatched.append(f"{name}, {layout}")
+                break
+print(json.dumps({"mismatched": mismatched, "x86_v4": bool(__cpu_features__.get("X86_V4"))}))
+"""
+
+
 class TestClosedFormFit:
     @given(
         n=st.integers(min_value=1, max_value=16),
@@ -392,6 +497,98 @@ class TestClosedFormFit:
         params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=65536)
         assert _two_subband_fit(0.5, params, cfg_dict).delays.tobytes() == np.zeros(16).tobytes()
 
+    def test_certified_ties_keep_the_smaller_delay(self, cfg_dict, monkeypatch):
+        # flat series far above the bound: every inner point of an antenna ties and certifies
+        monkeypatch.setattr(dictionary_module, "_geometric_sum", lambda phi, first, count: np.full(phi.shape, 1e6))
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=65536)
+        t_best, _, certified = _fit_and_path(0.5, params, cfg_dict, monkeypatch)
+        assert certified.all()
+        assert t_best.tobytes() == np.zeros(16).tobytes()
+
+    @given(
+        n=st.integers(min_value=1, max_value=16),
+        half=st.integers(min_value=2, max_value=160),
+        log_k=st.integers(min_value=4, max_value=16),
+        ratio=st.floats(min_value=1.05, max_value=40.0, exclude_min=True, exclude_max=True),
+        a=st.integers(min_value=2, max_value=60),
+        j=st.integers(min_value=0, max_value=59),
+    )
+    # the three draws of test_matches_line_search, on the default range: an exact tie,
+    # a fine grid, and one too coarse for the windows (K < 2M)
+    @example(n=16, half=8, log_k=5, ratio=1.5, a=5, j=3)
+    @example(n=16, half=60, log_k=12, ratio=56.0 / 3.0, a=5, j=3)
+    @example(n=2, half=78, log_k=4, ratio=33.0, a=3, j=1)
+    @settings(max_examples=120, deadline=None)
+    def test_inner_windows_match_the_whole_windows(self, n, half, log_k, ratio, a, j):
+        cfg = SystemConfig(n, 2 * half, ratio * 0.5e9, 1e9)
+        delta = float(offset_grid(a)[a - 1 + j % a])
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=2**log_k)
+        with pytest.MonkeyPatch.context() as mp:
+            _assert_same_bits(_fit_and_path(delta, params, cfg, mp), _window_oracle(delta, params, cfg))
+
+    def test_radius_too_small_to_certify_falls_back(self, monkeypatch):
+        cfg = SystemConfig(16, 1200, 28e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=65536)
+        deltas = offset_grid(499)[499::61].tolist()
+        certified = [_fit_and_path(delta, params, cfg, monkeypatch) for delta in deltas]
+        monkeypatch.setattr(dictionary_module, "_INNER_LOBE_WIDTHS", 0.05)  # r = 2: U is about 15 000
+        for delta, expected in zip(deltas, certified):
+            got = _fit_and_path(delta, params, cfg, monkeypatch)
+            assert expected[2].all() and not got[2].any()
+            _assert_same_bits(got, expected)
+            _assert_same_bits(got, _window_oracle(delta, params, cfg))
+
+    def test_antennas_left_uncertified_fall_back_alone(self, monkeypatch):
+        # at N = 64 the outer antennas' lobes part, their maximum drops below the bound,
+        # and only they are searched on their whole windows
+        cfg = SystemConfig(64, 1200, 28e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=65536)
+        searched = []
+
+        def first_peak(k, periods, size, half, s, jump):
+            searched.append(s.size)
+            return first_peak_whole(k, periods, size, half, s, jump)
+
+        first_peak_whole = dictionary_module._first_peak
+        monkeypatch.setattr(dictionary_module, "_first_peak", first_peak)
+        for delta in offset_grid(61)[61::3][[7, 14, 19]].tolist():
+            searched.clear()
+            got = _fit_and_path(delta, params, cfg, monkeypatch)
+            assert got[2].any() and not got[2].all(), delta
+            assert searched == [int(np.sum(~got[2]))]
+            _assert_same_bits(got, _window_oracle(delta, params, cfg))
+
+    @pytest.mark.parametrize("grid", [499, 61])
+    def test_every_full_scale_entry_is_certified(self, grid, monkeypatch):
+        cfg = SystemConfig(16, 1200, 28e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=65536)
+        for delta in offset_grid(grid)[grid:].tolist():
+            got = _fit_and_path(delta, params, cfg, monkeypatch)
+            assert got[2].all(), delta
+            _assert_same_bits(got, _window_oracle(delta, params, cfg))
+
+    @pytest.mark.parametrize("m, fc, size, delta", [
+        (120, 28e9, 4096, 0.0),  # one window for all antennas
+        (120, 28e9, 4096, 1e-6),
+        (120, 28e9, 4096, 2.0),  # second windows overlapping the first
+        # second centres many periods apart, beyond any offset of the grid
+        (16, 1.8e9, 32, 8.0),
+        (16, 1.8e9, 32, 20.5),
+    ])
+    def test_inner_windows_of_near_and_far_centres(self, monkeypatch, m, fc, size, delta):
+        cfg = SystemConfig(16, m, fc, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=size)
+        got = _fit_and_path(delta, params, cfg, monkeypatch)
+        assert got[2].all()
+        _assert_same_bits(got, _window_oracle(delta, params, cfg))
+
+    @pytest.mark.parametrize("periods", [0.5, 1.5])
+    def test_whole_grid_evaluates_the_first_series_once(self, cfg_dict, monkeypatch, periods):
+        params = SolverParams(max_delay=periods * default_max_delay(cfg_dict), delay_grid_size=4096)
+        for delta in (0.25, 1.0, 1.75):
+            _assert_same_bits(_fit_and_path(delta, params, cfg_dict, monkeypatch),
+                              _window_oracle(delta, params, cfg_dict))
+
     @pytest.mark.parametrize("periods", [0.5, 1.0, 1.5])
     def test_build_skips_the_line_search(self, cfg_dict, monkeypatch, periods):
         params = SolverParams(max_delay=periods * default_max_delay(cfg_dict), delay_grid_size=4096)
@@ -409,6 +606,27 @@ class TestClosedFormFit:
             row = postprocess_center(fit, delta, cfg_dict)
             assert built.delays[i].tobytes() == row.delays.tobytes()
             assert np.max(_wrapped(built.phases[i] - row.phases)) <= 1e-9
+
+
+class TestUfuncLayout:
+    _DISABLED = "AVX512_SPR AVX512_ICL X86_V4"
+
+    @pytest.mark.parametrize("disabled", ["", _DISABLED], ids=["native", "without-x86-v4"])
+    def test_elements_keep_their_bits_in_any_layout(self, disabled):
+        if disabled:
+            features = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+            have = getattr(features, "__cpu_features__", {})
+            if not all(have.get(target) for target in disabled.split()):
+                pytest.skip(f"numpy on this host does not dispatch to {disabled}")
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        run = subprocess.run([sys.executable, "-c", _LAYOUT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        found = json.loads(run.stdout)
+        assert found["mismatched"] == []
+        if disabled:
+            assert not found["x86_v4"]
 
 
 class TestPostprocessCenter:

@@ -1,13 +1,21 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
 from ttdbeam.core import ArrayConfig, PsiGrid, SystemConfig, beampattern_of_precoder, precoder_matrix, zero_config
 from ttdbeam.hdb import synthesize
+from ttdbeam import svgrender
 from ttdbeam.splitbeam import DirectionMap
-from ttdbeam.svgrender import render_config_heatmap, render_summary_charts
+from ttdbeam.svgrender import _el, render_config_heatmap, render_summary_charts
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_heatmap_deterministic(cfg_small):
@@ -82,3 +90,24 @@ def test_summary_charts_render():
     assert svg == render_summary_charts(dict(summary))
     assert "polyline" in svg
     assert svg.count("<rect") >= 4  # three bars plus frame
+
+
+def test_text_escapes_as_saxutils_does():
+    texts = [f"a{chr(code)}b{chr(code)}" for code in range(128)]
+    texts += ["&amp; <b>&lt;</b> >&", "Straßen\u00adbahn ψ = −0.37 → ≥ 6 bps/Hz, 雪 \U0001F4E1 ü"]
+    for text in texts:
+        if svgrender._NOT_XML.search(text):  # control characters XML 1.0 cannot carry
+            with pytest.raises(ValueError):
+                _el("text", text)
+        else:
+            assert _el("text", text) == f"<text>{escape(text)}</text>"
+
+
+def test_import_leaves_out_saxutils():
+    # saxutils pulls in http.client, ssl and email; numpy already imports urllib.parse
+    gone = ["xml.sax.saxutils", "http.client", "ssl", "email"]
+    code = f"import sys, ttdbeam.svgrender; print([m for m in {gone!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.strip() == "[]"
