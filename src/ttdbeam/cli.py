@@ -1,8 +1,8 @@
 """Command-line interface: dictionary builds, synthesis, evaluation, benchmarks, plots.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input, 6 out of memory.
-TTDBEAM_THREADS caps the worker processes of the dictionary build and of
-eval's CSV formatting (0 = auto); evaluation runs its trials on the calling thread.
+TTDBEAM_THREADS caps the worker processes of the dictionary build (0 = auto);
+eval runs its trials and formats its CSV in the calling process.
 """
 
 from __future__ import annotations
@@ -144,12 +144,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         master_seed=args.seed,
     )
     report = monte_carlo(scenario, synth)
-    csv_items = report_csv_lines(report, scenario)  # reads TTDBEAM_THREADS before any file is opened
     csv_path = f"{args.out_prefix}.csv"
     summary_path = f"{args.out_prefix}.summary.json"
     # the CSV moves first; a failed write of either file leaves both names as they were
     with dict_io._replacing(summary_path) as summary_fh, dict_io._replacing(csv_path) as csv_fh:
-        for item in csv_items:
+        for item in report_csv_lines(report, scenario):
             csv_fh.write(item)
             csv_fh.write("\n")
         json.dump(summary_dict(report, scenario), summary_fh, indent=2, sort_keys=True)

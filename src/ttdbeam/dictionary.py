@@ -43,7 +43,6 @@ import math
 import os
 import stat
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -427,6 +426,7 @@ def build_dictionary(
 
     n_workers = worker_count(workers)
     if n_workers > 1 and len(deltas) > 4:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it pulls in multiprocessing
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             built = list(pool.map(_build_one, *args, chunksize=math.ceil(len(deltas) / n_workers)))
     else:

@@ -21,7 +21,6 @@ import functools
 import numbers
 import time
 from collections.abc import Iterator, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +49,7 @@ __all__ = [
 RNG_ALGORITHM = "pcg64-seedsequence(master_seed, trial)"
 _WARMUP_CALLS = 3  # untimed calls per synthesizer in runtime_bench
 _CHUNK_TRIALS = 16  # trials whose gains are evaluated together; their (chunk, M) arrays stay in cache
-_BLOCK_ROWS = 10_000  # CSV rows per formatting task, in whole trials: 8 trials at M = 1200
-_POOL_ROWS = 1_000_000  # smaller CSVs are formatted in the calling process: on 2 cores a pool paid only past 600 000
+_BLOCK_ROWS = 10_000  # CSV rows per block, in whole trials: 8 trials at M = 1200
 _WORD = np.dtype("<u8")  # 8 CSV text bytes, the first the least significant
 _POW10 = np.array([float(10**k) for k in range(23)])  # 1e0 .. 1e22, each exact in float64
 _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.dtype("<u2"))  # "00" .. "99"
@@ -278,46 +276,26 @@ def report_csv_lines(report: EvalReport, scenario: EvalScenario) -> Iterator[str
     newline, or joining the items with newlines, gives the file.  A block's
     SE values are formatted by a numpy kernel that computes repr's shortest
     round-trip digits; the few values it cannot settle exactly go through
-    ``repr`` itself.  A report of at least ``_POOL_ROWS`` rows is formatted
-    by a pool of :func:`~ttdbeam.dictionary.worker_count` processes, each
-    task passed its block's slices of the report, and the blocks come back
-    in order, so the bytes do not depend on the worker count.  The count is
-    read at this call, so a bad TTDBEAM_THREADS raises ValueError before the
-    first item; the pool starts with the first block.
+    ``repr`` itself.
     """
-    workers = worker_count()
+    yield "trial,m,subband,direction,se_bps_hz"
     m_count = scenario.cfg.n_subcarriers
     block = subband_width(scenario.n_subbands, m_count)
     middles = _words([f",{m + 1},{m // block + 1}," for m in range(m_count)])
     per_block = max(1, _BLOCK_ROWS // m_count)
-    tasks = []  # each block's first trial and its slices of the report: a task pickles about 100 KB
     for first in range(0, report.n_trials, per_block):
         trials = slice(first, first + per_block)
-        tasks.append((first, report.trial_directions[trials], report.se_per_subcarrier[trials], middles))
-    return _csv_items(tasks, workers if report.n_trials * m_count >= _POOL_ROWS else 1)
+        yield _csv_block(first, report.trial_directions[trials], report.se_per_subcarrier[trials], middles)
 
 
-def _csv_items(tasks: list[tuple], workers: int) -> Iterator[str]:
-    yield "trial,m,subband,direction,se_bps_hz"
-    if workers == 1:
-        yield from map(_csv_block, tasks)
-        return
-    pool = ProcessPoolExecutor(min(workers, len(tasks)))
-    try:
-        yield from pool.map(_csv_block, tasks)
-    finally:  # also when the caller closes this generator early: no worker outlives it
-        pool.shutdown(cancel_futures=True)
-
-
-def _csv_block(task: tuple) -> str:
-    """The rows of one block of trials, joined by newlines.
+def _csv_block(first: int, trial_directions: np.ndarray, se_rows: np.ndarray, middles: np.ndarray) -> str:
+    """The rows of the trials from ``first`` (0-based) on, joined by newlines.
 
     Each row is laid out in slots of whole 8-byte words, each slot's text
     padded with 0 bytes: a newline and the trial, ``,m,subband,``, the
     direction and a comma, and the SE value.  Dropping the 0 bytes of the
     block's word matrix, and its first newline, leaves the rows in order.
     """
-    first, trial_directions, se_rows, middles = task
     trials, m_count = se_rows.shape
     g_count = trial_directions.shape[1]
     labels = _words([f"\n{t}" for t in range(first + 1, first + 1 + trials)])

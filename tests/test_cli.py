@@ -2,7 +2,6 @@ import errno
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import resource
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ttdbeam import cli, evaluation
+from ttdbeam import cli
 from ttdbeam.cli import main
 from ttdbeam.core import SystemConfig, config_from_json_dict
 from ttdbeam.dictionary import build_dictionary, load, offset_grid
@@ -237,19 +236,6 @@ class TestEval:
         assert (tmp_path / "h.csv").read_text().startswith("trial,m,subband,direction,se_bps_hz")
         assert main(args + ["--synth", "jpta", "--out-prefix", str(tmp_path / "j")]) == 2
         assert not (tmp_path / "j.csv").exists()
-
-    def test_bytes_do_not_depend_on_the_thread_cap(self, built_dict, tmp_path, monkeypatch):
-        m_count = load(built_dict).meta.n_subcarriers
-        monkeypatch.setattr(evaluation, "_POOL_ROWS", 5 * evaluation._BLOCK_ROWS)  # the size it was first set to
-        trials = evaluation._POOL_ROWS // m_count + 1  # a CSV the pool formats
-        args = ["eval", "--dict", str(built_dict), "--ues", "3", "--trials", str(trials), "--seed", "4"]
-        for threads in ("1", "2"):
-            monkeypatch.setenv("TTDBEAM_THREADS", threads)
-            assert main(args + ["--out-prefix", str(tmp_path / threads)]) == 0
-            assert multiprocessing.active_children() == []
-        for suffix in (".csv", ".summary.json"):
-            assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
-        assert (tmp_path / "1.csv").read_bytes().count(b"\n") == 1 + trials * m_count
 
     @pytest.mark.parametrize("earlier", [False, True])
     @pytest.mark.parametrize("at", ["write", "flush"])
@@ -669,13 +655,18 @@ class TestExitCodes:
         assert "subcarrier spacing" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_thread_cap_eval_usage_error(self, built_dict, tmp_path, capsys, monkeypatch):
+    def test_bad_thread_cap_is_a_build_usage_error(self, built_dict, tmp_path, capsys, monkeypatch):
+        # only dict-build reads the cap: it fails before it writes a file, and eval ignores it
         monkeypatch.setenv("TTDBEAM_THREADS", "lots")
-        rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2",
-                   "--out-prefix", str(tmp_path / "x")])
+        rc = main(["dict-build", "--n", "16", "--fc", "28e9", "--bw", "3e9", "--m", "48",
+                   "--grid", "9", "--delay-grid", "8192", "--out", str(tmp_path / "d.ttdd")])
         assert rc == 2
         assert capsys.readouterr().err == "error: TTDBEAM_THREADS must be an integer, got 'lots'\n"
         assert list(tmp_path.iterdir()) == []
+        rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2",
+                   "--out-prefix", str(tmp_path / "x")])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.summary.json"]
 
     def test_indivisible_ues_usage_error(self, built_dict, tmp_path):
         rc = main(
@@ -862,3 +853,13 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "hdb:" in out and "jpta:" in out and "speedup" in out
+
+
+def test_import_leaves_out_multiprocessing():
+    # only a pooled dict-build needs the process pool; every other command starts without it
+    gone = ["multiprocessing", "concurrent.futures.process"]
+    code = f"import sys, ttdbeam.cli; print([m for m in {gone!r} if m in sys.modules])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert run.stdout.strip() == "[]"

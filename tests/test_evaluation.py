@@ -1,4 +1,3 @@
-import multiprocessing
 import threading
 import warnings
 from unittest import mock
@@ -41,10 +40,9 @@ def _row_by_row_csv(report, scenario):
             yield f"{t + 1},{m},{band},{dirs[band - 1]},{float(row[m - 1])!r}"
 
 
-def _csv_with_warnings_as_errors(report, scenario, pooled):
-    """``report_csv_lines`` joined by newlines, in a 2-worker pool or in this process; a numpy warning raises."""
-    with warnings.catch_warnings(), mock.patch.object(evaluation, "_POOL_ROWS", 0 if pooled else 10**9), \
-            mock.patch.object(evaluation, "worker_count", lambda: 2):
+def _csv_with_warnings_as_errors(report, scenario):
+    """``report_csv_lines`` joined by newlines; a numpy warning raises."""
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         return "\n".join(report_csv_lines(report, scenario))
 
@@ -441,15 +439,11 @@ class TestBenchAndOutputs:
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1" and first[2] == "1"
 
-    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
     @pytest.mark.parametrize("trials_past_block", [None, -1, 0, 1], ids=["1", "k-1", "k", "k+1"])
     @pytest.mark.parametrize("g", [3, 8])
-    def test_csv_bytes_match_row_by_row_formatter(self, cfg_dict, rng, monkeypatch, g, trials_past_block, pooled):
-        if pooled:  # the pool for any size and on any machine
-            monkeypatch.setattr(evaluation, "_POOL_ROWS", 0)
-            monkeypatch.setattr(evaluation, "worker_count", lambda: 2)
-        per_task = evaluation._BLOCK_ROWS // cfg_dict.n_subcarriers  # k trials per formatting task
-        trials = 1 if trials_past_block is None else per_task + trials_past_block
+    def test_csv_bytes_match_row_by_row_formatter(self, cfg_dict, rng, g, trials_past_block):
+        per_block = evaluation._BLOCK_ROWS // cfg_dict.n_subcarriers  # k trials per block
+        trials = 1 if trials_past_block is None else per_block + trials_past_block
         dirs = rng.uniform(-1.0, 1.0, size=(trials, g))
         dirs[0, 0], dirs[-1, -1], dirs[0, 1] = -0.0, 1.0, 1e-300
         se = rng.exponential(4.0, size=(trials, cfg_dict.n_subcarriers))
@@ -461,8 +455,7 @@ class TestBenchAndOutputs:
         assert new == "\n".join(_row_by_row_csv(report, scen)).encode("ascii")
         assert ",-0.0," in new.decode("ascii").splitlines()[1]
 
-    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
-    def test_csv_bytes_match_on_adversarial_values(self, cfg_dict, pooled):
+    def test_csv_bytes_match_on_adversarial_values(self, cfg_dict):
         # every value the digit kernel could get wrong, and every one it must leave to repr
         values = _adversarial_values()
         m_count = cfg_dict.n_subcarriers
@@ -471,12 +464,11 @@ class TestBenchAndOutputs:
         dirs = np.resize(values[::-1], trials * 3).reshape(trials, 3)
         report = EvalReport(se, dirs, upper_bound=7.0, synthesizer="hdb", master_seed=3)
         scen = EvalScenario(cfg_dict, 3, 10.0, 41, trials, 3)
-        assert _csv_with_warnings_as_errors(report, scen, pooled) == "\n".join(_row_by_row_csv(report, scen))
+        assert _csv_with_warnings_as_errors(report, scen) == "\n".join(_row_by_row_csv(report, scen))
 
-    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_csv_bytes_match_on_raw_bit_patterns(self, cfg_dict, pooled, data):
+    def test_csv_bytes_match_on_raw_bit_patterns(self, cfg_dict, data):
         # a bit pattern is any double, nan, inf and subnormal included; half are drawn from the
         # kernel's own range, 1e-4 <= x < 1e16
         fast = st.integers(int(np.float64(1e-4).view(np.uint64)), int(np.float64(1e16).view(np.uint64)) - 1)
@@ -488,7 +480,7 @@ class TestBenchAndOutputs:
         report = EvalReport(se.view(np.float64).reshape(trials, m_count), dirs.view(np.float64).reshape(trials, 8),
                             upper_bound=7.0, synthesizer="hdb", master_seed=3)
         scen = EvalScenario(cfg_dict, 8, 10.0, 41, trials, 3)
-        assert _csv_with_warnings_as_errors(report, scen, pooled) == "\n".join(_row_by_row_csv(report, scen))
+        assert _csv_with_warnings_as_errors(report, scen) == "\n".join(_row_by_row_csv(report, scen))
 
     def test_csv_kernel_leaves_few_values_to_repr(self, small_dict, cfg_dict):
         # a serve-like report (G = 8, 500 trials, 10 dB): at most 0.1 % of its SE values go
@@ -497,19 +489,6 @@ class TestBenchAndOutputs:
         se = monte_carlo(scen, make_hdb_synthesizer(small_dict)).se_per_subcarrier.ravel()
         exact = evaluation._shortest_digits(se)[0]
         assert se.size == 60_000 and np.count_nonzero(~exact) <= se.size // 1000
-
-    def test_closing_the_csv_early_leaves_no_worker(self, cfg_dict, rng, monkeypatch):
-        monkeypatch.setattr(evaluation, "_POOL_ROWS", 0)
-        monkeypatch.setattr(evaluation, "worker_count", lambda: 2)
-        trials = 8 * (evaluation._BLOCK_ROWS // cfg_dict.n_subcarriers)
-        se = rng.exponential(4.0, size=(trials, cfg_dict.n_subcarriers))
-        report = EvalReport(se, rng.uniform(-1.0, 1.0, size=(trials, 3)), 7.0, "hdb", 3)
-        items = report_csv_lines(report, EvalScenario(cfg_dict, 3, 10.0, 41, trials, 3))
-        assert next(items) == "trial,m,subband,direction,se_bps_hz"
-        assert next(items).startswith("1,1,1,")
-        assert multiprocessing.active_children()  # the first block came from the pool
-        items.close()
-        assert multiprocessing.active_children() == []
 
     def test_summary_contents(self, small_dict, cfg_dict):
         scen = scenario_for(cfg_dict, small_dict, trials=2)

@@ -6,7 +6,11 @@ in, builds the reference system's dictionaries at A=61 and A=499, runs the
 CLI's ``synth``, ``eval`` (hdb and jpta) and ``render`` (of the A=61 hdb
 ``eval`` summary and of the ``synth`` config) on them, and prints one
 ``sha256  label`` line per output file.  A change that claims the
-same bytes diffs this output against the parent commit's.
+same bytes diffs this output against the parent commit's.  A first line,
+starting with ``#``, names the numpy version and the CPU dispatch level the
+hashes were taken at: numpy's baseline targets and the dispatch targets
+enabled on this host.  Compare hashes only between runs whose first lines
+match.
 
 The dictionaries are built through the API so that their ``build_warnings``
 and ``degenerate`` lists can be hashed too (the CLI prints only their
@@ -35,6 +39,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
+from numpy._core import _multiarray_umath  # noqa: E402
 
 from ttdbeam import cli  # noqa: E402
 from ttdbeam.core import SystemConfig, direction_grid  # noqa: E402
@@ -179,6 +184,14 @@ def _fit_sha256(count: int, seed: int) -> str:
     return digest.hexdigest()
 
 
+def _dispatch_level() -> str:
+    """numpy's version, its baseline CPU targets, and the dispatch targets enabled on this host."""
+    features = _multiarray_umath.__cpu_features__
+    enabled = [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
+    return (f"# numpy {np.__version__}, baseline {' '.join(_multiarray_umath.__cpu_baseline__)}, "
+            f"dispatch {' '.join(enabled) or '(none)'}")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -194,6 +207,7 @@ def _cli(argv: list[str], work: Path) -> None:
 
 
 def main() -> None:
+    print(_dispatch_level())
     solver = SolverParams(max_delay=default_max_delay(SYSTEM), delay_grid_size=65536)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
