@@ -129,8 +129,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if m_count <= MAX_SE_VALUES < args.trials * m_count:  # an M past the bound alone is the file's fault
         raise ValueError(f"--trials {args.trials} at M = {m_count} asks for {args.trials * m_count} SE values; "
                          f"the bound is {MAX_SE_VALUES} (2**28), so at most {MAX_SE_VALUES // m_count} trials")
-    synth = (make_hdb_synthesizer(built) if args.synth == "hdb"
-             else make_jpta_synthesizer(_solver_params(args, built.meta)))
+    params = _solver_params(args, built.meta)  # hdb runs no solver, but a bad solver flag is still refused
+    synth = make_hdb_synthesizer(built) if args.synth == "hdb" else make_jpta_synthesizer(params)
     try:
         snr_linear = 10.0 ** (args.snr_db / 10.0)
     except OverflowError:

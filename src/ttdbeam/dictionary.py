@@ -27,7 +27,7 @@ maximum is the grid optimum the line search of ``jpta_approx`` would find on
 the built N x M target.  On the default grid, which spans one correlation
 period M/BW, only the grid points of the two main lobes are searched, and
 first only an inner window of each lobe, whose maximum a bound on the rest
-certifies.
+certifies.  One search, with one tie rule, serves every set of points.
 
 Binary layout (little-endian): 40-byte header (magic "TTDD", version,
 N, A, D, M as int32, fc and bw as float64), then D offsets as float64, then
@@ -196,47 +196,41 @@ def _theta(k: np.ndarray, periods: float, size: int) -> np.ndarray:
     return 2.0 * np.pi * k * periods / size
 
 
-def _inner_window_peak(
-    s: np.ndarray, jump: np.ndarray, centers: np.ndarray, half: int, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each antenna's first window maximum (grid index, c there) from its inner windows alone.
+def _lobe_windows(centers: np.ndarray, r: int) -> np.ndarray:
+    """Grid indices, not yet mod K, of the windows of radius r around k = 0 and each antenna's centre.
 
-    Also returns which antennas the inner windows certify (see
-    ``_two_subband_fit``); the index and c of the others are meaningless.
     Row n holds the k = 0 window, then the D points of antenna n's second
     window farthest from k = 0, with D the most any second window reaches
     out of the first (at most its 2r + 1 points): each point of the two
-    windows, and a few of them twice.  The first series depends on k alone,
-    so it is evaluated once per grid index, on the span of all rows.
+    windows, and a few of them twice.
     """
-    r = int(_INNER_LOBE_WIDTHS * (size // (2 * half)))
     steps = np.arange(-r, r + 1)
     away = np.where(centers > 0, -1, 1)[:, None]  # from a centre's far edge toward k = 0
     extra = min(int(np.abs(centers).max()), 2 * r + 1)
-    k = np.hstack([np.broadcast_to(steps, (s.size, steps.size)),
-                   centers[:, None] + away * (np.arange(extra) - r)])  # not yet mod K
+    return np.hstack([np.broadcast_to(steps, (centers.size, steps.size)),
+                      centers[:, None] + away * (np.arange(extra) - r)])
+
+
+def _window_peak(
+    k: np.ndarray, periods: float, size: int, half: int, s: np.ndarray, jump: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each antenna's smallest grid index mod K at its maximum |c|, c there, and that maximum.
+
+    k holds grid indices not yet reduced mod K: one row for all antennas or
+    one per antenna; it is reduced in place.  The first series depends on k
+    alone, so it is evaluated once per grid index, on the span of all rows.
+    """
     lo, hi = int(k.min()), int(k.max())
-    first = _geometric_sum(_theta(np.arange(lo, hi + 1) % size, 1.0, size), 1, half)[k - lo]
+    # the common 1/sqrt(N) moves neither the maximum nor the phase and is left out
+    first = _geometric_sum(_theta(np.arange(lo, hi + 1) % size, periods, size), 1, half)[k - lo]
     k %= size
-    c = first + jump[:, None] * _geometric_sum(_theta(k, 1.0, size) + s[:, None], half + 1, half)
+    c = first + jump[:, None] * _geometric_sum(_theta(k, periods, size) + s[:, None], half + 1, half)
     mag = np.abs(c)
     peak = mag.max(axis=1)
-    bound = 1.0 / math.sin(math.pi * (r + 1) / size) + 1.0 / math.sin(math.pi * (r + 0.5) / size)
-    best = np.argmin(np.where(mag == peak[:, None], k, size), axis=1)  # the smallest k at the maximum
+    at = np.where(mag == peak[:, None], k, size)
     n = np.arange(s.size)
-    return k[n, best], c[n, best], peak > bound * (1.0 + _CERTIFY_MARGIN)
-
-
-def _first_peak(
-    k: np.ndarray, periods: float, size: int, half: int, s: np.ndarray, jump: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each antenna's first maximum (grid index, c there) over grid indices k: one row for all, or one each."""
-    theta = _theta(k, periods, size)  # one row when k is the whole grid: the first series once
-    # the common 1/sqrt(N) moves neither the argmax nor the phase and is left out
-    c = _geometric_sum(theta, 1, half) + jump[:, None] * _geometric_sum(theta + s[:, None], half + 1, half)
-    best = np.argmax(np.abs(c), axis=1)  # first max: smaller delay wins ties
-    n = np.arange(s.size)
-    return np.broadcast_to(k, c.shape)[n, best], c[n, best]
+    best = np.argmin(at, axis=1)
+    return at[n, best], c[n, best], peak
 
 
 def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> ArrayConfig:
@@ -251,34 +245,35 @@ def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> A
     with H = M/2, f0 = fc - BW/2 and s_n = pi*n*delta*BW/(M*fc).  On a grid
     spanning one correlation period (max_delay = M/BW) the grid maximum lies
     in the main lobe of one series, around k = 0 or around k = -s_n*K/(2*pi)
-    (mod K); a lobe reaches 2K/M steps either side.  Only those two windows
-    are searched, in ascending k so that ties keep the smaller delay as in
-    ``jpta_approx``.  Any other range, a grid too coarse to resolve the lobes
-    (K < 2M), or one the windows cover anyway, is evaluated whole.  The
-    delays are the line search's except where two grid points tie exactly
-    (rational fc/BW, delta and K can place both lobe peaks on the grid; a
-    range of whole periods meets each peak more than once): rounding then
-    picks the winner, and may pick the other optimum.
+    (mod K); a lobe reaches 2K/M steps either side.  One search,
+    ``_window_peak``, finds every maximum, on one of three sets of points:
+    the whole grid, for any other range, a grid too coarse to resolve the
+    lobes (K < 2M), or one the windows cover anyway; else an inner window of
+    each lobe; and, for the antennas those do not certify, both whole
+    windows.  Its one tie rule takes the smallest k mod K at the maximum, so
+    that ties keep the smaller delay as in ``jpta_approx``.  The delays are
+    the line search's except where two grid points tie exactly (rational
+    fc/BW, delta and K can place both lobe peaks on the grid; a range of
+    whole periods meets each peak more than once): rounding then picks the
+    winner, and may pick the other optimum.
 
-    The windows are first evaluated only within r = floor(1.2*floor(K/M))
-    steps of each centre, r measured in lobe widths (64 at K = 65536 and
-    M = 1200, against 111 for the whole windows).  A grid point outside these
-    inner windows is at least r + 1 steps from k = 0 and from the second
-    window's centre, the grid index nearest the second series' real centre,
-    so at least r + 1/2 from that.  As |sum_{m=a+1..a+H} e^{j*m*phi}| <=
-    1/|sin(phi/2)| for phi in [-pi, pi], |c_n| there is at most
-    U = 1/sin(pi*(r+1)/K) + 1/sin(pi*(r+1/2)/K), one constant per (K, r):
-    644 at full scale, where the smallest inner maximum over the A = 499 and
-    A = 61 builds is 730.  If antenna n's inner maximum L_n exceeds
-    U*(1 + 1e-9), a margin far above the rounding of |c|, then its whole
-    windows' first maximum is the smallest k where |c_n| equals L_n: every
-    point is evaluated by the same expressions, elementwise, so it has the
-    same bits either way (numpy's loops give an element the same bits in any
-    length and layout; tests/test_dictionary.py checks the ufuncs used).
-    The antennas it does not certify (none at N = 16; some of larger arrays,
-    whose lobes part) have their whole windows evaluated as before.  The
-    first series depends on k alone: the inner windows and the whole grid
-    evaluate it once for all antennas.
+    The inner windows reach r = floor(1.2*floor(K/M)) steps from each centre,
+    r measured in lobe widths (64 at K = 65536 and M = 1200, against 111 for
+    the whole windows).  A grid point outside them is at least r + 1 steps
+    from k = 0 and from the second window's centre, the grid index nearest the
+    second series' real centre, so at least r + 1/2 from that.  As
+    |sum_{m=a+1..a+H} e^{j*m*phi}| <= 1/|sin(phi/2)| for phi in [-pi, pi],
+    |c_n| there is at most U = 1/sin(pi*(r+1)/K) + 1/sin(pi*(r+1/2)/K), one
+    constant per (K, r): 644 at full scale, where the smallest inner maximum
+    over the A = 499 and A = 61 builds is 730.  If antenna n's inner maximum
+    L_n exceeds U*(1 + 1e-9), a margin far above the rounding of |c|, then its
+    whole windows' smallest k where |c_n| equals their maximum is the inner
+    one: every point is evaluated by the same expressions, elementwise, so it
+    has the same bits either way (numpy's loops give an element the same bits
+    in any length and layout; tests/test_dictionary.py checks the ufuncs
+    used).  Only antennas the bound fails to certify (none at N = 16; some of
+    larger arrays, whose lobes part) are searched again, on their whole
+    windows.
     """
     n_count, m_count, size = cfg.n_antennas, cfg.n_subcarriers, solver.delay_grid_size
     one_period = _spans_one_period(solver.max_delay, cfg)
@@ -289,16 +284,16 @@ def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> A
     jump = np.exp(1j * np.pi * n * delta * (cfg.carrier_freq - cfg.bandwidth / 2.0) / cfg.carrier_freq)
     reach = -(-2 * size // m_count) + 1
     if not one_period or size < 2 * m_count or 2 * (2 * reach + 1) >= size:
-        k_best, c_best = _first_peak(np.arange(size), periods, size, half, s, jump)
+        k_best, c_best, _ = _window_peak(np.arange(size), periods, size, half, s, jump)
     else:
         centers = np.rint(-s * size / (2.0 * np.pi)).astype(np.int64)
-        k_best, c_best, certified = _inner_window_peak(s, jump, centers, half, size)
-        rest = ~certified
+        r = int(_INNER_LOBE_WIDTHS * (size // (2 * half)))
+        k_best, c_best, peak = _window_peak(_lobe_windows(centers, r), 1.0, size, half, s, jump)
+        bound = 1.0 / math.sin(math.pi * (r + 1) / size) + 1.0 / math.sin(math.pi * (r + 0.5) / size)
+        rest = ~(peak > bound * (1.0 + _CERTIFY_MARGIN))
         if rest.any():
-            steps = np.arange(-reach, reach + 1)
-            k = np.sort(np.hstack([np.broadcast_to(steps, (int(rest.sum()), steps.size)),
-                                   centers[rest, None] + steps]) % size, axis=1)
-            k_best[rest], c_best[rest] = _first_peak(k, 1.0, size, half, s[rest], jump[rest])
+            k_best[rest], c_best[rest], _ = _window_peak(
+                _lobe_windows(centers[rest], reach), 1.0, size, half, s[rest], jump[rest])
     return _winning_config(k_best * (solver.max_delay / size), c_best, cfg)
 
 

@@ -229,13 +229,20 @@ class TestEval:
         doc = json.loads((tmp_path / "j.summary.json").read_text())
         assert doc["synthesizer"] == "jpta"
 
-    def test_hdb_ignores_solver_flags(self, built_dict, tmp_path):
-        # hdb never runs the solver, so an invalid jpta grid size does not concern it
-        args = ["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2", "--delay-grid", "1"]
-        assert main(args + ["--synth", "hdb", "--out-prefix", str(tmp_path / "h")]) == 0
-        assert (tmp_path / "h.csv").read_text().startswith("trial,m,subband,direction,se_bps_hz")
-        assert main(args + ["--synth", "jpta", "--out-prefix", str(tmp_path / "j")]) == 2
-        assert not (tmp_path / "j.csv").exists()
+    def test_every_synth_checks_solver_flags(self, built_dict, tmp_path, capsys):
+        # hdb never runs the solver, but a bad flag is refused whichever synthesizer is chosen
+        bad = {("--delay-grid", "1"): "delay_grid_size must be >= 2, got 1",
+               ("--tmax-s", "-5"): "max_delay must be positive and finite",
+               ("--tmax-s", "inf"): "max_delay must be positive and finite",
+               ("--tmax-s", "1e300"): "beyond the bound of 2**42 rad"}
+        for synth in ("hdb", "jpta"):
+            for flag, message in bad.items():
+                rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2", "--synth", synth,
+                           *flag, "--out-prefix", str(tmp_path / "x")])
+                err = capsys.readouterr().err
+                assert rc == 2, (synth, flag)
+                assert err.startswith("error:") and message in err and err.count("\n") == 1, (synth, flag)
+                assert list(tmp_path.iterdir()) == [], (synth, flag)
 
     @pytest.mark.parametrize("earlier", [False, True])
     @pytest.mark.parametrize("at", ["write", "flush"])

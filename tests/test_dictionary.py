@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import struct
 import subprocess
@@ -344,7 +345,7 @@ def _differs_from_line_search(delta, params, cfg):
     return differs
 
 
-_INNER_WINDOW_PEAK = dictionary_module._inner_window_peak
+_WINDOW_PEAK = dictionary_module._window_peak
 
 
 def _window_oracle(delta, params, cfg):
@@ -376,23 +377,35 @@ def _window_oracle(delta, params, cfg):
     return k[n, best] * (params.max_delay / size), c[n, best]
 
 
-def _fit_and_path(delta, params, cfg, mp):
-    """(t_best, c there, the antennas the inner windows certified) of ``_two_subband_fit``, caught on ``mp``."""
+def _fit_and_path(delta, params, cfg, mp, calls=None):
+    """(t_best, c there, the antennas the inner windows certified) of ``_two_subband_fit``, caught on ``mp``.
+
+    Each ``_window_peak`` call appends (its rows' dimensions, s, the maxima)
+    to ``calls``.  The certificate is recomputed here from the first call's
+    maxima when that call searched the inner windows, one row per antenna.
+    """
     seen = {}
+    calls = [] if calls is None else calls
 
     def winning_config(t_best, best, cfg):
         seen["fit"] = (t_best, best)
         return solvers_module._winning_config(t_best, best, cfg)
 
-    def inner_window_peak(*args):
-        found = _INNER_WINDOW_PEAK(*args)
-        seen["certified"] = found[2]
+    def window_peak(k, periods, size, half, s, jump):
+        found = _WINDOW_PEAK(k, periods, size, half, s, jump)
+        calls.append((k.ndim, s.copy(), found[2]))
         return found
 
     mp.setattr(dictionary_module, "_winning_config", winning_config)
-    mp.setattr(dictionary_module, "_inner_window_peak", inner_window_peak)
+    mp.setattr(dictionary_module, "_window_peak", window_peak)
     _two_subband_fit(delta, params, cfg)
-    return (*seen["fit"], seen.get("certified", np.zeros(cfg.n_antennas, bool)))
+    certified = np.zeros(cfg.n_antennas, bool)
+    if calls[0][0] == 2:
+        size = params.delay_grid_size
+        r = int(dictionary_module._INNER_LOBE_WIDTHS * (size // (2 * (cfg.n_subcarriers // 2))))
+        bound = 1.0 / math.sin(math.pi * (r + 1) / size) + 1.0 / math.sin(math.pi * (r + 0.5) / size)
+        certified = calls[0][2] > bound * (1.0 + 1e-9)
+    return (*seen["fit"], certified)
 
 
 def _assert_same_bits(got, expected):
@@ -540,22 +553,15 @@ class TestClosedFormFit:
 
     def test_antennas_left_uncertified_fall_back_alone(self, monkeypatch):
         # at N = 64 the outer antennas' lobes part, their maximum drops below the bound,
-        # and only they are searched on their whole windows
+        # and only they are searched again, on their whole windows
         cfg = SystemConfig(64, 1200, 28e9, 3e9)
         params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=65536)
-        searched = []
-
-        def first_peak(k, periods, size, half, s, jump):
-            searched.append(s.size)
-            return first_peak_whole(k, periods, size, half, s, jump)
-
-        first_peak_whole = dictionary_module._first_peak
-        monkeypatch.setattr(dictionary_module, "_first_peak", first_peak)
         for delta in offset_grid(61)[61::3][[7, 14, 19]].tolist():
-            searched.clear()
-            got = _fit_and_path(delta, params, cfg, monkeypatch)
+            calls = []
+            got = _fit_and_path(delta, params, cfg, monkeypatch, calls)
             assert got[2].any() and not got[2].all(), delta
-            assert searched == [int(np.sum(~got[2]))]
+            assert len(calls) == 2
+            assert calls[1][1].tobytes() == calls[0][1][~got[2]].tobytes()
             _assert_same_bits(got, _window_oracle(delta, params, cfg))
 
     @pytest.mark.parametrize("grid", [499, 61])

@@ -10,7 +10,10 @@ same bytes diffs this output against the parent commit's.  A first line,
 starting with ``#``, names the numpy version and the CPU dispatch level the
 hashes were taken at: numpy's baseline targets and the dispatch targets
 enabled on this host.  Compare hashes only between runs whose first lines
-match.
+match.  ``tools/equivalence.expected`` records the output at each dispatch
+level measured so far, one block per level starting with its ``#`` line;
+``tests/test_equivalence.py`` checks this host's run against it, and a
+change that moves bytes updates it.
 
 The dictionaries are built through the API so that their ``build_warnings``
 and ``degenerate`` lists can be hashed too (the CLI prints only their
