@@ -45,11 +45,9 @@ MAX_SE_VALUES = 2**28  # eval's trials x M: its SE array takes 2 GiB, its CSV ab
 
 def _directions_arg(raw: str) -> np.ndarray:
     try:
-        values = np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
+        values = np.array([float(tok) for tok in raw.split(",")])
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {raw!r}")
-    if values.size == 0:
-        raise argparse.ArgumentTypeError("direction list is empty")
     if not (np.abs(values) <= 1.0).all():
         raise argparse.ArgumentTypeError("directions must lie in [-1, 1]")
     return values

@@ -6,7 +6,7 @@ subcarrier as log2(1 + |gain at the assigned direction|^2 * SNR).  Trials are
 seeded independently from the master seed, and every trial's directions are
 drawn before any synthesis.  All trials are then synthesized, in one batch
 call when the synthesizer offers one (the hdb synthesizer does) and one call
-per trial otherwise or when the batch call fails, and their gains are
+per trial otherwise, and their gains are
 evaluated in fixed chunks of trials.  A trial's numbers do not depend on its
 chunk, so a report is byte-identical from run to run.  A report stores the
 SE rows and directions only; its means and ECDF are computed from them when
@@ -137,16 +137,13 @@ def _synthesize(
     """Delays and phases (kept, N) of the trials whose synthesis succeeded, and those trials.
 
     One ``synthesizer.batch`` call for all trials when the synthesizer has
-    one and it succeeds; otherwise one call per trial, in order, each
-    failure recorded in ``failures``.
+    one, whose exceptions propagate; otherwise one call per trial, in order,
+    each ValueError or ArithmeticError recorded in ``failures``.
     """
     batch = getattr(synthesizer, "batch", None)
     if batch is not None:
-        try:
-            delays, phases = batch(directions, cfg)
-            return delays, phases, np.arange(len(directions))
-        except (ValueError, ArithmeticError):
-            pass  # the per-trial calls below find and record the failing trials
+        delays, phases = batch(directions, cfg)
+        return delays, phases, np.arange(len(directions))
     kept, delays, phases = [], [], []
     for trial, dirs in enumerate(directions):
         try:
@@ -179,11 +176,10 @@ def monte_carlo(
     ``_CHUNK_TRIALS`` trials at a time, with the formula of
     :func:`~ttdbeam.core.gain_at_directions` over the chunk.  A trial's bits
     do not depend on its chunk, so the report is reproducible bit-for-bit.
-    ``workers`` is validated (>= 1 when given) and has no effect.  A trial
-    whose synthesis fails with a ValueError or an ArithmeticError is
-    recorded and skipped, not fatal; when the batch call fails so, every
-    trial is synthesized again on its own to find the failing ones.  Any
-    other exception propagates.
+    ``workers`` is validated (>= 1 when given) and has no effect.  A batch
+    call's exceptions propagate.  On the per-trial path a trial whose
+    synthesis fails with a ValueError or an ArithmeticError is recorded and
+    skipped, not fatal, and any other exception propagates.
     """
     if workers is not None:
         worker_count(workers)

@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -55,6 +57,10 @@ def _svg_numbers(text):
         except ValueError:
             pass
     return numbers
+
+
+# --dirs fields that are not a number in [-1, 1]
+_JUNK_DIRS = ("", " ", "nan", "inf", "1.5", "1e", "0x1p-1")
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +186,38 @@ class TestSynth:
         assert exc.value.code == 2
         assert "directions must lie in [-1, 1]" in capsys.readouterr().err
 
-    def test_empty_dirs_usage_error(self, built_dict, tmp_path, capsys):
+    @pytest.mark.parametrize("dirs", [",", "", " ", "0.5,,-0.5", "0.5,", ",0.5"],
+                             ids=["comma", "empty", "blank", "inner", "trailing", "leading"])
+    def test_empty_dirs_usage_error(self, built_dict, tmp_path, capsys, dirs):
         with pytest.raises(SystemExit) as exc:
-            main(["synth", "--dict", str(built_dict), "--dirs", ",", "--out", str(tmp_path / "x.json")])
+            main(["synth", "--dict", str(built_dict), "--dirs", dirs, "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
-        assert "direction list is empty" in capsys.readouterr().err
+        assert "not a comma-separated list of numbers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @given(tokens=st.lists(st.one_of(st.floats(-1.0, 1.0).map(repr), st.sampled_from(_JUNK_DIRS)),
+                           min_size=1, max_size=8))
+    @example(tokens=["-0.4", "0.4", "-0.1"])
+    @example(tokens=["0.5", "", "-0.5", ""])
+    @settings(max_examples=40, deadline=None)
+    def test_dirs_grammar(self, built_dict, tokens):
+        # exit 0 exactly when every field is a number in [-1, 1] and the field count divides M = 48
+        valid = not set(tokens) & set(_JUNK_DIRS) and 48 % len(tokens) == 0
+        with tempfile.TemporaryDirectory() as tmp:
+            out, stdout = Path(tmp) / "c.json", io.StringIO()
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    rc = main(["synth", "--dict", str(built_dict), "--dirs", ",".join(tokens), "--out", str(out)])
+            except SystemExit as exc:
+                rc = exc.code
+            if valid:
+                assert rc == 0
+                config_from_json_dict(json.loads(out.read_text()))
+                lines = stdout.getvalue().splitlines()
+                assert sum(line.startswith("subband ") for line in lines) == len(tokens)
+            else:
+                assert rc == 2
+                assert os.listdir(tmp) == []
 
     def test_out_of_range_dirs_usage_error(self, built_dict, tmp_path):
         with pytest.raises(SystemExit) as exc:

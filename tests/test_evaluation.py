@@ -1,5 +1,7 @@
+import importlib.util
 import threading
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttdbeam import evaluation
+from ttdbeam import hdb as hdb_module
 from ttdbeam.core import SystemConfig, gain_at_directions
 from ttdbeam.dictionary import GeneratorDictionary, offset_grid
 from ttdbeam.evaluation import (
@@ -25,6 +28,13 @@ from ttdbeam.evaluation import (
 from ttdbeam.hdb import DictionaryCompatibilityError, make_hdb_synthesizer
 from ttdbeam.solvers import constant_direction_config
 from ttdbeam.splitbeam import DirectionMap, expand_directions
+
+# the adversarial value table comes from the equivalence tool, so the table it hashes is the one tested here
+_spec = importlib.util.spec_from_file_location(
+    "equivalence", Path(__file__).resolve().parent.parent / "tools" / "equivalence.py"
+)
+equivalence = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(equivalence)
 
 
 def _row_by_row_csv(report, scenario):
@@ -45,37 +55,6 @@ def _csv_with_warnings_as_errors(report, scenario):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return "\n".join(report_csv_lines(report, scenario))
-
-
-def _adversarial_values():
-    """Doubles that stress a shortest round-trip digit kernel, deterministic.
-
-    40 ulps either side of each 10**k and float("1e{k}") for k = -5 .. 16,
-    powers of two, integers, decimals of 1 .. 17 significant digits, values
-    halfway between two 17- or 16-digit decimals, and nan, +-inf, +-0,
-    subnormals, 5e-324 and the largest double.
-    """
-    values = []
-    for k in range(-5, 17):
-        for base in (10.0**k, float(f"1e{k}")):
-            up = down = base
-            values.append(base)
-            for _ in range(40):
-                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
-                values += [up, down]
-    values += [2.0**e for e in range(-20, 60)] + [-(2.0**e) for e in range(-3, 4)]
-    values += [float(i) for i in range(1, 1001)] + [float(3**e) for e in range(40)]
-    digits = np.random.default_rng(17)
-    for n in range(1, 18):
-        for _ in range(200):
-            mantissa = int(digits.integers(10 ** (n - 1), 10**n))
-            values.append(float(f"{mantissa}e{int(digits.integers(-6, 17)) - n + 1}"))
-    for start in (2**50, 2**51, 2**52 - 200):  # quarters: x * 10 ends in .5, a 17-digit tie
-        values += [start + i + q for i in range(50) for q in (0.25, 0.5, 0.75)]
-    tiny = np.finfo(np.float64).tiny
-    values += [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, tiny, tiny / 3, 1e-310, 2.5e-308,
-               np.finfo(np.float64).max, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05]
-    return np.array(values, dtype=np.float64)
 
 
 def scenario_for(cfg, dictionary, trials=20, g=3, seed=7):
@@ -262,43 +241,65 @@ class TestChunks:
         scen = scenario_for(cfg_dict, small_dict, trials=37, g=8)
         _same_report(monte_carlo(scen, plain), monte_carlo(scen, hdb))
 
-    def test_failing_batch_falls_back_to_per_trial_calls(self, small_dict, cfg_dict, monkeypatch):
+    def test_failing_trials_are_recorded_across_chunks(self, small_dict, cfg_dict, monkeypatch):
         monkeypatch.setattr(evaluation, "_CHUNK_TRIALS", 4)
         hdb = make_hdb_synthesizer(small_dict)
         bad = {1, 2, 4, 5, 6, 7, 13}  # gain chunks of the kept trials: 0, 3, 8, 9 | 10, 11, 12
         scen = scenario_for(cfg_dict, small_dict, trials=14)
         grid = direction_grid(scen.direction_grid_size)
         bad_rows = {evaluation._draw(scen, grid, t).tobytes() for t in bad}
-
-        def plain(dmap, cfg):
-            if dmap.directions.tobytes() in bad_rows:
-                raise ValueError("injected")
-            return hdb(dmap, cfg)
-
         calls = []
 
         def flaky(dmap, cfg):
             calls.append(1)
-            return plain(dmap, cfg)
+            if dmap.directions.tobytes() in bad_rows:
+                raise ValueError("injected")
+            return hdb(dmap, cfg)
+
+        report = monte_carlo(scen, flaky)
+        assert calls == [1] * 14
+        assert [trial for trial, _ in report.failures] == sorted(bad)
+        _assert_scored_alone(report, scen, hdb, sorted(set(range(14)) - bad))
+
+    @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+    def test_failing_batch_propagates(self, small_dict, cfg_dict, error):
+        calls = []
+
+        def synth(dmap, cfg):
+            calls.append(1)
+            raise AssertionError("a failing batch is not retried trial by trial")
 
         def batch(directions, cfg):
             calls.append(len(directions))
-            if any(row.tobytes() in bad_rows for row in directions):
-                raise ValueError("injected")
-            return hdb.batch(directions, cfg)
+            raise error("injected")
 
-        flaky.batch = batch
-        report = monte_carlo(scen, flaky)
-        assert calls == [14] + [1] * 14
-        assert [trial for trial, _ in report.failures] == sorted(bad)
-        _assert_scored_alone(report, scen, hdb, sorted(set(range(14)) - bad))
-        _same_report(report, monte_carlo(scen, plain))
+        synth.batch = batch
+        with pytest.raises(error, match="injected"):
+            monte_carlo(scenario_for(cfg_dict, small_dict, trials=14), synth)
+        assert calls == [14]
+
+    def test_hdb_synthesizer_makes_one_batch_call(self, small_dict, cfg_dict, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(hdb_module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("synthesize", "synthesize_batch"):
+            monkeypatch.setattr(hdb_module, name, counting(name))
+        report = monte_carlo(scenario_for(cfg_dict, small_dict, trials=37, g=8), make_hdb_synthesizer(small_dict))
+        assert calls == ["synthesize_batch"]
+        assert report.n_trials == 37
 
     def test_every_trial_failing_is_an_error(self, small_dict, cfg_dict):
         def broken(dmap, cfg):
             raise ValueError("injected")
 
-        broken.batch = lambda directions, cfg: broken(None, cfg)
         with pytest.raises(RuntimeError, match="every trial failed; first error: ValueError: injected"):
             monte_carlo(scenario_for(cfg_dict, small_dict, trials=3), broken)
 
@@ -457,7 +458,7 @@ class TestBenchAndOutputs:
 
     def test_csv_bytes_match_on_adversarial_values(self, cfg_dict):
         # every value the digit kernel could get wrong, and every one it must leave to repr
-        values = _adversarial_values()
+        values = equivalence._adversarial_values()
         m_count = cfg_dict.n_subcarriers
         trials = -(-values.size // m_count)
         se = np.resize(values, trials * m_count).reshape(trials, m_count)

@@ -108,7 +108,7 @@ def _synth_stream_sha256(built, count: int, user_counts: tuple, on_grid: bool, s
 
 
 def _adversarial_values() -> np.ndarray:
-    """Doubles that stress a shortest round-trip digit kernel, as tests/test_evaluation.py builds them.
+    """Doubles that stress a shortest round-trip digit kernel; tests/test_evaluation.py tests the same table.
 
     40 ulps either side of each 10**k and float("1e{k}") for k = -5 .. 16,
     powers of two, integers, decimals of 1 .. 17 significant digits, values
