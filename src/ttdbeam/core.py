@@ -230,10 +230,19 @@ def _gain_profile(phi: ArrayConfig, psi, cfg: SystemConfig) -> np.ndarray:
     product per row.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    shift = np.arange(cfg.n_antennas) * (psi.reshape(-1, 1) / (2.0 * cfg.carrier_freq))
-    coarse, fine = _comb_factors(phi.delays + shift, phi.phases, cfg)
-    gains = np.matmul(np.swapaxes(coarse, 1, 2), fine)
-    return np.abs(gains).reshape(psi.shape[:-1] + (cfg.n_subcarriers,))
+    return _gain_profiles(phi.delays, phi.phases, psi.reshape(-1), cfg).reshape(psi.shape[:-1] + (-1,))
+
+
+def _gain_profiles(delays: np.ndarray, phases: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """:func:`_gain_profile` (..., D, M) of configs (..., N) toward their directions (..., D).
+
+    Unchecked.  The profiles of all configs and directions take one stacked
+    ``np.matmul``; each is bitwise the profile of its config alone.
+    """
+    shift = np.arange(cfg.n_antennas) * (psi[..., None] / (2.0 * cfg.carrier_freq))
+    coarse, fine = _comb_factors(delays[..., None, :] + shift, phases[..., None, :], cfg)
+    gains = np.matmul(np.swapaxes(coarse, -1, -2), fine)
+    return np.abs(gains).reshape(gains.shape[:-2] + (cfg.n_subcarriers,))
 
 
 def _comb_product(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:

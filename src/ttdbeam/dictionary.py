@@ -18,7 +18,7 @@ phases).  Conjugating target and precoder leaves the fit objective unchanged
 and the default one-period delay grid is symmetric modulo its period; the
 fold maps a negated delay to the negated folded one; the re-centring reads
 |gain| profiles, equal for a config toward psi and its negation toward -psi,
-and applies the linear ``hdb.scale_shift``.
+and applies the linear map of ``hdb.scale_shift``.
 
 The fit itself has a closed form for every delay range: each antenna's
 correlation with the two-subband target is a sum of two geometric series in
@@ -28,6 +28,12 @@ the built N x M target.  On the default grid, which spans one correlation
 period M/BW, only the grid points of the two main lobes are searched, and
 first only an inner window of each lobe, whose maximum a bound on the rest
 certifies.  One search, with one tie rule, serves every set of points.
+
+The build works on chunks of consecutive offsets, not on one offset at a
+time: the fit, the fold, the re-centring and the checks each run once over
+all E*N antenna rows of a chunk, every element by the same operations as
+alone, so a row has the same bits in any chunk.  Only builds of at least
+80 offsets delta >= 0 fork worker processes.
 
 Binary layout (little-endian): 40-byte header (magic "TTDD", version,
 N, A, D, M as int32, fc and bw as float64), then D offsets as float64, then
@@ -55,16 +61,17 @@ from .core import (
     SystemConfig,
     _check_delay_phase,
     _column_patterns,
-    _gain_profile,
+    _gain_profiles,
     _readonly,
     direction_grid,
     subcarrier_freqs,
-    zero_config,
 )
-from .solvers import (  # noqa: F401  jpta_approx is unused here; perfbench/tracer.py wraps this name
+# jpta_approx and fold_delay_periods are unused here; perfbench/tracer.py wraps these names
+from .solvers import (  # noqa: F401
     SolverParams,
+    _fold,
     _spans_one_period,
-    _winning_config,
+    _winning_phases,
     fold_delay_periods,
     jpta_approx,
 )
@@ -85,6 +92,10 @@ _MAGIC = b"TTDD"
 _VERSION = 1
 _HEADER = struct.Struct("<4siiiiidd")
 _GAIN_THRESHOLD = 0.5  # build warning when a subband's gain dips below this fraction of sqrt(N)
+_CHUNK_POINTS = 2**16  # the most fit grid points, offsets x antennas x points per row, of one chunk
+# the fewest offsets delta >= 0 a build forks worker processes for: on two cores two workers
+# built A = 77 faster than one process in 14 of 15 alternating builds, and A = 61 in 6 of 15
+_POOL_OFFSETS = 80
 THREADS_ENV = "TTDBEAM_THREADS"
 
 
@@ -233,8 +244,17 @@ def _window_peak(
     return at[n, best], c[n, best], peak
 
 
-def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> ArrayConfig:
-    """The config ``jpta_approx`` fits to the ideal [0, delta] two-subband target, in closed form.
+def _fit_radii(solver: SolverParams, cfg: SystemConfig) -> tuple[int, int] | None:
+    """Radii (r, reach) of the fit's inner and whole lobe windows; None when it evaluates the whole grid."""
+    size, m_count = solver.delay_grid_size, cfg.n_subcarriers
+    reach = -(-2 * size // m_count) + 1
+    if not _spans_one_period(solver.max_delay, cfg) or size < 2 * m_count or 2 * (2 * reach + 1) >= size:
+        return None
+    return int(_INNER_LOBE_WIDTHS * (size // (2 * (m_count // 2)))), reach
+
+
+def _two_subband_fit(deltas, solver: SolverParams, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Delays and phases (E, N) ``jpta_approx`` fits to the ideal [0, delta] two-subband targets, in closed form.
 
     At grid delay t_k = k*max_delay/K, antenna n's baseband correlation with
     the target is two geometric series in theta = 2*pi*BW*t_k/M,
@@ -255,7 +275,9 @@ def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> A
     the line search's except where two grid points tie exactly (rational
     fc/BW, delta and K can place both lobe peaks on the grid; a range of
     whole periods meets each peak more than once): rounding then picks the
-    winner, and may pick the other optimum.
+    winner, and may pick the other optimum.  The E offsets' antennas are the
+    E*N rows of each search, so a row may get more copies of its window
+    points than alone, and the same maximum at the same smallest k.
 
     The inner windows reach r = floor(1.2*floor(K/M)) steps from each centre,
     r measured in lobe widths (64 at K = 65536 and M = 1200, against 111 for
@@ -275,26 +297,53 @@ def _two_subband_fit(delta: float, solver: SolverParams, cfg: SystemConfig) -> A
     larger arrays, whose lobes part) are searched again, on their whole
     windows.
     """
+    deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
     n_count, m_count, size = cfg.n_antennas, cfg.n_subcarriers, solver.delay_grid_size
     one_period = _spans_one_period(solver.max_delay, cfg)
     periods = 1.0 if one_period else solver.max_delay * cfg.bandwidth / m_count  # range in periods M/BW
     half = m_count // 2
     n = np.arange(n_count)
-    s = np.pi * n * delta * cfg.bandwidth / (m_count * cfg.carrier_freq)
-    jump = np.exp(1j * np.pi * n * delta * (cfg.carrier_freq - cfg.bandwidth / 2.0) / cfg.carrier_freq)
-    reach = -(-2 * size // m_count) + 1
-    if not one_period or size < 2 * m_count or 2 * (2 * reach + 1) >= size:
+    s = (np.pi * n * deltas * cfg.bandwidth / (m_count * cfg.carrier_freq)).ravel()
+    jump = np.exp(1j * np.pi * n * deltas * (cfg.carrier_freq - cfg.bandwidth / 2.0) / cfg.carrier_freq).ravel()
+    radii = _fit_radii(solver, cfg)
+    if radii is None:
         k_best, c_best, _ = _window_peak(np.arange(size), periods, size, half, s, jump)
     else:
+        r, reach = radii
         centers = np.rint(-s * size / (2.0 * np.pi)).astype(np.int64)
-        r = int(_INNER_LOBE_WIDTHS * (size // (2 * half)))
         k_best, c_best, peak = _window_peak(_lobe_windows(centers, r), 1.0, size, half, s, jump)
         bound = 1.0 / math.sin(math.pi * (r + 1) / size) + 1.0 / math.sin(math.pi * (r + 0.5) / size)
         rest = ~(peak > bound * (1.0 + _CERTIFY_MARGIN))
         if rest.any():
             k_best[rest], c_best[rest], _ = _window_peak(
                 _lobe_windows(centers[rest], reach), 1.0, size, half, s[rest], jump[rest])
-    return _winning_config(k_best * (solver.max_delay / size), c_best, cfg)
+    t_best = k_best * (solver.max_delay / size)
+    shape = (deltas.size, n_count)
+    return t_best.reshape(shape), _winning_phases(t_best, c_best, cfg).reshape(shape)
+
+
+def _recenter(
+    delays: np.ndarray, phases: np.ndarray, deltas: np.ndarray, cfg: SystemConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`postprocess_center` of configs (E, N) at their offsets: new rows, and which are degenerate.
+
+    Both |gain| profiles of every config come from one stacked ``np.matmul``,
+    and ``hdb._rescale`` puts each row onto its own band; every row gets the
+    bits ``hdb.scale_shift`` gives it alone.  Degenerate rows keep their input.
+    """
+    directions = np.stack([np.zeros(deltas.shape), deltas], axis=-1)  # each entry's (0, delta)
+    m1, m2 = np.argmax(_gain_profiles(delays, phases, directions, cfg), axis=-1).T
+    degenerate = m1 == m2
+    ok = ~degenerate
+    m1, m2 = m1[ok], m2[ok]
+    alpha = cfg.n_subcarriers / (2.0 * np.abs(m2 - m1))
+    f = subcarrier_freqs(cfg)
+    fc_new = cfg.carrier_freq - ((f[m1] + f[m2]) / 2.0 - cfg.carrier_freq) * alpha
+    alpha = cfg.bandwidth * alpha / cfg.bandwidth  # scale_shift's ratio of the new bandwidth, as it rounds
+    delays, phases = delays.copy(), phases.copy()
+    delays[ok], phases[ok] = hdb._rescale(
+        delays[ok], phases[ok], alpha[:, None], (2.0 * np.pi * fc_new / alpha)[:, None], cfg)
+    return delays, phases, degenerate
 
 
 def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> ArrayConfig:
@@ -302,72 +351,88 @@ def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> Arr
 
     The band is rescaled so the two maxima land half the band apart and
     shifted so their frequency midpoint maps to the carrier.  Degenerate
-    inputs (both maxima on one subcarrier) are returned unchanged.
+    inputs (both maxima on one subcarrier) are returned unchanged.  The
+    one-row case of the build's re-centring of a chunk of entries.
     """
-    m1, m2 = np.argmax(_gain_profile(phi, np.array([[0.0], [delta]]), cfg), axis=1).tolist()
-    if m1 == m2:
-        return phi
-    alpha = cfg.n_subcarriers / (2.0 * abs(m2 - m1))
-    f = subcarrier_freqs(cfg)
-    fc_new = cfg.carrier_freq - ((f[m1] + f[m2]) / 2.0 - cfg.carrier_freq) * alpha
-    return hdb.scale_shift(phi, fc_new, cfg.bandwidth * alpha, cfg)
+    delays, phases, degenerate = _recenter(phi.delays[None], phi.phases[None], np.array([delta]), cfg)
+    return phi if degenerate[0] else ArrayConfig(delays[0], phases[0])
+
+
+def _build_chunk(
+    deltas, cfg: SystemConfig, solver: SolverParams, direction_grid_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
+    """Build the entries of offsets delta >= 0 and check them and their mirrors at -delta.
+
+    Returns (delays, phases, degenerate, warnings for the -delta entries,
+    warnings for the +delta entries): rows (E, N), flags (E,), and the
+    warnings in ascending order of their offsets.  Entry -delta is entry
+    delta negated, degenerate exactly when it is; offset 0 is the zero
+    config.  The fit, the fold, the re-centring and the checks each run once
+    over all the chunk's entries.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)
+    delays, phases = np.zeros((2, deltas.size, cfg.n_antennas))
+    degenerate = np.zeros(deltas.size, dtype=bool)
+    fit = deltas != 0.0
+    if fit.any():
+        delays[fit], phases[fit], degenerate[fit] = _recenter(
+            *_fold(*_two_subband_fit(deltas[fit], solver, cfg), cfg), deltas[fit], cfg)
+    checked = fit & ~degenerate
+    mirror_warnings, warnings = _entry_diagnostics(
+        deltas[checked], delays[checked], phases[checked], cfg, direction_grid_size)
+    return (delays, phases, degenerate,
+            [w for found in mirror_warnings[::-1] for w in found], [w for found in warnings for w in found])
 
 
 def _build_one(
     delta: float, cfg: SystemConfig, solver: SolverParams, direction_grid_size: int
 ) -> tuple[ArrayConfig, bool, list[str], list[str]]:
-    """Build the entry for an offset delta >= 0 and check it and its mirror at -delta.
-
-    Returns (config, degenerate, warnings for -delta, warnings for +delta);
-    the -delta entry is the config negated, degenerate exactly when it is.
-    """
-    if delta == 0.0:
-        return zero_config(cfg.n_antennas), False, [], []
-    phi = fold_delay_periods(_two_subband_fit(delta, solver, cfg), cfg)
-    out = postprocess_center(phi, delta, cfg)
-    if out is phi:
-        return phi, True, [], []
-    return (out, False, *_entry_diagnostics(delta, out, cfg, direction_grid_size))
+    """:func:`_build_chunk` of one offset delta >= 0: (config, degenerate, warnings for -delta, for +delta)."""
+    delays, phases, degenerate, mirror_warnings, warnings = _build_chunk(
+        [delta], cfg, solver, direction_grid_size)
+    return ArrayConfig(delays[0], phases[0]), bool(degenerate[0]), mirror_warnings, warnings
 
 
 def _entry_diagnostics(
-    delta: float, phi: ArrayConfig, cfg: SystemConfig, direction_grid_size: int
-) -> tuple[list[str], list[str]]:
-    """Fidelity checks, peak placement and minimum gain, for a non-degenerate entry and its mirror.
+    deltas: np.ndarray, delays: np.ndarray, phases: np.ndarray, cfg: SystemConfig, direction_grid_size: int
+) -> tuple[list[list[str]], list[list[str]]]:
+    """Fidelity checks, peak placement and minimum gain, for non-degenerate entries (E, N) and their mirrors.
 
-    Returns (warnings for the config negated at -delta, warnings for the
-    config at delta).  Both use the smallest |gain| of each half band toward
-    its own direction (0, then delta) for this entry: the negated config
-    toward -delta has bitwise the same |gain| profiles.  Peaks are read at
-    each subband's centre subcarrier, for both configs in one elementwise
-    Horner evaluation.
+    Returns (warnings for each config negated at -delta, warnings for each
+    config at delta), one list per entry.  Both use the smallest |gain| of
+    each half band toward its own direction (0, then delta) for the entry:
+    the negated config toward -delta has bitwise the same |gain| profiles.
+    Peaks are read at each subband's centre subcarrier, for every config and
+    its mirror in one elementwise Horner evaluation.  The checks run on
+    arrays; Python only formats the warnings they find.
     """
     half = cfg.n_subcarriers // 2
-    low, high = _gain_profile(phi, np.array([[0.0], [delta]]), cfg)
-    band_minima = (float(low[:half].min()), float(high[half:].min()))
+    profiles = _gain_profiles(delays, phases, np.stack([np.zeros(deltas.shape), deltas], axis=-1), cfg)
+    minima = np.stack([profiles[:, 0, :half].min(axis=-1), profiles[:, 1, half:].min(axis=-1)], axis=-1)
     points = direction_grid(direction_grid_size)
     step = points[1] - points[0]
     floor = _GAIN_THRESHOLD * np.sqrt(cfg.n_antennas)
     centres = np.array([half // 2, half + half // 2])  # subband-centre subcarriers
     f_c = subcarrier_freqs(cfg)[centres]
     sign = np.array([[-1.0], [1.0]])  # the mirror, then the entry
-    gains = _column_patterns(sign * phi.delays, sign * phi.phases, centres, points, cfg)
-    found: tuple[list[str], list[str]] = ([], [])
-    for offset, peaks, warnings in zip((-delta, delta), points[np.argmax(np.abs(gains), axis=-1)], found):
-        for band, (target, f_m, peak, low) in enumerate(zip((0.0, offset), f_c, peaks, band_minima), start=1):
-            if low < floor:
-                warnings.append(
-                    f"offset {offset:+.6f}: subband {band} gain dips to {low:.3f} (< {floor:.3f})"
-                )
-            # the visible peak of direction d at frequency f_m is its alias
-            # d - 2k*fc/f_m brought into [-1, 1]
-            k = round(target * f_m / (2.0 * cfg.carrier_freq))
-            expected = target - 2.0 * k * cfg.carrier_freq / f_m
-            if abs(peak - expected) > 2.0 * step + 1e-12:
-                warnings.append(
-                    f"offset {offset:+.6f}: subband {band} peak at {peak:+.6f}, "
-                    f"{abs(peak - expected) / step:.1f} grid steps from expected {expected:+.6f}"
-                )
+    gains = _column_patterns(sign * delays[:, None], sign * phases[:, None], centres, points, cfg)
+    peaks = points[np.argmax(np.abs(gains), axis=-1)]  # (entry, sign, band)
+    offsets = sign.T * deltas[:, None]
+    targets = np.stack([np.zeros(offsets.shape), offsets], axis=-1)
+    # the visible peak of direction d at frequency f_m is its alias d - 2k*fc/f_m brought into [-1, 1]
+    k = np.round(targets * f_c / (2.0 * cfg.carrier_freq))
+    expected = targets - 2.0 * k * cfg.carrier_freq / f_c
+    miss = np.abs(peaks - expected)
+    dips, far = minima < floor, miss > 2.0 * step + 1e-12
+    found = ([[] for _ in deltas], [[] for _ in deltas])
+    for e, s, b in zip(*np.nonzero(dips[:, None, :] | far)):
+        offset = offsets[e, s]
+        if dips[e, b]:
+            found[s][e].append(f"offset {offset:+.6f}: subband {b + 1} gain dips to {minima[e, b]:.3f} "
+                               f"(< {floor:.3f})")
+        if far[e, s, b]:
+            found[s][e].append(f"offset {offset:+.6f}: subband {b + 1} peak at {peaks[e, s, b]:+.6f}, "
+                               f"{miss[e, s, b] / step:.1f} grid steps from expected {expected[e, s, b]:+.6f}")
     return found
 
 
@@ -405,32 +470,42 @@ def build_dictionary(
     :func:`_two_subband_fit` for every ``solver.max_delay``; no target is
     built.  Entry -delta is entry delta negated: target(-delta) =
     conj(target(delta)) and every later step is odd in (delays, phases) (see
-    the module docstring).  The A fitted entries are independent and may
-    build in parallel; the result is identical regardless of worker count.
-    Fidelity diagnostics for delta and -delta run in the workers, right
-    after the entry is built.  Their findings are attached as
-    ``build_warnings`` and degenerate entries listed in ``degenerate``, both
-    in ascending offset order; neither affects equality or persistence.
+    the module docstring).
+
+    The A fitted offsets are built in chunks of consecutive offsets, as many
+    as keep the fit at 2**16 grid points (E*N*W, with W the points per
+    antenna row: 2(2r + 1) on the inner windows, K on the whole grid), and
+    at least one; each layer runs once per chunk (:func:`_build_chunk`).
+    Builds of at least 80 offsets fork ``workers`` processes, each taking
+    one contiguous run of chunks; smaller builds, and one worker, run in the
+    calling process.  The result is identical regardless of worker count.
+    Fidelity diagnostics for delta and -delta run with the chunk's entries.
+    Their findings are attached as ``build_warnings`` and degenerate entries
+    listed in ``degenerate``, both in ascending offset order; neither
+    affects equality or persistence.
     """
     if cfg.n_subcarriers % 2 != 0:
         raise ValueError("dictionary construction needs an even subcarrier count")
     offsets = offset_grid(direction_grid_size)
     zero = direction_grid_size - 1  # index of offset 0; offsets[zero + k] = -offsets[zero - k]
-    deltas = offsets[zero:].tolist()
-    args = (deltas, repeat(cfg), repeat(solver), repeat(direction_grid_size))
+    deltas = offsets[zero:]
+    radii = _fit_radii(solver, cfg)
+    width = solver.delay_grid_size if radii is None else 2 * (2 * radii[0] + 1)
+    per_chunk = max(1, _CHUNK_POINTS // (cfg.n_antennas * width))
+    chunks = [deltas[i : i + per_chunk] for i in range(0, deltas.size, per_chunk)]
+    args = (chunks, repeat(cfg), repeat(solver), repeat(direction_grid_size))
 
     n_workers = worker_count(workers)
-    if n_workers > 1 and len(deltas) > 4:
+    if n_workers > 1 and deltas.size >= _POOL_OFFSETS:
         from concurrent.futures import ProcessPoolExecutor  # imported here: it pulls in multiprocessing
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            built = list(pool.map(_build_one, *args, chunksize=math.ceil(len(deltas) / n_workers)))
+            built = list(pool.map(_build_chunk, *args, chunksize=math.ceil(len(chunks) / n_workers)))
     else:
-        built = list(map(_build_one, *args))
+        built = list(map(_build_chunk, *args))
 
-    configs, degenerate, mirror_warnings, warnings = zip(*built)
-    delays = np.array([phi.delays for phi in configs])
-    phases = np.array([phi.phases for phi in configs])
-    flagged = [k for k, bad in enumerate(degenerate) if bad]
+    delays, phases, degenerate, mirror_warnings, warnings = zip(*built)
+    delays, phases = np.concatenate(delays), np.concatenate(phases)
+    flagged = np.flatnonzero(np.concatenate(degenerate)).tolist()
     return GeneratorDictionary(
         offsets=offsets,
         delays=np.concatenate([-delays[:0:-1], delays]),

@@ -125,14 +125,13 @@ def _spans_one_period(max_delay: float, cfg: SystemConfig) -> bool:
     return abs(max_delay * cfg.bandwidth / cfg.n_subcarriers - 1.0) < 1e-12
 
 
-def _winning_config(t_best: np.ndarray, best: np.ndarray, cfg: SystemConfig) -> ArrayConfig:
-    """Config from each antenna's winning delay and baseband correlation there.
+def _winning_phases(t_best: np.ndarray, best: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Phases, elementwise, from winning delays and the baseband correlations there.
 
     The phase is the argument of the correlation once the carrier factor
     exp(j*2*pi*(fc - BW/2)*t) is put back.
     """
-    best = best * np.exp(1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_best)
-    return ArrayConfig(t_best, np.angle(best))
+    return np.angle(best * np.exp(1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_best))
 
 
 def _correlation_scores(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndarray,
@@ -185,7 +184,8 @@ def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -
     t_grid = delay_grid(params.max_delay, params.delay_grid_size)
     scores = _correlation_scores(v_target, cfg, t_grid, params.max_delay)
     best_k = np.argmax(np.abs(scores), axis=1)  # first max: smaller delay wins ties
-    return _winning_config(t_grid[best_k], scores[np.arange(cfg.n_antennas), best_k], cfg)
+    t_best = t_grid[best_k]
+    return ArrayConfig(t_best, _winning_phases(t_best, scores[np.arange(cfg.n_antennas), best_k], cfg))
 
 
 def fold_delay_periods(phi: ArrayConfig, cfg: SystemConfig) -> ArrayConfig:
@@ -199,12 +199,15 @@ def fold_delay_periods(phi: ArrayConfig, cfg: SystemConfig) -> ArrayConfig:
     remapping.  Folding each delay into [-M/(2*BW), M/(2*BW)] and
     compensating the phase (mod 2*pi) picks the smooth representative.
     """
+    return ArrayConfig(*_fold(phi.delays, phi.phases, cfg))
+
+
+def _fold(delays: np.ndarray, phases: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fold_delay_periods` of (delays, phases) of any shape, elementwise."""
     period = cfg.n_subcarriers / cfg.bandwidth
-    k = np.round(phi.delays / period)
+    k = np.round(delays / period)
     comp = k * (2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * period)
-    return ArrayConfig(
-        phi.delays - k * period, np.mod(phi.phases - comp, 2.0 * np.pi)
-    )
+    return delays - k * period, np.mod(phases - comp, 2.0 * np.pi)
 
 
 def exhaustive_oracle(

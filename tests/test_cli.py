@@ -831,20 +831,15 @@ class TestOutOfMemory:
     @pytest.mark.parametrize(
         "args",
         [["eval", "--ues", "1", "--trials", "2", "--out-prefix", "x"],
-         ["synth", "--dirs", "0.5", "--out", "o.json"],
-         ["dict-build", "--n", "4", "--m", "24", "--fc", "28e9", "--bw", "3e9", "--grid", "100000000",
-          "--out", "d.ttdd"],
-         ["dict-build", "--n", "4", "--m", "24", "--fc", "28e9", "--bw", "3e9", "--grid", "9",
-          "--delay-grid", "1000000000000", "--out", "d.ttdd"]],
-        ids=["eval_huge_m", "synth_huge_m", "huge_grid", "huge_delay_grid"],
+         ["synth", "--dirs", "0.5", "--out", "o.json"]],
+        ids=["eval_huge_m", "synth_huge_m"],
     )
     def test_allocation_failure_exit_6(self, tmp_path, args):
         # the command runs in a child process capped at 1 GiB of address space;
         # the .ttdd header declares M = 2**31 - 1 subcarriers over a 256-byte file
         huge = tmp_path / "huge.ttdd"
         _write_ttdd(huge, n=4, m=2**31 - 1, fc=28e9, bw=3e9, a=2, phase=0.0)
-        if args[0] != "dict-build":
-            args = [args[0], "--dict", str(huge), *args[1:]]
+        args = [args[0], "--dict", str(huge), *args[1:]]
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=tmp_path, env=env,
@@ -880,6 +875,46 @@ class TestTrialBound:
         assert main(args + ["--trials", "3", "--out-prefix", str(tmp_path / "ok")]) == 0
         assert main(args + ["--trials", "4", "--out-prefix", str(tmp_path / "over")]) == 2
         assert not (tmp_path / "over.csv").exists()
+
+
+class TestBuildBound:
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "100000000"],
+         "error: --grid 100000000 at N = 4 asks for 1599999992 table values; the bound is 16777216 (2**24)"),
+        (["--grid", "9", "--delay-grid", "1000000000000"],
+         "error: --delay-grid 1000000000000 at N = 4, M = 24 asks for 1333333333368 fit points per offset; "
+         "the bound is 16777216 (2**24)"),
+    ], ids=["grid", "delay-grid"])
+    def test_oversized_build_exits_2_before_allocating(self, tmp_path, flags, message):
+        # a 1.49 GiB offset grid and 745 GiB of window indices: refused at once, in a child
+        # process capped at 1 GiB of address space, before the offsets or the fit
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        args = ["dict-build", "--n", "4", "--m", "24", "--fc", "28e9", "--bw", "3e9", *flags, "--out", "d.ttdd"]
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+        assert time.perf_counter() - start < 5.0
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.splitlines() == [message]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("delay_grid, largest, flag", [
+        # lobe windows of reach 5463: 4 * 2 * (2 * 5463 + 1) fit points against 17 * 8 table values
+        ("65536", 87416, "--delay-grid"),
+        # reach 7: 4 * 30 = 120 fit points, so the 136 table values are the larger
+        ("64", 136, "--grid"),
+    ], ids=["fit", "table"])
+    def test_bound_is_the_larger_of_table_and_fit(self, tmp_path, monkeypatch, delay_grid, largest, flag, capsys):
+        args = ["dict-build", "--n", "4", "--m", "24", "--fc", "28e9", "--bw", "3e9", "--grid", "9",
+                "--delay-grid", delay_grid]
+        monkeypatch.setattr(cli, "MAX_BUILD_VALUES", largest)
+        assert main(args + ["--out", str(tmp_path / "ok.ttdd")]) == 0
+        monkeypatch.setattr(cli, "MAX_BUILD_VALUES", largest - 1)
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "over.ttdd")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not (tmp_path / "over.ttdd").exists()
 
 
 class TestBench:

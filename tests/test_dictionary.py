@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import json
 import math
@@ -114,7 +115,7 @@ class TestBuild:
     @given(
         n=st.integers(1, 8),
         m=st.integers(1, 12).map(lambda h: 2 * h),
-        a=st.integers(5, 9),  # A > 4 offsets >= 0, so two workers take the process pool
+        a=st.integers(5, 9),
         fc_over_bw=st.sampled_from([0.75, 1.5, 28.0 / 3.0, 25.0]),
     )
     @settings(max_examples=8, deadline=None)
@@ -122,7 +123,10 @@ class TestBuild:
         cfg = SystemConfig(n, m, fc_over_bw * 3e9, 3e9)
         params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=4096)
         one = build_dictionary(cfg, a, params, workers=1)
-        two = build_dictionary(cfg, a, params, workers=2)
+        with pytest.MonkeyPatch.context() as mp:
+            # A >= 5 offsets >= 0 and the pool threshold lowered to 2, so two workers take the process pool
+            mp.setattr(dictionary_module, "_POOL_OFFSETS", 2)
+            two = build_dictionary(cfg, a, params, workers=2)
         assert one == two
         assert one.build_warnings == two.build_warnings
         assert one.degenerate == two.degenerate
@@ -131,6 +135,111 @@ class TestBuild:
         cfg = SystemConfig(4, 9, 1e9, 1e8)
         with pytest.raises(ValueError):
             build_dictionary(cfg, 5, SolverParams(max_delay=9e-9, n_iterations=1, delay_grid_size=16))
+
+
+def _assert_rows_are_build_one(d, cfg, params):
+    """Each row delta >= 0 of a build, its degenerate flag and its warnings are those of ``_build_one``."""
+    a = d.direction_grid_size
+    mirrors, entries = [], []
+    for i in range(a - 1, 2 * a - 1):
+        phi, degenerate, mirror_warnings, warnings = _build_one(float(d.offsets[i]), cfg, params, a)
+        assert d.delays[i].tobytes() == phi.delays.tobytes()
+        assert d.phases[i].tobytes() == phi.phases.tobytes()
+        assert degenerate == (i in d.degenerate)
+        mirrors.append(mirror_warnings)
+        entries.append(warnings)
+    assert d.build_warnings == tuple(w for found in (*mirrors[::-1], *entries) for w in found)
+
+
+def _fit_width(params, cfg):
+    """W, the fit's grid points per antenna row as the build counts them for its chunks."""
+    radii = dictionary_module._fit_radii(params, cfg)
+    return params.delay_grid_size if radii is None else 2 * (2 * radii[0] + 1)
+
+
+def _chunk_sizes(mp):
+    """A list that gets the offset count of each ``_build_chunk`` call in this process, caught on ``mp``."""
+    sizes = []
+    real = dictionary_module._build_chunk
+
+    def build_chunk(deltas, *args):
+        sizes.append(len(deltas))
+        return real(deltas, *args)
+
+    mp.setattr(dictionary_module, "_build_chunk", build_chunk)
+    return sizes
+
+
+def _assert_same_build(got, expected):
+    assert got.delays.tobytes() == expected.delays.tobytes()
+    assert got.phases.tobytes() == expected.phases.tobytes()
+    assert got.build_warnings == expected.build_warnings
+    assert got.degenerate == expected.degenerate
+
+
+class TestChunks:
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 12).map(lambda h: 2 * h),
+        a=st.integers(5, 40),
+        fc_over_bw=st.sampled_from([0.75, 1.5, 28.0 / 3.0, 25.0]),
+        log_k=st.integers(1, 12),
+        periods=st.sampled_from([1.0, 0.5, 1.7]),  # the delay range in correlation periods M/BW
+        per_chunk=st.integers(1, 7),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_chunked_builds_are_the_one_chunk_build(self, n, m, a, fc_over_bw, log_k, periods, per_chunk):
+        cfg = SystemConfig(n, m, fc_over_bw * 3e9, 3e9)
+        params = SolverParams(max_delay=periods * default_max_delay(cfg), delay_grid_size=2**log_k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dictionary_module, "_CHUNK_POINTS", 2**62)
+            sizes = _chunk_sizes(mp)
+            whole = build_dictionary(cfg, a, params, workers=1)
+        assert sizes == [a]
+        _assert_rows_are_build_one(whole, cfg, params)
+        # a budget of per_chunk offsets and a pool threshold below A; the workers fork with the
+        # module's globals as patched here, and each takes one contiguous run of chunks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dictionary_module, "_CHUNK_POINTS", per_chunk * n * _fit_width(params, cfg))
+            mp.setattr(dictionary_module, "_POOL_OFFSETS", 2)
+            with pytest.MonkeyPatch.context() as recording:
+                sizes = _chunk_sizes(recording)
+                _assert_same_build(build_dictionary(cfg, a, params, workers=1), whole)
+            assert sizes == [per_chunk] * (a // per_chunk) + [a % per_chunk] * (a % per_chunk > 0)
+            for workers in (2, 3):
+                _assert_same_build(build_dictionary(cfg, a, params, workers=workers), whole)
+
+    def test_whole_grid_beyond_the_budget_takes_one_offset_per_chunk(self, cfg_dict, monkeypatch):
+        # half a period is searched on the whole grid: N*K = 16 * 8192 = 2**17 points for one offset
+        params = SolverParams(max_delay=0.5 * default_max_delay(cfg_dict), delay_grid_size=8192)
+        assert dictionary_module._fit_radii(params, cfg_dict) is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dictionary_module, "_CHUNK_POINTS", 2**62)
+            whole = build_dictionary(cfg_dict, 9, params, workers=1)
+        sizes = _chunk_sizes(monkeypatch)
+        _assert_same_build(build_dictionary(cfg_dict, 9, params, workers=1), whole)
+        assert sizes == [1] * 9
+
+    def test_full_scale_chunks(self, monkeypatch):
+        # W = 2(2r + 1) = 258 points per antenna row on the inner windows: 15 offsets a chunk at N = 16
+        cfg = SystemConfig(16, 1200, 28e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg))
+        assert _fit_width(params, cfg) == 258
+        sizes = _chunk_sizes(monkeypatch)
+        build_dictionary(cfg, 61, params, workers=1)
+        assert sizes == [15] * 4 + [1]
+
+    def test_small_builds_start_no_process(self, cfg_dict, monkeypatch):
+        class NoProcesses:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the build started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
+        a = dictionary_module._POOL_OFFSETS - 1  # A offsets delta >= 0, one below the threshold
+        assert build_dictionary(cfg_dict, a, params, workers=2) == build_dictionary(cfg_dict, a, params, workers=1)
+        with pytest.raises(AssertionError, match="started a process pool"):
+            build_dictionary(cfg_dict, a + 1, params, workers=2)
 
 
 def _wrapped(x):
@@ -169,20 +278,14 @@ class TestMirror:
 
     def test_nonnegative_rows_are_build_one_configs(self, built, cfg_dict):
         d, params = built
-        a = d.direction_grid_size
-        for i in range(a - 1, 2 * a - 1):
-            phi = _build_one(float(d.offsets[i]), cfg_dict, params, a)[0]
-            assert d.delays[i].tobytes() == phi.delays.tobytes()
-            assert d.phases[i].tobytes() == phi.phases.tobytes()
+        _assert_rows_are_build_one(d, cfg_dict, params)
 
     def test_warnings_are_per_offset_diagnostics_in_offset_order(self, small_dict, cfg_dict):
         a = small_dict.direction_grid_size
-        expected = tuple(
-            w
-            for i, delta in enumerate(small_dict.offsets)
-            if delta != 0.0 and i not in small_dict.degenerate
-            for w in _entry_diagnostics(float(delta), small_dict.config(i), cfg_dict, a)[1]
-        )
+        rows = [i for i, delta in enumerate(small_dict.offsets) if delta != 0.0 and i not in small_dict.degenerate]
+        found = _entry_diagnostics(small_dict.offsets[rows], small_dict.delays[rows], small_dict.phases[rows],
+                                   cfg_dict, a)[1]
+        expected = tuple(w for warnings in found for w in warnings)
         assert len({w.split(":")[0] for w in expected}) >= 4  # two or more +/- pairs warn
         assert small_dict.build_warnings == expected
 
@@ -201,12 +304,16 @@ class TestMirror:
     def test_degenerate_offset_flags_both_signs(self, cfg_dict, monkeypatch):
         params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
         normal = build_dictionary(cfg_dict, 9, params, workers=1)
-        real = dictionary_module.postprocess_center
-        monkeypatch.setattr(
-            dictionary_module,
-            "postprocess_center",
-            lambda phi, delta, cfg: phi if delta == 0.5 else real(phi, delta, cfg),
-        )
+        real = dictionary_module._recenter
+
+        def recenter(delays, phases, deltas, cfg):
+            # the row of offset 0.5 comes back unchanged and flagged, as a degenerate one does
+            out_delays, out_phases, degenerate = real(delays, phases, deltas, cfg)
+            hit = deltas == 0.5
+            out_delays[hit], out_phases[hit] = delays[hit], phases[hit]
+            return out_delays, out_phases, degenerate | hit
+
+        monkeypatch.setattr(dictionary_module, "_recenter", recenter)
         built = build_dictionary(cfg_dict, 9, params, workers=1)
         assert built.offsets[6] == -0.5 and built.offsets[10] == 0.5
         assert built.degenerate == (6, 10)
@@ -223,9 +330,9 @@ class TestMirror:
         params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=65536)
         a = small_dict.direction_grid_size
         out, degenerate, mirror_warnings, _ = _build_one(delta, cfg_dict, params, a)
-        mirror = ArrayConfig(-out.delays, -out.phases)
         assert not degenerate
-        assert mirror_warnings == _entry_diagnostics(-delta, mirror, cfg_dict, a)[1]
+        assert mirror_warnings == _entry_diagnostics(np.array([-delta]), -out.delays[None], -out.phases[None],
+                                                     cfg_dict, a)[1][0]
         expected = {1.0: ["offset -1.000000: subband 2 peak at"],
                     1.9: ["offset -1.900000: subband 1 gain dips to"]}.get(delta, [])
         assert [w[: len(e)] for w, e in zip(mirror_warnings, expected)] == expected
@@ -328,7 +435,7 @@ def _differs_from_line_search(delta, params, cfg):
     """
     v = _two_subband_target(delta, cfg)
     ref = jpta_approx(v, params, cfg)
-    got = _two_subband_fit(delta, params, cfg)
+    got = ArrayConfig(*(rows[0] for rows in _two_subband_fit([delta], params, cfg)))
     differs = got.delays != ref.delays
     assert np.max(_wrapped(got.phases - ref.phases)[~differs], initial=0.0) <= 1e-9
     if differs.any():
@@ -387,18 +494,18 @@ def _fit_and_path(delta, params, cfg, mp, calls=None):
     seen = {}
     calls = [] if calls is None else calls
 
-    def winning_config(t_best, best, cfg):
+    def winning_phases(t_best, best, cfg):
         seen["fit"] = (t_best, best)
-        return solvers_module._winning_config(t_best, best, cfg)
+        return solvers_module._winning_phases(t_best, best, cfg)
 
     def window_peak(k, periods, size, half, s, jump):
         found = _WINDOW_PEAK(k, periods, size, half, s, jump)
         calls.append((k.ndim, s.copy(), found[2]))
         return found
 
-    mp.setattr(dictionary_module, "_winning_config", winning_config)
+    mp.setattr(dictionary_module, "_winning_phases", winning_phases)
     mp.setattr(dictionary_module, "_window_peak", window_peak)
-    _two_subband_fit(delta, params, cfg)
+    _two_subband_fit([delta], params, cfg)
     certified = np.zeros(cfg.n_antennas, bool)
     if calls[0][0] == 2:
         size = params.delay_grid_size
@@ -508,7 +615,7 @@ class TestClosedFormFit:
         # flat series: every candidate of an antenna ties, including those left of k = 0 (mod K)
         monkeypatch.setattr(dictionary_module, "_geometric_sum", lambda phi, first, count: np.ones(phi.shape))
         params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=65536)
-        assert _two_subband_fit(0.5, params, cfg_dict).delays.tobytes() == np.zeros(16).tobytes()
+        assert _two_subband_fit([0.5], params, cfg_dict)[0].tobytes() == np.zeros(16).tobytes()
 
     def test_certified_ties_keep_the_smaller_delay(self, cfg_dict, monkeypatch):
         # flat series far above the bound: every inner point of an antenna ties and certifies

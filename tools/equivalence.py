@@ -181,9 +181,10 @@ def _fit_sha256(count: int, seed: int) -> str:
     for _ in range(count):
         delta, size = float(rng.uniform(0.0, 2.0)), int(rng.integers(m_count, 64 * m_count))
         cfg = SystemConfig(16, m_count, float(rng.uniform(0.6, 20.0)) * SYSTEM.bandwidth, SYSTEM.bandwidth)
-        phi = _two_subband_fit(delta, SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=size), cfg)
-        digest.update(phi.delays.tobytes())
-        digest.update(phi.phases.tobytes())
+        solver = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=size)
+        delays, phases = _two_subband_fit([delta], solver, cfg)  # one offset: rows (1, 16)
+        digest.update(delays.tobytes())
+        digest.update(phases.tobytes())
     return digest.hexdigest()
 
 
