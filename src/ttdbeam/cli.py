@@ -1,8 +1,8 @@
 """Command-line interface: dictionary builds, synthesis, evaluation, benchmarks, plots.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input, 6 out of memory.
-dict-build refuses a --grid or --delay-grid whose table or fit exceeds
-MAX_BUILD_VALUES, and eval a --trials beyond MAX_SE_VALUES, before either allocates.
+dict-build refuses a --grid, --delay-grid or --m whose table or largest per-offset array
+exceeds MAX_BUILD_VALUES, and eval a --trials beyond MAX_SE_VALUES, before either allocates.
 TTDBEAM_THREADS caps the worker processes of the dictionary build (0 = auto);
 builds of fewer than 80 offsets, and eval, run in the calling process.
 """
@@ -43,7 +43,7 @@ EXIT_IO = 3
 EXIT_PARSE = 5
 EXIT_MEMORY = 6
 MAX_SE_VALUES = 2**28  # eval's trials x M: its SE array takes 2 GiB, its CSV about 12 GB
-MAX_BUILD_VALUES = 2**24  # dict-build's table values (2A - 1)*2N, and one offset's fit points N*W
+MAX_BUILD_VALUES = 2**24  # dict-build's table values (2A - 1)*2N, and each array of one offset
 
 
 def _directions_arg(raw: str) -> np.ndarray:
@@ -75,22 +75,23 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _check_build_size(grid: int, params: SolverParams, cfg: SystemConfig) -> None:
-    """ValueError when the dictionary's table or one offset's fit would hold more than MAX_BUILD_VALUES.
+    """ValueError when the dictionary's table or one offset's array would hold more than MAX_BUILD_VALUES.
 
-    The table holds 2A - 1 rows of 2N values.  One offset's fit evaluates W
-    grid points per antenna: K on the whole grid, 2(2*reach + 1) on the lobe
-    windows; chunks of offsets do not make that smaller.
+    The table holds 2A - 1 rows of 2N values.  One offset's arrays are ``dictionary._offset_sizes``: the fit
+    on the whole windows, which any antenna may search, then the profiles and the peak check's patterns.
     """
     n_count = cfg.n_antennas
     values = (2 * grid - 1) * 2 * n_count
     if values > MAX_BUILD_VALUES:
         raise ValueError(f"--grid {grid} at N = {n_count} asks for {values} table values; "
                          f"the bound is {MAX_BUILD_VALUES} (2**24)")
-    radii = dict_io._fit_radii(params, cfg)
-    points = n_count * (params.delay_grid_size if radii is None else 2 * (2 * radii[1] + 1))
+    _, points, profiles, patterns = dict_io._offset_sizes(params, cfg, grid)
     if points > MAX_BUILD_VALUES:
         raise ValueError(f"--delay-grid {params.delay_grid_size} at N = {n_count}, M = {cfg.n_subcarriers} "
                          f"asks for {points} fit points per offset; the bound is {MAX_BUILD_VALUES} (2**24)")
+    if max(profiles, patterns) > MAX_BUILD_VALUES:
+        raise ValueError(f"--m {cfg.n_subcarriers} and --grid {grid} ask for {profiles} profile and {patterns} "
+                         f"pattern values per offset; the bound is {MAX_BUILD_VALUES} (2**24)")
 
 
 def _cmd_dict_build(args: argparse.Namespace) -> int:

@@ -218,25 +218,15 @@ def _comb_factors(delays: np.ndarray, phases, cfg: SystemConfig, cols=None) -> t
     return coarse, fine
 
 
-def _gain_profile(phi: ArrayConfig, psi, cfg: SystemConfig) -> np.ndarray:
-    """|gain| toward a (possibly out-of-range) direction at every subcarrier.
+def _gain_profiles(delays: np.ndarray, phases: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """|gain| (..., D, M) of configs (..., N) toward their (possibly out-of-range) directions (..., D).
 
-    ``psi`` is one direction, or a column of them for one profile per row.
-    Steering toward a constant psi is adding a constant-direction config:
-    the gain at f_m is sum_n exp(j*(phi_n - 2*pi*f_m*(t_n + n*psi/(2*fc)))) / sqrt(N),
+    Unchecked.  Steering toward a constant psi is adding a constant-direction
+    config: the gain at f_m is sum_n exp(j*(phi_n - 2*pi*f_m*(t_n + n*psi/(2*fc)))) / sqrt(N),
     the broadside response of phi with its delays shifted by n*psi/(2*fc).
     So a profile is sum_n coarse[n, p] * fine[n, q] over the
     :func:`_comb_factors` of the shifted delays, one (P x N) @ (N x Q)
-    product per row.
-    """
-    psi = np.asarray(psi, dtype=np.float64)
-    return _gain_profiles(phi.delays, phi.phases, psi.reshape(-1), cfg).reshape(psi.shape[:-1] + (-1,))
-
-
-def _gain_profiles(delays: np.ndarray, phases: np.ndarray, psi: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """:func:`_gain_profile` (..., D, M) of configs (..., N) toward their directions (..., D).
-
-    Unchecked.  The profiles of all configs and directions take one stacked
+    product.  The profiles of all configs and directions take one stacked
     ``np.matmul``; each is bitwise the profile of its config alone.
     """
     shift = np.arange(cfg.n_antennas) * (psi[..., None] / (2.0 * cfg.carrier_freq))

@@ -83,7 +83,6 @@ __all__ = [
     "worker_count",
     "offset_grid",
     "build_dictionary",
-    "postprocess_center",
     "save",
     "load",
 ]
@@ -92,7 +91,7 @@ _MAGIC = b"TTDD"
 _VERSION = 1
 _HEADER = struct.Struct("<4siiiiidd")
 _GAIN_THRESHOLD = 0.5  # build warning when a subband's gain dips below this fraction of sqrt(N)
-_CHUNK_POINTS = 2**16  # the most fit grid points, offsets x antennas x points per row, of one chunk
+_CHUNK_POINTS = 2**16  # the most values, offsets x the largest per-offset array (_offset_sizes), of one chunk
 # the fewest offsets delta >= 0 a build forks worker processes for: on two cores two workers
 # built A = 77 faster than one process in 14 of 15 alternating builds, and A = 61 in 6 of 15
 _POOL_OFFSETS = 80
@@ -244,13 +243,29 @@ def _window_peak(
     return at[n, best], c[n, best], peak
 
 
-def _fit_radii(solver: SolverParams, cfg: SystemConfig) -> tuple[int, int] | None:
-    """Radii (r, reach) of the fit's inner and whole lobe windows; None when it evaluates the whole grid."""
+def _fit_windows(solver: SolverParams, cfg: SystemConfig) -> tuple[tuple[int, int] | None, int, int]:
+    """Radii (r, reach) of the fit's inner and whole lobe windows, None on the whole grid, and W on each.
+
+    W, the points of an antenna row, is at most 2(2r + 1) on windows of radius r (:func:`_lobe_windows`).
+    """
     size, m_count = solver.delay_grid_size, cfg.n_subcarriers
     reach = -(-2 * size // m_count) + 1
-    if not _spans_one_period(solver.max_delay, cfg) or size < 2 * m_count or 2 * (2 * reach + 1) >= size:
-        return None
-    return int(_INNER_LOBE_WIDTHS * (size // (2 * (m_count // 2)))), reach
+    whole = 2 * (2 * reach + 1)
+    if not _spans_one_period(solver.max_delay, cfg) or size < 2 * m_count or whole >= size:
+        return None, size, size
+    r = int(_INNER_LOBE_WIDTHS * (size // (2 * (m_count // 2))))
+    return (r, reach), 2 * (2 * r + 1), whole
+
+
+def _offset_sizes(solver: SolverParams, cfg: SystemConfig, direction_grid_size: int) -> tuple[int, int, int, int]:
+    """Values in each array one offset delta > 0 makes in a build; its chunks and the CLI's bound read them.
+
+    The fit's N*W points on the inner windows, and on the whole windows that the antennas the inner ones
+    leave uncertified search; the 2M of the two |gain| profiles; the 4A of the peak check's patterns
+    (mirror and entry, two centre columns, A directions).
+    """
+    _, inner, whole = _fit_windows(solver, cfg)
+    return cfg.n_antennas * inner, cfg.n_antennas * whole, 2 * cfg.n_subcarriers, 4 * direction_grid_size
 
 
 def _two_subband_fit(deltas, solver: SolverParams, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +320,7 @@ def _two_subband_fit(deltas, solver: SolverParams, cfg: SystemConfig) -> tuple[n
     n = np.arange(n_count)
     s = (np.pi * n * deltas * cfg.bandwidth / (m_count * cfg.carrier_freq)).ravel()
     jump = np.exp(1j * np.pi * n * deltas * (cfg.carrier_freq - cfg.bandwidth / 2.0) / cfg.carrier_freq).ravel()
-    radii = _fit_radii(solver, cfg)
+    radii = _fit_windows(solver, cfg)[0]
     if radii is None:
         k_best, c_best, _ = _window_peak(np.arange(size), periods, size, half, s, jump)
     else:
@@ -325,11 +340,13 @@ def _two_subband_fit(deltas, solver: SolverParams, cfg: SystemConfig) -> tuple[n
 def _recenter(
     delays: np.ndarray, phases: np.ndarray, deltas: np.ndarray, cfg: SystemConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`postprocess_center` of configs (E, N) at their offsets: new rows, and which are degenerate.
+    """Re-center two-subband configs (E, N) at their offsets: new rows, and which are degenerate.
 
-    Both |gain| profiles of every config come from one stacked ``np.matmul``,
-    and ``hdb._rescale`` puts each row onto its own band; every row gets the
-    bits ``hdb.scale_shift`` gives it alone.  Degenerate rows keep their input.
+    Each band is rescaled so the two gain maxima land half the band apart, and
+    shifted so their frequency midpoint maps to the carrier.  Degenerate rows
+    (both maxima on one subcarrier) keep their input.  Both |gain| profiles of
+    every config come from one stacked ``np.matmul``, and ``hdb._rescale``
+    puts each row onto its own band, with the bits ``hdb.scale_shift`` gives it.
     """
     directions = np.stack([np.zeros(deltas.shape), deltas], axis=-1)  # each entry's (0, delta)
     m1, m2 = np.argmax(_gain_profiles(delays, phases, directions, cfg), axis=-1).T
@@ -344,18 +361,6 @@ def _recenter(
     delays[ok], phases[ok] = hdb._rescale(
         delays[ok], phases[ok], alpha[:, None], (2.0 * np.pi * fc_new / alpha)[:, None], cfg)
     return delays, phases, degenerate
-
-
-def postprocess_center(phi: ArrayConfig, delta: float, cfg: SystemConfig) -> ArrayConfig:
-    """Re-center a two-subband config so its gain maxima sit at the subband centers.
-
-    The band is rescaled so the two maxima land half the band apart and
-    shifted so their frequency midpoint maps to the carrier.  Degenerate
-    inputs (both maxima on one subcarrier) are returned unchanged.  The
-    one-row case of the build's re-centring of a chunk of entries.
-    """
-    delays, phases, degenerate = _recenter(phi.delays[None], phi.phases[None], np.array([delta]), cfg)
-    return phi if degenerate[0] else ArrayConfig(delays[0], phases[0])
 
 
 def _build_chunk(
@@ -473,9 +478,10 @@ def build_dictionary(
     the module docstring).
 
     The A fitted offsets are built in chunks of consecutive offsets, as many
-    as keep the fit at 2**16 grid points (E*N*W, with W the points per
-    antenna row: 2(2r + 1) on the inner windows, K on the whole grid), and
-    at least one; each layer runs once per chunk (:func:`_build_chunk`).
+    as keep E times the largest per-offset array of :func:`_offset_sizes`
+    (the fit on the inner windows, the profiles or the peak check's
+    patterns) at 2**16 values, and at least one; each layer runs once per
+    chunk (:func:`_build_chunk`).
     Builds of at least 80 offsets fork ``workers`` processes, each taking
     one contiguous run of chunks; smaller builds, and one worker, run in the
     calling process.  The result is identical regardless of worker count.
@@ -489,9 +495,8 @@ def build_dictionary(
     offsets = offset_grid(direction_grid_size)
     zero = direction_grid_size - 1  # index of offset 0; offsets[zero + k] = -offsets[zero - k]
     deltas = offsets[zero:]
-    radii = _fit_radii(solver, cfg)
-    width = solver.delay_grid_size if radii is None else 2 * (2 * radii[0] + 1)
-    per_chunk = max(1, _CHUNK_POINTS // (cfg.n_antennas * width))
+    fit, _, profiles, patterns = _offset_sizes(solver, cfg, direction_grid_size)
+    per_chunk = max(1, _CHUNK_POINTS // max(fit, profiles, patterns))
     chunks = [deltas[i : i + per_chunk] for i in range(0, deltas.size, per_chunk)]
     args = (chunks, repeat(cfg), repeat(solver), repeat(direction_grid_size))
 

@@ -879,18 +879,21 @@ class TestTrialBound:
 
 class TestBuildBound:
     @pytest.mark.parametrize("flags, message", [
-        (["--grid", "100000000"],
+        (["--m", "24", "--grid", "100000000"],
          "error: --grid 100000000 at N = 4 asks for 1599999992 table values; the bound is 16777216 (2**24)"),
-        (["--grid", "9", "--delay-grid", "1000000000000"],
+        (["--m", "24", "--grid", "9", "--delay-grid", "1000000000000"],
          "error: --delay-grid 1000000000000 at N = 4, M = 24 asks for 1333333333368 fit points per offset; "
          "the bound is 16777216 (2**24)"),
-    ], ids=["grid", "delay-grid"])
+        (["--m", "1000000000", "--grid", "9"],
+         "error: --m 1000000000 and --grid 9 ask for 2000000000 profile and 36 pattern values per offset; "
+         "the bound is 16777216 (2**24)"),
+    ], ids=["grid", "delay-grid", "m"])
     def test_oversized_build_exits_2_before_allocating(self, tmp_path, flags, message):
-        # a 1.49 GiB offset grid and 745 GiB of window indices: refused at once, in a child
-        # process capped at 1 GiB of address space, before the offsets or the fit
+        # a 1.49 GiB offset grid, 745 GiB of window indices and a 7.45 GiB subcarrier axis: refused
+        # at once, in a child process capped at 1 GiB of address space, before any of them
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        args = ["dict-build", "--n", "4", "--m", "24", "--fc", "28e9", "--bw", "3e9", *flags, "--out", "d.ttdd"]
+        args = ["dict-build", "--n", "4", "--fc", "28e9", "--bw", "3e9", *flags, "--out", "d.ttdd"]
         start = time.perf_counter()
         run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=tmp_path, env=env,
                              capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
@@ -899,14 +902,16 @@ class TestBuildBound:
         assert run.stderr.splitlines() == [message]
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("delay_grid, largest, flag", [
-        # lobe windows of reach 5463: 4 * 2 * (2 * 5463 + 1) fit points against 17 * 8 table values
-        ("65536", 87416, "--delay-grid"),
-        # reach 7: 4 * 30 = 120 fit points, so the 136 table values are the larger
-        ("64", 136, "--grid"),
-    ], ids=["fit", "table"])
-    def test_bound_is_the_larger_of_table_and_fit(self, tmp_path, monkeypatch, delay_grid, largest, flag, capsys):
-        args = ["dict-build", "--n", "4", "--m", "24", "--fc", "28e9", "--bw", "3e9", "--grid", "9",
+    @pytest.mark.parametrize("m, delay_grid, largest, flag", [
+        # lobe windows of reach 5463, 21 854 points a row: 4 * 21 854 fit points against 17 * 8 table values
+        ("24", "65536", 87416, "--delay-grid"),
+        # reach 7: 4 * 30 = 120 fit points, 48 profile and 36 pattern values, so the 136 table values are the largest
+        ("24", "64", 136, "--grid"),
+        # the whole grid of 64 points: 4 * 64 fit points against the 2M profile values
+        ("200000", "64", 400000, "--m"),
+    ], ids=["fit", "table", "profiles"])
+    def test_bound_is_the_larger_of_table_and_fit(self, tmp_path, monkeypatch, m, delay_grid, largest, flag, capsys):
+        args = ["dict-build", "--n", "4", "--m", m, "--fc", "28e9", "--bw", "3e9", "--grid", "9",
                 "--delay-grid", delay_grid]
         monkeypatch.setattr(cli, "MAX_BUILD_VALUES", largest)
         assert main(args + ["--out", str(tmp_path / "ok.ttdd")]) == 0

@@ -21,7 +21,7 @@ from ttdbeam import solvers as solvers_module
 from ttdbeam.core import (
     ArrayConfig,
     SystemConfig,
-    _gain_profile,
+    _gain_profiles,
     _pattern,
     direction_grid,
     precoder_matrix,
@@ -33,11 +33,12 @@ from ttdbeam.dictionary import (
     GeneratorDictionary,
     _build_one,
     _entry_diagnostics,
+    _offset_sizes,
+    _recenter,
     _two_subband_fit,
     build_dictionary,
     load,
     offset_grid,
-    postprocess_center,
     save,
 )
 from ttdbeam.hdb import scale_shift
@@ -54,6 +55,12 @@ from ttdbeam.splitbeam import _steering_precoder
 def _two_subband_target(delta, cfg):
     """The N x M target a dictionary entry fits: lower half-band steered at 0, upper at delta."""
     return _steering_precoder(np.repeat([0.0, delta], cfg.n_subcarriers // 2), cfg)
+
+
+def _recenter_one(phi, delta, cfg):
+    """``_recenter`` of one config at its offset: (delays, phases, degenerate)."""
+    delays, phases, degenerate = _recenter(phi.delays[None], phi.phases[None], np.array([delta]), cfg)
+    return delays[0], phases[0], bool(degenerate[0])
 
 
 class TestOffsetGrid:
@@ -98,11 +105,9 @@ class TestBuild:
         for i, delta in enumerate(small_dict.offsets):
             if abs(delta) > 1.0 or delta == 0.0:
                 continue
-            phi = small_dict.config(i)
-            g_lo = _gain_profile(phi, 0.0, cfg_dict)[:half]
-            g_hi = _gain_profile(phi, float(delta), cfg_dict)[half:]
-            assert g_lo.mean() > 0.7 * 4.0
-            assert g_hi.mean() > 0.7 * 4.0
+            g_lo, g_hi = _gain_profiles(small_dict.delays[i], small_dict.phases[i], np.array([0.0, delta]), cfg_dict)
+            assert g_lo[:half].mean() > 0.7 * 4.0
+            assert g_hi[half:].mean() > 0.7 * 4.0
 
     def test_build_determinism_across_workers(self, cfg_dict):
         params = SolverParams(max_delay=default_max_delay(cfg_dict), n_iterations=2, delay_grid_size=8192)
@@ -151,10 +156,10 @@ def _assert_rows_are_build_one(d, cfg, params):
     assert d.build_warnings == tuple(w for found in (*mirrors[::-1], *entries) for w in found)
 
 
-def _fit_width(params, cfg):
-    """W, the fit's grid points per antenna row as the build counts them for its chunks."""
-    radii = dictionary_module._fit_radii(params, cfg)
-    return params.delay_grid_size if radii is None else 2 * (2 * radii[0] + 1)
+def _offset_values(params, cfg, a):
+    """The values of one offset's largest array, as the build counts them for its chunks."""
+    fit, _, profiles, patterns = _offset_sizes(params, cfg, a)
+    return max(fit, profiles, patterns)
 
 
 def _chunk_sizes(mp):
@@ -200,7 +205,7 @@ class TestChunks:
         # a budget of per_chunk offsets and a pool threshold below A; the workers fork with the
         # module's globals as patched here, and each takes one contiguous run of chunks
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dictionary_module, "_CHUNK_POINTS", per_chunk * n * _fit_width(params, cfg))
+            mp.setattr(dictionary_module, "_CHUNK_POINTS", per_chunk * _offset_values(params, cfg, a))
             mp.setattr(dictionary_module, "_POOL_OFFSETS", 2)
             with pytest.MonkeyPatch.context() as recording:
                 sizes = _chunk_sizes(recording)
@@ -212,7 +217,7 @@ class TestChunks:
     def test_whole_grid_beyond_the_budget_takes_one_offset_per_chunk(self, cfg_dict, monkeypatch):
         # half a period is searched on the whole grid: N*K = 16 * 8192 = 2**17 points for one offset
         params = SolverParams(max_delay=0.5 * default_max_delay(cfg_dict), delay_grid_size=8192)
-        assert dictionary_module._fit_radii(params, cfg_dict) is None
+        assert dictionary_module._fit_windows(params, cfg_dict)[0] is None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dictionary_module, "_CHUNK_POINTS", 2**62)
             whole = build_dictionary(cfg_dict, 9, params, workers=1)
@@ -221,13 +226,33 @@ class TestChunks:
         assert sizes == [1] * 9
 
     def test_full_scale_chunks(self, monkeypatch):
-        # W = 2(2r + 1) = 258 points per antenna row on the inner windows: 15 offsets a chunk at N = 16
+        # W = 2(2r + 1) = 258 points per antenna row on the inner windows, 446 on the whole ones:
+        # the fit's 16 * 258 values outweigh the 2M of the profiles and the 4A of the peak check,
+        # so a chunk holds 15 offsets at N = 16 on both benchmark grids
         cfg = SystemConfig(16, 1200, 28e9, 3e9)
         params = SolverParams(max_delay=default_max_delay(cfg))
-        assert _fit_width(params, cfg) == 258
+        assert _offset_sizes(params, cfg, 499) == (16 * 258, 16 * 446, 2400, 1996)
+        assert _offset_sizes(params, cfg, 61) == (16 * 258, 16 * 446, 2400, 244)
         sizes = _chunk_sizes(monkeypatch)
         build_dictionary(cfg, 61, params, workers=1)
         assert sizes == [15] * 4 + [1]
+
+    @pytest.mark.parametrize("m, k, a, sizes", [
+        (240, 4096, 9, (164, 292, 480, 36)),  # the two |gain| profiles are the largest array
+        (24, 64, 40, (20, 60, 48, 160)),  # the peak check's patterns are
+    ], ids=["profiles", "patterns"])
+    def test_profiles_or_peak_check_set_the_chunk(self, m, k, a, sizes, monkeypatch):
+        cfg = SystemConfig(2, m, 28e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=k)
+        assert _offset_sizes(params, cfg, a) == sizes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dictionary_module, "_CHUNK_POINTS", 2**62)
+            whole = build_dictionary(cfg, a, params, workers=1)
+        # room for three offsets of the largest array, and for many more of the fit's
+        monkeypatch.setattr(dictionary_module, "_CHUNK_POINTS", 3 * max(sizes) + 2)
+        built = _chunk_sizes(monkeypatch)
+        _assert_same_build(build_dictionary(cfg, a, params, workers=1), whole)
+        assert built == [3] * (a // 3) + [a % 3] * (a % 3 > 0)
 
     def test_small_builds_start_no_process(self, cfg_dict, monkeypatch):
         class NoProcesses:
@@ -297,9 +322,9 @@ class TestMirror:
         neg = float(small_dict.offsets[i])
         assert neg < 0.0
         phi = fold_delay_periods(jpta_approx(_two_subband_target(neg, cfg_dict), params, cfg_dict), cfg_dict)
-        direct = postprocess_center(phi, neg, cfg_dict)
-        assert np.max(np.abs(direct.delays - small_dict.delays[i])) <= 1e-21
-        assert np.max(_wrapped(direct.phases - small_dict.phases[i])) <= 1e-9
+        delays, phases, _ = _recenter_one(phi, neg, cfg_dict)
+        assert np.max(np.abs(delays - small_dict.delays[i])) <= 1e-21
+        assert np.max(_wrapped(phases - small_dict.phases[i])) <= 1e-9
 
     def test_degenerate_offset_flags_both_signs(self, cfg_dict, monkeypatch):
         params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
@@ -344,12 +369,12 @@ def _random_config(rng, n, cfg):
     return ArrayConfig(rng.uniform(-period, period, n), rng.uniform(-2 * np.pi, 2 * np.pi, n))
 
 
-# hashes _gain_profile on fixed configs and a small serial build; run under
+# hashes _gain_profiles on fixed configs and a small serial build; run under
 # different OPENBLAS_NUM_THREADS, it must print the same digest
 _BLAS_HASH_SCRIPT = """
 import hashlib
 import numpy as np
-from ttdbeam.core import ArrayConfig, SystemConfig, _gain_profile
+from ttdbeam.core import SystemConfig, _gain_profiles
 from ttdbeam.dictionary import build_dictionary
 from ttdbeam.solvers import SolverParams, default_max_delay
 
@@ -359,8 +384,8 @@ for m in (1200, 120):
     cfg = SystemConfig(16, m, 28e9, 3e9)
     period = m / cfg.bandwidth
     for _ in range(4):
-        phi = ArrayConfig(rng.uniform(-period, period, 16), rng.uniform(-2 * np.pi, 2 * np.pi, 16))
-        h.update(_gain_profile(phi, rng.uniform(-2.0, 2.0, (3, 1)), cfg).tobytes())
+        delays, phases = rng.uniform(-period, period, 16), rng.uniform(-2 * np.pi, 2 * np.pi, 16)
+        h.update(_gain_profiles(delays, phases, rng.uniform(-2.0, 2.0, 3), cfg).tobytes())
 cfg = SystemConfig(16, 120, 28e9, 3e9)
 d = build_dictionary(cfg, 9, SolverParams(max_delay=default_max_delay(cfg)), workers=1)
 h.update(d.delays.tobytes() + d.phases.tobytes())
@@ -386,9 +411,9 @@ class TestGainProfile:
         max_phase = 2.0 * np.pi * f.max() * np.abs(phi.delays).max()
         tol = 8.0 * np.finfo(np.float64).eps * (1.0 + max_phase)
         # offsets reach +-2, beyond the visible range
-        for psi in (float(rng.uniform(-2.0, 2.0)), rng.uniform(-2.0, 2.0, (3, 1))):
-            expected = np.abs(_pattern(precoder_matrix(phi, cfg)[::-1], psi, f, cfg.carrier_freq))
-            got = _gain_profile(phi, psi, cfg)
+        for psi in (rng.uniform(-2.0, 2.0, 1), rng.uniform(-2.0, 2.0, 3)):
+            expected = np.abs(_pattern(precoder_matrix(phi, cfg)[::-1], psi[:, None], f, cfg.carrier_freq))
+            got = _gain_profiles(phi.delays, phi.phases, psi, cfg)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 4.0 * tol
 
@@ -399,13 +424,13 @@ class TestGainProfile:
     )
     @settings(max_examples=30, deadline=None)
     def test_negated_config_toward_negated_psi_is_bitwise_equal(self, n, m, seed):
-        # _build_one reuses an entry's band minima for its mirror entry
+        # _entry_diagnostics reads an entry's band minima for its mirror entry too
         cfg = SystemConfig(n, m, 28e9, 3e9)
         rng = np.random.default_rng(seed)
         phi = _random_config(rng, n, cfg)
-        psi = rng.uniform(-2.0, 2.0, (3, 1))
-        mirror = ArrayConfig(-phi.delays, -phi.phases)
-        assert _gain_profile(mirror, -psi, cfg).tobytes() == _gain_profile(phi, psi, cfg).tobytes()
+        psi = rng.uniform(-2.0, 2.0, 3)
+        mirror = _gain_profiles(-phi.delays, -phi.phases, -psi, cfg)
+        assert mirror.tobytes() == _gain_profiles(phi.delays, phi.phases, psi, cfg).tobytes()
 
     def test_bits_do_not_depend_on_blas_threads(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -468,11 +493,11 @@ def _window_oracle(delta, params, cfg):
     half = m_count // 2
     n = np.arange(n_count)
     s = np.pi * n * delta * cfg.bandwidth / (m_count * cfg.carrier_freq)
-    reach = -(-2 * size // m_count) + 1
-    if not one_period or size < 2 * m_count or 2 * (2 * reach + 1) >= size:
+    radii = dictionary_module._fit_windows(params, cfg)[0]
+    if radii is None:
         k = np.broadcast_to(np.arange(size), (n_count, size))
     else:
-        steps = np.arange(-reach, reach + 1)
+        steps = np.arange(-radii[1], radii[1] + 1)
         centers = np.rint(-s * size / (2.0 * np.pi)).astype(np.int64)
         k = np.sort(np.hstack([np.broadcast_to(steps, (n_count, steps.size)),
                                centers[:, None] + steps]) % size, axis=1)
@@ -716,9 +741,9 @@ class TestClosedFormFit:
         for i in range(5, 9):  # offsets 0.5, 1.0, 1.5, 2.0
             delta = float(built.offsets[i])
             fit = fold_delay_periods(jpta_approx(_two_subband_target(delta, cfg_dict), params, cfg_dict), cfg_dict)
-            row = postprocess_center(fit, delta, cfg_dict)
-            assert built.delays[i].tobytes() == row.delays.tobytes()
-            assert np.max(_wrapped(built.phases[i] - row.phases)) <= 1e-9
+            delays, phases, _ = _recenter_one(fit, delta, cfg_dict)
+            assert built.delays[i].tobytes() == delays.tobytes()
+            assert np.max(_wrapped(built.phases[i] - phases)) <= 1e-9
 
 
 class TestUfuncLayout:
@@ -743,13 +768,14 @@ class TestUfuncLayout:
 
 
 class TestPostprocessCenter:
+    # the build's re-centring of its fitted entries, _recenter
     def test_centered_input_near_identity(self, small_dict, cfg_dict):
         # processed entries already have maxima at the subband centers, so a
         # second pass changes nearly nothing
         idx = int(np.argmin(np.abs(small_dict.offsets - 0.5)))
         phi = small_dict.config(idx)
-        again = postprocess_center(phi, float(small_dict.offsets[idx]), cfg_dict)
-        assert np.max(np.abs(again.delays - phi.delays)) < 0.2 * np.max(np.abs(phi.delays))
+        again, _, _ = _recenter_one(phi, float(small_dict.offsets[idx]), cfg_dict)
+        assert np.max(np.abs(again - phi.delays)) < 0.2 * np.max(np.abs(phi.delays))
 
     def test_quarter_band_distance_doubles_bandwidth(self, small_dict, cfg_dict):
         # squeeze a centered entry onto half the band: maxima land M/4 apart,
@@ -758,28 +784,27 @@ class TestPostprocessCenter:
         delta = float(small_dict.offsets[idx])
         phi = small_dict.config(idx)
         squeezed = scale_shift(phi, cfg_dict.carrier_freq, cfg_dict.bandwidth / 2.0, cfg_dict)
-        m1 = int(np.argmax(_gain_profile(squeezed, 0.0, cfg_dict)))
-        m2 = int(np.argmax(_gain_profile(squeezed, delta, cfg_dict)))
-        assert abs(abs(m2 - m1) - cfg_dict.n_subcarriers // 4) <= 2
-        recentered = postprocess_center(squeezed, delta, cfg_dict)
-        np.testing.assert_allclose(recentered.delays, squeezed.delays / 2.0, rtol=1e-12)
+        m1, m2 = np.argmax(_gain_profiles(squeezed.delays, squeezed.phases, np.array([0.0, delta]), cfg_dict), axis=-1)
+        assert abs(abs(int(m2) - int(m1)) - cfg_dict.n_subcarriers // 4) <= 2
+        recentered, _, _ = _recenter_one(squeezed, delta, cfg_dict)
+        np.testing.assert_allclose(recentered, squeezed.delays / 2.0, rtol=1e-12)
 
     def test_maxima_at_subband_centers(self, small_dict, cfg_dict):
         m_count = cfg_dict.n_subcarriers
         idx = int(np.argmin(np.abs(small_dict.offsets - 0.7)))
         delta = float(small_dict.offsets[idx])
-        phi = small_dict.config(idx)
-        m1 = int(np.argmax(_gain_profile(phi, 0.0, cfg_dict))) + 1
-        m2 = int(np.argmax(_gain_profile(phi, delta, cfg_dict))) + 1
+        profiles = _gain_profiles(small_dict.delays[idx], small_dict.phases[idx], np.array([0.0, delta]), cfg_dict)
+        m1, m2 = np.argmax(profiles, axis=-1) + 1
         assert abs(m1 - m_count // 4) <= 2
         assert abs(m2 - 3 * m_count // 4) <= 2
 
     def test_degenerate_returned_unchanged(self):
         cfg = SystemConfig(1, 4, 1e9, 1e8)
         phi = zero_config(1)
-        out = postprocess_center(phi, 0.5, cfg)
-        np.testing.assert_array_equal(out.delays, phi.delays)
-        np.testing.assert_array_equal(out.phases, phi.phases)
+        delays, phases, degenerate = _recenter_one(phi, 0.5, cfg)
+        assert degenerate
+        np.testing.assert_array_equal(delays, phi.delays)
+        np.testing.assert_array_equal(phases, phi.phases)
 
 
 class TestLookup:

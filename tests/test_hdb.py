@@ -9,7 +9,7 @@ from ttdbeam.core import (
     ArrayConfig,
     PsiGrid,
     SystemConfig,
-    _gain_profile,
+    _gain_profiles,
     argmax_directions,
     beampattern_of_precoder,
     precoder_matrix,
@@ -229,10 +229,9 @@ class TestSynthesize:
         phi = synthesize(dmap, small_dict, cfg_dict)
         psi = expand_directions(dmap, cfg_dict)
         block = cfg_dict.n_subcarriers // 3
+        profiles = _gain_profiles(phi.delays, phi.phases, dmap.directions, cfg_dict)
         for b in range(3):
-            gains = _gain_profile(phi, float(dmap.directions[b]), cfg_dict)[
-                b * block : (b + 1) * block
-            ]
+            gains = profiles[b, b * block : (b + 1) * block]
             assert gains.mean() >= 0.7 * 4.0
 
     def test_composition_fidelity_on_grid(self, small_dict, cfg_dict):
