@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input, 6 out of memory.
 dict-build refuses a --grid, --delay-grid or --m whose table or largest per-offset array
 exceeds MAX_BUILD_VALUES, and eval a --trials beyond MAX_SE_VALUES, before either allocates.
-TTDBEAM_THREADS caps the worker processes of the dictionary build (0 = auto);
-builds of fewer than 80 offsets, and eval, run in the calling process.
+TTDBEAM_THREADS caps the threads of the dictionary build (0 = auto); builds of
+fewer than 80 offsets, and eval, run on the calling thread.  No command starts a process.
 """
 
 from __future__ import annotations

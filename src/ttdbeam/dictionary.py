@@ -32,8 +32,8 @@ certifies.  One search, with one tie rule, serves every set of points.
 The build works on chunks of consecutive offsets, not on one offset at a
 time: the fit, the fold, the re-centring and the checks each run once over
 all E*N antenna rows of a chunk, every element by the same operations as
-alone, so a row has the same bits in any chunk.  Only builds of at least
-80 offsets delta >= 0 fork worker processes.
+alone, so a row has the same bits in any chunk and on any thread.  Only
+builds of at least 80 offsets delta >= 0 map their chunks over threads.
 
 Binary layout (little-endian): 40-byte header (magic "TTDD", version,
 N, A, D, M as int32, fc and bw as float64), then D offsets as float64, then
@@ -92,8 +92,8 @@ _VERSION = 1
 _HEADER = struct.Struct("<4siiiiidd")
 _GAIN_THRESHOLD = 0.5  # build warning when a subband's gain dips below this fraction of sqrt(N)
 _CHUNK_POINTS = 2**16  # the most values, offsets x the largest per-offset array (_offset_sizes), of one chunk
-# the fewest offsets delta >= 0 a build forks worker processes for: on two cores two workers
-# built A = 77 faster than one process in 14 of 15 alternating builds, and A = 61 in 6 of 15
+# the fewest offsets delta >= 0 a build maps over threads: threads built A = 61 faster but raised
+# the peak RSS of a run with it 12-15 %, as each thread's malloc arena keeps a chunk's temporaries
 _POOL_OFFSETS = 80
 THREADS_ENV = "TTDBEAM_THREADS"
 
@@ -442,21 +442,20 @@ def _entry_diagnostics(
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Number of parallel workers to use.
+    """Number of threads a dictionary build may use.
 
-    An explicit ``requested`` value wins; otherwise the TTDBEAM_THREADS
-    environment variable caps the machine's CPU count (0 or unset = auto).
+    An explicit ``requested`` value wins; otherwise the TTDBEAM_THREADS environment
+    variable caps the CPUs this process may run on (its affinity where the platform
+    has one, else ``os.cpu_count()``; 0 or unset = auto).
     """
     if requested is not None:
         if requested < 1:
             raise ValueError("worker count must be >= 1")
         return requested
-    auto = os.cpu_count() or 1
+    auto = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return auto
     try:
-        cap = int(raw)
+        cap = int(raw or 0)
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     if cap < 0:
@@ -482,9 +481,9 @@ def build_dictionary(
     (the fit on the inner windows, the profiles or the peak check's
     patterns) at 2**16 values, and at least one; each layer runs once per
     chunk (:func:`_build_chunk`).
-    Builds of at least 80 offsets fork ``workers`` processes, each taking
-    one contiguous run of chunks; smaller builds, and one worker, run in the
-    calling process.  The result is identical regardless of worker count.
+    Builds of at least 80 offsets map their chunks over ``worker_count(workers)``
+    threads; smaller builds, and one worker, run on the calling thread.  No
+    process starts, and the result is identical regardless of worker count.
     Fidelity diagnostics for delta and -delta run with the chunk's entries.
     Their findings are attached as ``build_warnings`` and degenerate entries
     listed in ``degenerate``, both in ascending offset order; neither
@@ -502,9 +501,9 @@ def build_dictionary(
 
     n_workers = worker_count(workers)
     if n_workers > 1 and deltas.size >= _POOL_OFFSETS:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: it pulls in multiprocessing
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            built = list(pool.map(_build_chunk, *args, chunksize=math.ceil(len(chunks) / n_workers)))
+        from concurrent.futures import ThreadPoolExecutor  # imported here: it pulls in logging
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            built = list(pool.map(_build_chunk, *args))
     else:
         built = list(map(_build_chunk, *args))
 

@@ -936,10 +936,20 @@ class TestBench:
 
 
 def test_import_leaves_out_multiprocessing():
-    # only a pooled dict-build needs the process pool; every other command starts without it
+    # no command loads the process pool, not even a dict-build that maps its chunks over threads
     gone = ["multiprocessing", "concurrent.futures.process"]
-    code = f"import sys, ttdbeam.cli; print([m for m in {gone!r} if m in sys.modules])"
+    code = (
+        "import sys, ttdbeam.cli\n"
+        f"print([m for m in {gone!r} if m in sys.modules])\n"
+        "from ttdbeam.core import SystemConfig\n"
+        "from ttdbeam.dictionary import _POOL_OFFSETS, build_dictionary\n"
+        "from ttdbeam.solvers import SolverParams, default_max_delay\n"
+        "cfg = SystemConfig(16, 120, 28e9, 3e9)\n"
+        "build_dictionary(cfg, _POOL_OFFSETS, SolverParams(max_delay=default_max_delay(cfg)), workers=2)\n"
+        "assert 'concurrent.futures.thread' in sys.modules  # the build took the pool\n"
+        f"print([m for m in {gone!r} if m in sys.modules])\n"
+    )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.split() == ["[]", "[]"]

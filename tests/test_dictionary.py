@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,7 +130,7 @@ class TestBuild:
         params = SolverParams(max_delay=default_max_delay(cfg), delay_grid_size=4096)
         one = build_dictionary(cfg, a, params, workers=1)
         with pytest.MonkeyPatch.context() as mp:
-            # A >= 5 offsets >= 0 and the pool threshold lowered to 2, so two workers take the process pool
+            # A >= 5 offsets >= 0 and the pool threshold lowered to 2, so two workers take the thread pool
             mp.setattr(dictionary_module, "_POOL_OFFSETS", 2)
             two = build_dictionary(cfg, a, params, workers=2)
         assert one == two
@@ -202,17 +203,17 @@ class TestChunks:
             whole = build_dictionary(cfg, a, params, workers=1)
         assert sizes == [a]
         _assert_rows_are_build_one(whole, cfg, params)
-        # a budget of per_chunk offsets and a pool threshold below A; the workers fork with the
-        # module's globals as patched here, and each takes one contiguous run of chunks
+        # a budget of per_chunk offsets and a pool threshold below A, so workers 2 and 3 take the
+        # thread pool, which may finish the chunks in any order
+        expected = [per_chunk] * (a // per_chunk) + [a % per_chunk] * (a % per_chunk > 0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dictionary_module, "_CHUNK_POINTS", per_chunk * _offset_values(params, cfg, a))
             mp.setattr(dictionary_module, "_POOL_OFFSETS", 2)
-            with pytest.MonkeyPatch.context() as recording:
-                sizes = _chunk_sizes(recording)
-                _assert_same_build(build_dictionary(cfg, a, params, workers=1), whole)
-            assert sizes == [per_chunk] * (a // per_chunk) + [a % per_chunk] * (a % per_chunk > 0)
-            for workers in (2, 3):
-                _assert_same_build(build_dictionary(cfg, a, params, workers=workers), whole)
+            for workers in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as recording:
+                    sizes = _chunk_sizes(recording)
+                    _assert_same_build(build_dictionary(cfg, a, params, workers=workers), whole)
+                assert sorted(sizes) == sorted(expected)
 
     def test_whole_grid_beyond_the_budget_takes_one_offset_per_chunk(self, cfg_dict, monkeypatch):
         # half a period is searched on the whole grid: N*K = 16 * 8192 = 2**17 points for one offset
@@ -254,17 +255,40 @@ class TestChunks:
         _assert_same_build(build_dictionary(cfg, a, params, workers=1), whole)
         assert built == [3] * (a // 3) + [a % 3] * (a % 3 > 0)
 
-    def test_small_builds_start_no_process(self, cfg_dict, monkeypatch):
-        class NoProcesses:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("the build started a process pool")
+    def test_no_build_starts_a_process(self, cfg_dict, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("the build started a process")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
+        monkeypatch.setattr(os, "fork", no_process)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
         params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
-        a = dictionary_module._POOL_OFFSETS - 1  # A offsets delta >= 0, one below the threshold
-        assert build_dictionary(cfg_dict, a, params, workers=2) == build_dictionary(cfg_dict, a, params, workers=1)
-        with pytest.raises(AssertionError, match="started a process pool"):
-            build_dictionary(cfg_dict, a + 1, params, workers=2)
+        threads = []
+        real = dictionary_module._build_chunk
+
+        def build_chunk(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        caller = threading.get_ident()
+        for a in (dictionary_module._POOL_OFFSETS - 1, dictionary_module._POOL_OFFSETS):  # A offsets delta >= 0
+            serial = build_dictionary(cfg_dict, a, params, workers=1)
+            threads.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dictionary_module, "_build_chunk", build_chunk)
+                pooled = build_dictionary(cfg_dict, a, params, workers=6)
+            _assert_same_build(pooled, serial)
+            assert len(threads) > 1  # the build has several chunks to spread
+            if a < dictionary_module._POOL_OFFSETS:
+                assert set(threads) == {caller}
+            else:
+                assert caller not in threads
+                assert len(set(threads)) <= min(6, len(threads))
+
+    def test_threaded_full_scale_build_is_the_serial_one(self):
+        cfg = SystemConfig(16, 1200, 28e9, 3e9)
+        params = SolverParams(max_delay=default_max_delay(cfg))
+        serial = build_dictionary(cfg, 499, params, workers=1)
+        _assert_same_build(build_dictionary(cfg, 499, params, workers=2), serial)
 
 
 def _wrapped(x):

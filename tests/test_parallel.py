@@ -1,8 +1,15 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ttdbeam import dictionary
 from ttdbeam.dictionary import THREADS_ENV, worker_count
+
+# the CPUs this process may run on
+AUTO = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def test_explicit_request_wins(monkeypatch):
@@ -17,12 +24,12 @@ def test_env_caps_auto(monkeypatch):
 
 def test_zero_means_auto(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "0")
-    assert worker_count() == (os.cpu_count() or 1)
+    assert worker_count() == AUTO
 
 
 def test_unset_means_auto(monkeypatch):
     monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert worker_count() == (os.cpu_count() or 1)
+    assert worker_count() == AUTO
 
 
 def test_invalid_values_rejected(monkeypatch):
@@ -34,3 +41,17 @@ def test_invalid_values_rejected(monkeypatch):
         worker_count()
     with pytest.raises(ValueError):
         worker_count(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_auto_honours_cpu_affinity():
+    # a process pinned to one CPU gets one worker, however many CPUs the machine has
+    code = (
+        "import os; from ttdbeam.dictionary import THREADS_ENV, worker_count; "
+        "os.environ.pop(THREADS_ENV, None); os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "print(worker_count())"
+    )
+    src = str(Path(dictionary.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert run.stdout.strip() == "1"
