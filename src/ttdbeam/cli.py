@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input, 6 out of memory.
 dict-build refuses a --grid, --delay-grid or --m whose table or largest per-offset array
-exceeds MAX_BUILD_VALUES, and eval a --trials beyond MAX_SE_VALUES, before either allocates.
-TTDBEAM_THREADS caps the threads of the dictionary build (0 = auto); builds of
+exceeds MAX_BUILD_VALUES, eval a --trials beyond MAX_SE_VALUES, and every reader of a .ttdd
+a header M that no build can make (``dictionary.load``), before any of them allocates.
+dict-build runs on the CPUs the process may run on (``taskset`` caps them); builds of
 fewer than 80 offsets, and eval, run on the calling thread.  No command starts a process.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import dictionary as dict_io
 from .core import SystemConfig, _check_delay_phase, config_from_json_dict, config_to_json_dict, gain_at_directions
-from .dictionary import DictionaryFormatError, build_dictionary
+from .dictionary import MAX_BUILD_VALUES, DictionaryFormatError, build_dictionary
 from .evaluation import (
     EvalScenario,
     monte_carlo,
@@ -43,7 +44,6 @@ EXIT_IO = 3
 EXIT_PARSE = 5
 EXIT_MEMORY = 6
 MAX_SE_VALUES = 2**28  # eval's trials x M: its SE array takes 2 GiB, its CSV about 12 GB
-MAX_BUILD_VALUES = 2**24  # dict-build's table values (2A - 1)*2N, and each array of one offset
 
 
 def _directions_arg(raw: str) -> np.ndarray:
@@ -148,7 +148,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     built = dict_io.load(args.dict)
     m_count = built.meta.n_subcarriers
-    if m_count <= MAX_SE_VALUES < args.trials * m_count:  # an M past the bound alone is the file's fault
+    if args.trials * m_count > MAX_SE_VALUES:
         raise ValueError(f"--trials {args.trials} at M = {m_count} asks for {args.trials * m_count} SE values; "
                          f"the bound is {MAX_SE_VALUES} (2**28), so at most {MAX_SE_VALUES // m_count} trials")
     params = _solver_params(args, built.meta)  # hdb runs no solver, but a bad solver flag is still refused

@@ -9,16 +9,16 @@ unwrapped on purpose: a mod-2 direction shift is exact only at the carrier,
 so fitting the true (aliased) target keeps the composed beam on target at
 every subcarrier instead of drifting with the beam squint at the band edges.
 
-Only the offsets delta >= 0 are fitted.  Entry -delta is entry delta with
-delays and phases negated (no phase wrapping), so the table is exactly
-mirror-symmetric.  A direct fit for -delta gives the same config up to
-rounding and whole turns of phase: the target for -delta is the complex
-conjugate of the target for delta, and every later step is odd in (delays,
-phases).  Conjugating target and precoder leaves the fit objective unchanged
-and the default one-period delay grid is symmetric modulo its period; the
-fold maps a negated delay to the negated folded one; the re-centring reads
-|gain| profiles, equal for a config toward psi and its negation toward -psi,
-and applies the linear map of ``hdb.scale_shift``.
+Only the offsets delta > 0 are fitted; offset 0 is the zero config.  Entry
+-delta is entry delta with delays and phases negated (no phase wrapping), so
+the table is exactly mirror-symmetric.  A direct fit for -delta gives the
+same config up to rounding and whole turns of phase: the target for -delta
+is the complex conjugate of the target for delta, and every later step is
+odd in (delays, phases).  Conjugating target and precoder leaves the fit
+objective unchanged and the default one-period delay grid is symmetric
+modulo its period; the fold maps a negated delay to the negated folded one;
+the re-centring reads |gain| profiles, equal for a config toward psi and its
+negation toward -psi, and applies the linear map of ``hdb.scale_shift``.
 
 The fit itself has a closed form for every delay range: each antenna's
 correlation with the two-subband target is a sum of two geometric series in
@@ -79,7 +79,6 @@ from .solvers import (  # noqa: F401
 __all__ = [
     "GeneratorDictionary",
     "DictionaryFormatError",
-    "THREADS_ENV",
     "worker_count",
     "offset_grid",
     "build_dictionary",
@@ -91,11 +90,11 @@ _MAGIC = b"TTDD"
 _VERSION = 1
 _HEADER = struct.Struct("<4siiiiidd")
 _GAIN_THRESHOLD = 0.5  # build warning when a subband's gain dips below this fraction of sqrt(N)
+MAX_BUILD_VALUES = 2**24  # a build's table values (2A - 1)*2N, and each array of one offset (_offset_sizes)
 _CHUNK_POINTS = 2**16  # the most values, offsets x the largest per-offset array (_offset_sizes), of one chunk
 # the fewest offsets delta >= 0 a build maps over threads: threads built A = 61 faster but raised
 # the peak RSS of a run with it 12-15 %, as each thread's malloc arena keeps a chunk's temporaries
 _POOL_OFFSETS = 80
-THREADS_ENV = "TTDBEAM_THREADS"
 
 
 class DictionaryFormatError(Exception):
@@ -366,25 +365,18 @@ def _recenter(
 def _build_chunk(
     deltas, cfg: SystemConfig, solver: SolverParams, direction_grid_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[str]]:
-    """Build the entries of offsets delta >= 0 and check them and their mirrors at -delta.
+    """Build the entries of offsets delta > 0 and check them and their mirrors at -delta.
 
     Returns (delays, phases, degenerate, warnings for the -delta entries,
     warnings for the +delta entries): rows (E, N), flags (E,), and the
     warnings in ascending order of their offsets.  Entry -delta is entry
-    delta negated, degenerate exactly when it is; offset 0 is the zero
-    config.  The fit, the fold, the re-centring and the checks each run once
-    over all the chunk's entries.
+    delta negated, degenerate exactly when it is.  The fit, the fold, the
+    re-centring and the checks each run once over all the chunk's entries.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
-    delays, phases = np.zeros((2, deltas.size, cfg.n_antennas))
-    degenerate = np.zeros(deltas.size, dtype=bool)
-    fit = deltas != 0.0
-    if fit.any():
-        delays[fit], phases[fit], degenerate[fit] = _recenter(
-            *_fold(*_two_subband_fit(deltas[fit], solver, cfg), cfg), deltas[fit], cfg)
-    checked = fit & ~degenerate
-    mirror_warnings, warnings = _entry_diagnostics(
-        deltas[checked], delays[checked], phases[checked], cfg, direction_grid_size)
+    delays, phases, degenerate = _recenter(*_fold(*_two_subband_fit(deltas, solver, cfg), cfg), deltas, cfg)
+    ok = ~degenerate
+    mirror_warnings, warnings = _entry_diagnostics(deltas[ok], delays[ok], phases[ok], cfg, direction_grid_size)
     return (delays, phases, degenerate,
             [w for found in mirror_warnings[::-1] for w in found], [w for found in warnings for w in found])
 
@@ -392,7 +384,7 @@ def _build_chunk(
 def _build_one(
     delta: float, cfg: SystemConfig, solver: SolverParams, direction_grid_size: int
 ) -> tuple[ArrayConfig, bool, list[str], list[str]]:
-    """:func:`_build_chunk` of one offset delta >= 0: (config, degenerate, warnings for -delta, for +delta)."""
+    """:func:`_build_chunk` of one offset delta > 0: (config, degenerate, warnings for -delta, for +delta)."""
     delays, phases, degenerate, mirror_warnings, warnings = _build_chunk(
         [delta], cfg, solver, direction_grid_size)
     return ArrayConfig(delays[0], phases[0]), bool(degenerate[0]), mirror_warnings, warnings
@@ -442,25 +434,16 @@ def _entry_diagnostics(
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Number of threads a dictionary build may use.
+    """Number of threads a dictionary build may use: ``requested``, or else the CPUs this process may run on.
 
-    An explicit ``requested`` value wins; otherwise the TTDBEAM_THREADS environment
-    variable caps the CPUs this process may run on (its affinity where the platform
-    has one, else ``os.cpu_count()``; 0 or unset = auto).
+    Those are its CPU affinity where the platform has one (so ``taskset`` and
+    cpusets cap a build), else ``os.cpu_count()``.
     """
     if requested is not None:
         if requested < 1:
             raise ValueError("worker count must be >= 1")
         return requested
-    auto = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    try:
-        cap = int(raw or 0)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ValueError(f"{THREADS_ENV} must be >= 0, got {cap}")
-    return min(auto, cap) if cap else auto
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def build_dictionary(
@@ -468,22 +451,23 @@ def build_dictionary(
 ) -> GeneratorDictionary:
     """Build the offset-indexed config table for a system.
 
-    Each offset delta >= 0 gets the two-subband config fitted against the
-    ideal [0, delta] target, delay-folded, then re-centered; the zero offset
-    is the zero config by construction.  The fit is the closed form of
-    :func:`_two_subband_fit` for every ``solver.max_delay``; no target is
-    built.  Entry -delta is entry delta negated: target(-delta) =
-    conj(target(delta)) and every later step is odd in (delays, phases) (see
-    the module docstring).
+    Each offset delta > 0 gets the two-subband config fitted against the
+    ideal [0, delta] target, delay-folded, then re-centered.  The fit is the
+    closed form of :func:`_two_subband_fit` for every ``solver.max_delay``;
+    no target is built.  The table is laid out once: the mirror rows, entry
+    -delta being entry delta negated (target(-delta) = conj(target(delta))
+    and every later step is odd in (delays, phases); see the module
+    docstring), then the zero config at offset 0, then the fitted rows.
 
-    The A fitted offsets are built in chunks of consecutive offsets, as many
-    as keep E times the largest per-offset array of :func:`_offset_sizes`
+    The A - 1 fitted offsets are built in chunks of consecutive offsets, as
+    many as keep E times the largest per-offset array of :func:`_offset_sizes`
     (the fit on the inner windows, the profiles or the peak check's
     patterns) at 2**16 values, and at least one; each layer runs once per
     chunk (:func:`_build_chunk`).
-    Builds of at least 80 offsets map their chunks over ``worker_count(workers)``
-    threads; smaller builds, and one worker, run on the calling thread.  No
-    process starts, and the result is identical regardless of worker count.
+    Builds of at least 80 offsets delta >= 0 (A >= 80) map their chunks over
+    ``worker_count(workers)`` threads; smaller builds, and one worker, run on
+    the calling thread.  No process starts, and the result is identical
+    regardless of worker count.
     Fidelity diagnostics for delta and -delta run with the chunk's entries.
     Their findings are attached as ``build_warnings`` and degenerate entries
     listed in ``degenerate``, both in ascending offset order; neither
@@ -493,14 +477,14 @@ def build_dictionary(
         raise ValueError("dictionary construction needs an even subcarrier count")
     offsets = offset_grid(direction_grid_size)
     zero = direction_grid_size - 1  # index of offset 0; offsets[zero + k] = -offsets[zero - k]
-    deltas = offsets[zero:]
+    deltas = offsets[zero + 1 :]
     fit, _, profiles, patterns = _offset_sizes(solver, cfg, direction_grid_size)
     per_chunk = max(1, _CHUNK_POINTS // max(fit, profiles, patterns))
     chunks = [deltas[i : i + per_chunk] for i in range(0, deltas.size, per_chunk)]
     args = (chunks, repeat(cfg), repeat(solver), repeat(direction_grid_size))
 
     n_workers = worker_count(workers)
-    if n_workers > 1 and deltas.size >= _POOL_OFFSETS:
+    if n_workers > 1 and direction_grid_size >= _POOL_OFFSETS:
         from concurrent.futures import ThreadPoolExecutor  # imported here: it pulls in logging
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             built = list(pool.map(_build_chunk, *args))
@@ -509,14 +493,15 @@ def build_dictionary(
 
     delays, phases, degenerate, mirror_warnings, warnings = zip(*built)
     delays, phases = np.concatenate(delays), np.concatenate(phases)
+    zeros = np.zeros((1, cfg.n_antennas))
     flagged = np.flatnonzero(np.concatenate(degenerate)).tolist()
     return GeneratorDictionary(
         offsets=offsets,
-        delays=np.concatenate([-delays[:0:-1], delays]),
-        phases=np.concatenate([-phases[:0:-1], phases]),
+        delays=np.concatenate([-delays[::-1], zeros, delays]),
+        phases=np.concatenate([-phases[::-1], zeros, phases]),
         meta=cfg,
         direction_grid_size=direction_grid_size,
-        degenerate=tuple([zero - k for k in reversed(flagged)] + [zero + k for k in flagged]),
+        degenerate=tuple([zero - 1 - k for k in reversed(flagged)] + [zero + 1 + k for k in flagged]),
         build_warnings=tuple(w for found in (*mirror_warnings[::-1], *warnings) for w in found),
     )
 
@@ -578,9 +563,10 @@ def save(dictionary: GeneratorDictionary, path: str | os.PathLike) -> None:
 def load(path: str | os.PathLike) -> GeneratorDictionary:
     """Read a dictionary written by :func:`save`; rejects corrupt files whole.
 
-    Beyond magic, version and payload length, the file must pass the
-    constructor's checks: offsets bitwise the A-point offset grid (so the
-    entry count is 2A-1), finite rows within the delay-phase bound of
+    Beyond magic, version, payload length and an M that a build can make
+    (2M at most ``MAX_BUILD_VALUES``), the file must pass the constructor's
+    checks: offsets bitwise the A-point offset grid (so the entry count is
+    2A-1), finite rows within the delay-phase bound of
     :func:`~ttdbeam.core.config_from_json_dict` and a header that is a valid system.
     """
     with open(path, "rb") as fh:
@@ -594,6 +580,9 @@ def load(path: str | os.PathLike) -> GeneratorDictionary:
         raise DictionaryFormatError(f"unsupported version {version}")
     if n < 1 or d < 1 or m < 1 or a < 2:
         raise DictionaryFormatError("implausible header counts")
+    if 2 * m > MAX_BUILD_VALUES:  # the one header size the payload length leaves unbounded
+        raise DictionaryFormatError(f"header M = {m} is beyond any build: its two |gain| profiles hold 2M "
+                                    f"values, and the bound is {MAX_BUILD_VALUES} (2**24)")
     expected = _HEADER.size + d * 8 + d * 2 * n * 8
     if len(blob) != expected:
         raise DictionaryFormatError(

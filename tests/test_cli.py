@@ -23,9 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttdbeam import cli
+from ttdbeam import dictionary as dict_io
 from ttdbeam.cli import main
 from ttdbeam.core import SystemConfig, config_from_json_dict
-from ttdbeam.dictionary import build_dictionary, load, offset_grid
+from ttdbeam.dictionary import DictionaryFormatError, build_dictionary, load, offset_grid
 from ttdbeam.solvers import SolverParams, constant_direction_config, default_max_delay
 
 
@@ -144,6 +145,49 @@ class TestDictBuild:
         assert "Is a directory" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["d.ttdd"]  # no sidecar, no temporary file
         assert list((tmp_path / "d.ttdd").iterdir()) == []
+
+
+# flag values outside any valid range: none may end in a traceback or a partial output
+_BAD_VALUES = ("0", "-1", str(2**31), "nan", "inf", "-inf")
+
+
+def _flag(valid):
+    """A drawn value of one dict-build flag: a desk-scale valid one or one of ``_BAD_VALUES``."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(_BAD_VALUES))
+
+
+class TestDictBuildContract:
+    @given(
+        n=_flag(["1", "2", "4"]),
+        m=_flag(["2", "8", "24", "9"]),  # an odd M is refused by the build itself
+        grid=_flag(["2", "5", "9"]),
+        fc=_flag(["28e9", "4e9"]),
+        bw=_flag(["3e9", "1e8"]),
+        tmax=st.one_of(st.none(), _flag(["2e-9", "1e-8"])),  # None: the flag is left out
+        delay_grid=st.one_of(st.none(), _flag(["2", "64", "512"])),
+    )
+    @example(n="4", m="24", grid="9", fc="28e9", bw="3e9", tmax=None, delay_grid=None)
+    @example(n="4", m="24", grid="9", fc="28e9", bw="3e9", tmax="1e-8", delay_grid="512")
+    @settings(max_examples=150, deadline=None)
+    def test_exit_0_only_with_a_dictionary_that_loads(self, n, m, grid, fc, bw, tmax, delay_grid):
+        flags = ["--n", n, "--m", m, "--grid", grid, "--fc", fc, "--bw", bw]
+        flags += ["--tmax-s", tmax] * (tmax is not None) + ["--delay-grid", delay_grid] * (delay_grid is not None)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "d.ttdd"
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    rc = main(["dict-build", *flags, "--out", str(out)])
+            except SystemExit as exc:  # argparse refuses a value that is not a number of the flag's type
+                rc = exc.code
+            assert rc in (0, 2, 3, 5, 6)
+            if rc == 0:
+                assert sorted(os.listdir(tmp)) == ["d.ttdd", "d.ttdd.json"]
+                built = load(out)
+                side = json.loads((Path(tmp) / "d.ttdd.json").read_text())
+                assert (side["n"], side["m"], side["a"]) == (int(n), int(m), int(grid))
+                assert side["d"] == built.n_entries == 2 * int(grid) - 1
+            else:
+                assert os.listdir(tmp) == []
 
 
 class TestSynth:
@@ -695,19 +739,6 @@ class TestExitCodes:
         assert "subcarrier spacing" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_thread_cap_is_a_build_usage_error(self, built_dict, tmp_path, capsys, monkeypatch):
-        # only dict-build reads the cap: it fails before it writes a file, and eval ignores it
-        monkeypatch.setenv("TTDBEAM_THREADS", "lots")
-        rc = main(["dict-build", "--n", "16", "--fc", "28e9", "--bw", "3e9", "--m", "48",
-                   "--grid", "9", "--delay-grid", "8192", "--out", str(tmp_path / "d.ttdd")])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: TTDBEAM_THREADS must be an integer, got 'lots'\n"
-        assert list(tmp_path.iterdir()) == []
-        rc = main(["eval", "--dict", str(built_dict), "--ues", "2", "--trials", "2",
-                   "--out-prefix", str(tmp_path / "x")])
-        assert rc == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.summary.json"]
-
     def test_indivisible_ues_usage_error(self, built_dict, tmp_path):
         rc = main(
             [
@@ -827,26 +858,64 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_capped(args, cwd):
+    """``python -m ttdbeam.cli args`` in a child process capped at 1 GiB of address space, and its wall time."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+    return run, time.perf_counter() - start
+
+
 class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "args",
+        [["eval", "--ues", "1", "--trials", "32", "--out-prefix", "x"]],
+        ids=["eval_huge_m"],
+    )
+    def test_allocation_failure_exit_6(self, tmp_path, args):
+        # the .ttdd header declares M = 2**23 subcarriers, the most a build makes, over a 256-byte
+        # file; 32 trials are within the SE bound, but their 2 GiB SE array is past the child's 1 GiB
+        huge = tmp_path / "huge.ttdd"
+        _write_ttdd(huge, n=4, m=2**23, fc=28e9, bw=3e9, a=2, phase=0.0)
+        run, _ = _run_capped([args[0], "--dict", str(huge), *args[1:]], tmp_path)
+        assert run.returncode == 6, run.stderr
+        assert run.stderr.splitlines()[-1].startswith("error: out of memory:") and "Traceback" not in run.stderr
+        assert list(tmp_path.iterdir()) == [huge]
+
+
+class TestHeaderBound:
     @pytest.mark.parametrize(
         "args",
         [["eval", "--ues", "1", "--trials", "2", "--out-prefix", "x"],
          ["synth", "--dirs", "0.5", "--out", "o.json"]],
         ids=["eval_huge_m", "synth_huge_m"],
     )
-    def test_allocation_failure_exit_6(self, tmp_path, args):
-        # the command runs in a child process capped at 1 GiB of address space;
-        # the .ttdd header declares M = 2**31 - 1 subcarriers over a 256-byte file
+    def test_huge_m_exit_5_before_allocating(self, tmp_path, args):
+        # M = 2**31 - 1 over a 256-byte file: eval's SE array would take 32 GiB and synth's gains 16 GiB;
+        # load refuses the header at once, in a child process capped at 1 GiB of address space
         huge = tmp_path / "huge.ttdd"
         _write_ttdd(huge, n=4, m=2**31 - 1, fc=28e9, bw=3e9, a=2, phase=0.0)
-        args = [args[0], "--dict", str(huge), *args[1:]]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=tmp_path, env=env,
-                             capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
-        assert run.returncode == 6, run.stderr
-        assert run.stderr.splitlines()[-1].startswith("error: out of memory:") and "Traceback" not in run.stderr
+        run, elapsed = _run_capped([args[0], "--dict", str(huge), *args[1:]], tmp_path)
+        assert elapsed < 5.0
+        assert run.returncode == 5, run.stderr
+        assert run.stderr.splitlines() == [
+            "error: header M = 2147483647 is beyond any build: its two |gain| profiles hold 2M values, "
+            "and the bound is 16777216 (2**24)"]
         assert list(tmp_path.iterdir()) == [huge]
+
+    def test_bound_is_the_build_bound(self, tmp_path):
+        # one constant: the M a dict-build admits is the M a .ttdd may declare
+        assert cli.MAX_BUILD_VALUES is dict_io.MAX_BUILD_VALUES
+        for m, code in ((2**23, 0), (2**23 + 2, 5)):
+            path = tmp_path / f"m{m}.ttdd"
+            _write_ttdd(path, n=2, m=m, fc=28e9, bw=3e9, a=2, phase=0.0)
+            if code == 0:
+                assert load(path).meta.n_subcarriers == m
+            else:
+                with pytest.raises(DictionaryFormatError, match=f"header M = {m} is beyond any build"):
+                    load(path)
 
 
 class TestTrialBound:
@@ -855,13 +924,9 @@ class TestTrialBound:
         # capped at 1 GiB of address space, before the draws or the SE array
         small = tmp_path / "a9.ttdd"
         _write_ttdd(small, n=4, m=1200, fc=28e9, bw=3e9, a=9, phase=0.0)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         args = ["eval", "--dict", str(small), "--ues", "3", "--trials", "30000000", "--out-prefix", "x"]
-        start = time.perf_counter()
-        run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=tmp_path, env=env,
-                             capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
-        assert time.perf_counter() - start < 5.0
+        run, elapsed = _run_capped(args, tmp_path)
+        assert elapsed < 5.0
         assert run.returncode == 2, run.stderr
         assert run.stderr.splitlines() == [
             "error: --trials 30000000 at M = 1200 asks for 36000000000 SE values; "
@@ -891,13 +956,9 @@ class TestBuildBound:
     def test_oversized_build_exits_2_before_allocating(self, tmp_path, flags, message):
         # a 1.49 GiB offset grid, 745 GiB of window indices and a 7.45 GiB subcarrier axis: refused
         # at once, in a child process capped at 1 GiB of address space, before any of them
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         args = ["dict-build", "--n", "4", "--fc", "28e9", "--bw", "3e9", *flags, "--out", "d.ttdd"]
-        start = time.perf_counter()
-        run = subprocess.run([sys.executable, "-m", "ttdbeam.cli", *args], cwd=tmp_path, env=env,
-                             capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
-        assert time.perf_counter() - start < 5.0
+        run, elapsed = _run_capped(args, tmp_path)
+        assert elapsed < 5.0
         assert run.returncode == 2, run.stderr
         assert run.stderr.splitlines() == [message]
         assert list(tmp_path.iterdir()) == []

@@ -137,6 +137,18 @@ class TestBuild:
         assert one.build_warnings == two.build_warnings
         assert one.degenerate == two.degenerate
 
+    def test_two_point_grid_fits_one_offset(self, cfg_dict, monkeypatch):
+        # A = 2: offsets -2, 0 and +2, of which only +2 is fitted
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
+        sizes = _chunk_sizes(monkeypatch)
+        d = build_dictionary(cfg_dict, 2, params, workers=1)
+        assert sizes == [1]
+        assert d.offsets.tolist() == [-2.0, 0.0, 2.0]
+        for rows in (d.delays, d.phases):
+            assert rows[0].tobytes() == (-rows[2]).tobytes()
+            assert np.abs(rows[2]).max() > 0.0
+        _assert_rows_are_build_one(d, cfg_dict, params)
+
     def test_odd_subcarrier_count_rejected(self):
         cfg = SystemConfig(4, 9, 1e9, 1e8)
         with pytest.raises(ValueError):
@@ -144,10 +156,15 @@ class TestBuild:
 
 
 def _assert_rows_are_build_one(d, cfg, params):
-    """Each row delta >= 0 of a build, its degenerate flag and its warnings are those of ``_build_one``."""
+    """Each row delta > 0 of a build, its degenerate flag and its warnings are those of ``_build_one``.
+
+    Row A - 1, offset 0, is the zero config of +0.0 and never degenerate.
+    """
     a = d.direction_grid_size
+    assert d.offsets[a - 1] == 0.0 and a - 1 not in d.degenerate
+    assert d.delays[a - 1].tobytes() == d.phases[a - 1].tobytes() == np.zeros(cfg.n_antennas).tobytes()
     mirrors, entries = [], []
-    for i in range(a - 1, 2 * a - 1):
+    for i in range(a, 2 * a - 1):
         phi, degenerate, mirror_warnings, warnings = _build_one(float(d.offsets[i]), cfg, params, a)
         assert d.delays[i].tobytes() == phi.delays.tobytes()
         assert d.phases[i].tobytes() == phi.phases.tobytes()
@@ -163,13 +180,18 @@ def _offset_values(params, cfg, a):
     return max(fit, profiles, patterns)
 
 
-def _chunk_sizes(mp):
-    """A list that gets the offset count of each ``_build_chunk`` call in this process, caught on ``mp``."""
+def _chunk_sizes(mp, offsets=None):
+    """A list that gets the offset count of each ``_build_chunk`` call in this process, caught on ``mp``.
+
+    A list given as ``offsets`` gets the offsets of every call.
+    """
     sizes = []
     real = dictionary_module._build_chunk
 
     def build_chunk(deltas, *args):
         sizes.append(len(deltas))
+        if offsets is not None:
+            offsets.extend(np.asarray(deltas).tolist())
         return real(deltas, *args)
 
     mp.setattr(dictionary_module, "_build_chunk", build_chunk)
@@ -201,11 +223,12 @@ class TestChunks:
             mp.setattr(dictionary_module, "_CHUNK_POINTS", 2**62)
             sizes = _chunk_sizes(mp)
             whole = build_dictionary(cfg, a, params, workers=1)
-        assert sizes == [a]
+        assert sizes == [a - 1]  # the offsets delta > 0
         _assert_rows_are_build_one(whole, cfg, params)
         # a budget of per_chunk offsets and a pool threshold below A, so workers 2 and 3 take the
         # thread pool, which may finish the chunks in any order
-        expected = [per_chunk] * (a // per_chunk) + [a % per_chunk] * (a % per_chunk > 0)
+        fitted = a - 1
+        expected = [per_chunk] * (fitted // per_chunk) + [fitted % per_chunk] * (fitted % per_chunk > 0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dictionary_module, "_CHUNK_POINTS", per_chunk * _offset_values(params, cfg, a))
             mp.setattr(dictionary_module, "_POOL_OFFSETS", 2)
@@ -224,19 +247,21 @@ class TestChunks:
             whole = build_dictionary(cfg_dict, 9, params, workers=1)
         sizes = _chunk_sizes(monkeypatch)
         _assert_same_build(build_dictionary(cfg_dict, 9, params, workers=1), whole)
-        assert sizes == [1] * 9
+        assert sizes == [1] * 8
 
     def test_full_scale_chunks(self, monkeypatch):
         # W = 2(2r + 1) = 258 points per antenna row on the inner windows, 446 on the whole ones:
         # the fit's 16 * 258 values outweigh the 2M of the profiles and the 4A of the peak check,
-        # so a chunk holds 15 offsets at N = 16 on both benchmark grids
+        # so a chunk holds 15 offsets at N = 16 on both benchmark grids: the 60 offsets delta > 0
+        # of A = 61 fill four chunks (the 498 of A = 499, 33 and one of 3:
+        # test_threaded_full_scale_build_is_the_serial_one)
         cfg = SystemConfig(16, 1200, 28e9, 3e9)
         params = SolverParams(max_delay=default_max_delay(cfg))
         assert _offset_sizes(params, cfg, 499) == (16 * 258, 16 * 446, 2400, 1996)
         assert _offset_sizes(params, cfg, 61) == (16 * 258, 16 * 446, 2400, 244)
         sizes = _chunk_sizes(monkeypatch)
         build_dictionary(cfg, 61, params, workers=1)
-        assert sizes == [15] * 4 + [1]
+        assert sizes == [15] * 4
 
     @pytest.mark.parametrize("m, k, a, sizes", [
         (240, 4096, 9, (164, 292, 480, 36)),  # the two |gain| profiles are the largest array
@@ -253,7 +278,7 @@ class TestChunks:
         monkeypatch.setattr(dictionary_module, "_CHUNK_POINTS", 3 * max(sizes) + 2)
         built = _chunk_sizes(monkeypatch)
         _assert_same_build(build_dictionary(cfg, a, params, workers=1), whole)
-        assert built == [3] * (a // 3) + [a % 3] * (a % 3 > 0)
+        assert built == [3] * ((a - 1) // 3) + [(a - 1) % 3] * ((a - 1) % 3 > 0)
 
     def test_no_build_starts_a_process(self, cfg_dict, monkeypatch):
         def no_process(*args, **kwargs):
@@ -284,11 +309,25 @@ class TestChunks:
                 assert caller not in threads
                 assert len(set(threads)) <= min(6, len(threads))
 
-    def test_threaded_full_scale_build_is_the_serial_one(self):
+    def test_threaded_full_scale_build_is_the_serial_one(self, monkeypatch):
         cfg = SystemConfig(16, 1200, 28e9, 3e9)
         params = SolverParams(max_delay=default_max_delay(cfg))
+        sizes = _chunk_sizes(monkeypatch)
         serial = build_dictionary(cfg, 499, params, workers=1)
+        assert sizes == [15] * 33 + [3]  # the 498 offsets delta > 0
         _assert_same_build(build_dictionary(cfg, 499, params, workers=2), serial)
+
+    @pytest.mark.parametrize("a", [2, 5, 80])
+    def test_chunks_get_only_positive_offsets(self, cfg_dict, a, monkeypatch):
+        # every offset delta > 0 reaches one chunk once, on the calling thread or the pool's,
+        # and offset 0 none: the build lays out its zero row itself
+        params = SolverParams(max_delay=default_max_delay(cfg_dict), delay_grid_size=4096)
+        offsets = []
+        sizes = _chunk_sizes(monkeypatch, offsets)
+        built = build_dictionary(cfg_dict, a, params, workers=2)
+        assert sum(sizes) == a - 1
+        assert sorted(offsets) == built.offsets[a:].tolist()
+        assert 0.0 not in offsets
 
 
 def _wrapped(x):

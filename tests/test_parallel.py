@@ -6,49 +6,34 @@ from pathlib import Path
 import pytest
 
 from ttdbeam import dictionary
-from ttdbeam.dictionary import THREADS_ENV, worker_count
+from ttdbeam.dictionary import worker_count
 
 # the CPUs this process may run on
 AUTO = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def test_explicit_request_wins(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "1")
+def test_explicit_request_wins():
     assert worker_count(3) == 3
+    assert worker_count(1) == 1
 
 
-def test_env_caps_auto(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "1")
-    assert worker_count() == 1
-
-
-def test_zero_means_auto(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "0")
+def test_unset_means_auto():
     assert worker_count() == AUTO
+    assert worker_count(None) == AUTO
 
 
-def test_unset_means_auto(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert worker_count() == AUTO
-
-
-def test_invalid_values_rejected(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "lots")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv(THREADS_ENV, "-2")
-    with pytest.raises(ValueError):
-        worker_count()
-    with pytest.raises(ValueError):
-        worker_count(0)
+def test_invalid_values_rejected():
+    for requested in (0, -2):
+        with pytest.raises(ValueError, match="worker count must be >= 1"):
+            worker_count(requested)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_auto_honours_cpu_affinity():
     # a process pinned to one CPU gets one worker, however many CPUs the machine has
     code = (
-        "import os; from ttdbeam.dictionary import THREADS_ENV, worker_count; "
-        "os.environ.pop(THREADS_ENV, None); os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "import os; from ttdbeam.dictionary import worker_count; "
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
         "print(worker_count())"
     )
     src = str(Path(dictionary.__file__).resolve().parents[1])

@@ -23,6 +23,9 @@ of ``hdb.synthesize`` over a seeded stream of targets on that dictionary.  A
 next line hashes ``report_csv_lines`` over a seeded report of about 10**6
 SE values chosen to stress the CSV's shortest-digit kernel, and the last one
 the delays and phases of the dictionary fit over seeded systems and grids.
+The builds take as many threads as the CPUs the process may run on; the
+serial rerun, ``taskset -c 0 python3 tools/equivalence.py``, leaves them one
+CPU and so one thread, and must print the same lines.
 All work happens in a temporary directory that is removed on exit.
 The script exits non-zero if a CLI run fails or leaves a ``*.tmp`` file in
 that directory.
