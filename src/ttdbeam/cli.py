@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 5 unparseable input, 6 out of memory.
 dict-build refuses a --grid, --delay-grid or --m whose table or largest per-offset array
-exceeds MAX_BUILD_VALUES, eval a --trials beyond MAX_SE_VALUES, and every reader of a .ttdd
-a header M that no build can make (``dictionary.load``), before any of them allocates.
+exceeds MAX_BUILD_VALUES, eval and bench a --delay-grid whose line search's largest array
+does, eval a --trials beyond MAX_SE_VALUES, and every reader of a .ttdd a header M that no
+build can make (``dictionary.load``), before any of them allocates.
 dict-build runs on the CPUs the process may run on (``taskset`` caps them); builds of
 fewer than 80 offsets, and eval, run on the calling thread.  No command starts a process.
 """
@@ -32,6 +33,7 @@ from .evaluation import (
 from .hdb import generator_set, make_hdb_synthesizer, synthesize
 from .solvers import (
     SolverParams,
+    _search_size,
     default_max_delay,
     make_jpta_synthesizer,
 )
@@ -60,6 +62,17 @@ def _solver_params(args: argparse.Namespace, cfg: SystemConfig) -> SolverParams:
     t_max = args.tmax_s if args.tmax_s is not None else default_max_delay(cfg)
     params = SolverParams(max_delay=t_max, delay_grid_size=args.delay_grid)
     _check_delay_phase(t_max, cfg)  # the search's delays reach t_max
+    return params
+
+
+def _search_params(args: argparse.Namespace, cfg: SystemConfig) -> SolverParams:
+    """:func:`_solver_params`; ValueError when one ``jpta_approx`` call's largest array (``solvers._search_size``)
+    exceeds MAX_BUILD_VALUES."""
+    params = _solver_params(args, cfg)
+    values = _search_size(params, cfg)
+    if values > MAX_BUILD_VALUES:
+        raise ValueError(f"--delay-grid {params.delay_grid_size} at N = {cfg.n_antennas}, M = {cfg.n_subcarriers} "
+                         f"asks for {values} line-search values at once; the bound is {MAX_BUILD_VALUES} (2**24)")
     return params
 
 
@@ -151,7 +164,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.trials * m_count > MAX_SE_VALUES:
         raise ValueError(f"--trials {args.trials} at M = {m_count} asks for {args.trials * m_count} SE values; "
                          f"the bound is {MAX_SE_VALUES} (2**28), so at most {MAX_SE_VALUES // m_count} trials")
-    params = _solver_params(args, built.meta)  # hdb runs no solver, but a bad solver flag is still refused
+    params = _search_params(args, built.meta)  # hdb runs no solver, but a bad solver flag is still refused
     synth = make_hdb_synthesizer(built) if args.synth == "hdb" else make_jpta_synthesizer(params)
     try:
         snr_linear = 10.0 ** (args.snr_db / 10.0)
@@ -195,7 +208,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         master_seed=args.seed,
     )
     calls = {"hdb": args.hdb_calls, "jpta": args.jpta_calls}
-    synths = {"hdb": make_hdb_synthesizer(built), "jpta": make_jpta_synthesizer(_solver_params(args, built.meta))}
+    synths = {"hdb": make_hdb_synthesizer(built), "jpta": make_jpta_synthesizer(_search_params(args, built.meta))}
     means = runtime_bench(scenario, synths, calls)
     for name in ("hdb", "jpta"):
         print(f"{name}: {means[name]:.3e} s/call over {calls[name]} calls")

@@ -42,6 +42,7 @@ SynthesisFn = Callable[[DirectionMap, SystemConfig], ArrayConfig]
 
 _ORACLE_MAX_ANTENNAS = 6
 _ORACLE_MAX_EVALS = 4_000_000
+_SEARCH_VALUES = 2**17  # the line search's working set: one block of correlations, or one chunk of exponentials
 
 
 @dataclass(frozen=True)
@@ -134,36 +135,102 @@ def _winning_phases(t_best: np.ndarray, best: np.ndarray, cfg: SystemConfig) -> 
     return np.angle(best * np.exp(1j * 2.0 * np.pi * (cfg.carrier_freq - cfg.bandwidth / 2.0) * t_best))
 
 
+def _block_rows(n_count: int, size: int) -> int:
+    """Antennas per block of the one-period line search: _SEARCH_VALUES values of a K = ``size`` grid, at least one."""
+    return min(n_count, max(1, _SEARCH_VALUES // size))
+
+
+def _delay_chunk(size: int, m_count: int) -> int:
+    """Delays per chunk of the direct correlation off one period: _SEARCH_VALUES exponentials, or one delay's M."""
+    return max(1, min(size, _SEARCH_VALUES // max(m_count, 1)))
+
+
+def _search_size(params: SolverParams, cfg: SystemConfig) -> int:
+    """Values in the largest array one :func:`jpta_approx` call makes; the CLI's bound reads it.
+
+    On one correlation period that is a block buffer, rows x K, or the
+    folded subcarriers, N x min(K, M + 1); on any other range the whole
+    (N, K) correlation matrix or one chunk's (chunk, M) exponentials.
+    """
+    size, n_count, m_count = params.delay_grid_size, cfg.n_antennas, cfg.n_subcarriers
+    if _spans_one_period(params.max_delay, cfg):
+        return max(_block_rows(n_count, size) * size, n_count * min(size, m_count + 1))
+    return max(n_count * size, _delay_chunk(size, m_count) * m_count)
+
+
+def _folded_subcarriers(v_target: np.ndarray, size: int) -> np.ndarray:
+    """Each row's M subcarriers folded onto m mod K, K = ``size``: an (N, min(K, M + 1)) array.
+
+    On a grid spanning one correlation period the exponent 2*pi*m*BW*t_k/M
+    equals 2*pi*m*k/K, so the correlation is the unnormalized inverse DFT of
+    these rows zero-padded to K: ``np.fft.ifft(folded, n=K, norm="forward")``,
+    the "forward" norm putting the 1/K on the forward transform.
+    """
+    m_count = v_target.shape[1]
+    folded = np.zeros((v_target.shape[0], min(size, m_count + 1)), dtype=np.complex128)
+    np.add.at(folded, (slice(None), np.arange(1, m_count + 1) % size), v_target)
+    return folded
+
+
 def _correlation_scores(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndarray,
                         max_delay: float) -> np.ndarray:
-    """Baseband correlation c[n, k] = sum_m v_target[n, m] * exp(j*2*pi*(f_m - f0)*t_k).
+    """Baseband correlation c[n, k] = sum_m v_target[n, m] * exp(j*2*pi*(f_m - f0)*t_k), the whole (N, K) matrix.
 
     f0 = fc - BW/2 is the band edge, so f_m - f0 = m*BW/M.  The carrier
     factor exp(j*2*pi*f0*t_k) has unit modulus and cannot move a row's
     argmax; :func:`jpta_approx` applies it to the winning delays only.
     One contiguous row per antenna.  When the grid spans exactly one
     correlation period (max_delay = M/BW with grid spacing max_delay/size),
-    the sum over m is a DFT and is evaluated by an in-place FFT along each
-    row; otherwise by direct (chunked) evaluation.
+    the sum over m is a DFT and is evaluated by an FFT along each row;
+    otherwise by direct evaluation, ``_delay_chunk`` delays at a time.
     """
     size = t_grid.size
     m_count = cfg.n_subcarriers
     if _spans_one_period(max_delay, cfg):
-        # exponent 2*pi*m*BW*t_k/M == 2*pi*m*k/size: fold m onto m mod size
-        scores = np.zeros((v_target.shape[0], size), dtype=np.complex128)
-        np.add.at(scores, (slice(None), np.arange(1, m_count + 1) % size), v_target)
-        # unnormalized inverse DFT: the "forward" norm puts the 1/size on the forward transform
-        np.fft.ifft(scores, axis=1, norm="forward", out=scores)
-        return scores
+        return np.fft.ifft(_folded_subcarriers(v_target, size), n=size, axis=1, norm="forward")
     f = subcarrier_freqs(cfg) - (cfg.carrier_freq - cfg.bandwidth / 2.0)
     scores = np.empty((v_target.shape[0], size), dtype=np.complex128)
-    chunk = max(1, min(size, 8 * 1024 * 1024 // max(m_count, 1)))
+    chunk = _delay_chunk(size, m_count)
     vt = v_target.T
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
         e = np.exp(1j * 2.0 * np.pi * np.outer(t_grid[start:stop], f))
         scores[:, start:stop] = (e @ vt).T
     return scores
+
+
+def _best_correlations(v_target: np.ndarray, cfg: SystemConfig, t_grid: np.ndarray,
+                       max_delay: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each antenna's first grid index of largest |c[n, k]| (of :func:`_correlation_scores`) and c[n, k] there.
+
+    On one correlation period the folded rows go through the FFT in blocks
+    of ``_block_rows``, so a call holds one block, not the whole (N, K)
+    matrix.  Every block reuses one complex and one float buffer, which share
+    one allocation: fresh buffers would fault in their pages again each
+    block, and under glibc the one larger chunk, once freed, lifts the heap's
+    trim threshold above what a call frees, so the next call reuses those
+    pages (71 page faults a full-scale call, against 1367 with two
+    allocations).  Any other range searches the whole matrix.
+    """
+    n_count, size = v_target.shape[0], t_grid.size
+    if not _spans_one_period(max_delay, cfg):
+        scores = _correlation_scores(v_target, cfg, t_grid, max_delay)
+        best_k = np.argmax(np.abs(scores), axis=1)
+        return best_k, scores[np.arange(n_count), best_k]
+    folded = _folded_subcarriers(v_target, size)
+    rows = _block_rows(n_count, size)
+    work = np.empty(3 * rows * size)
+    block = work[: 2 * rows * size].view(np.complex128).reshape(rows, size)
+    magnitude = work[2 * rows * size :].reshape(rows, size)
+    best_k = np.empty(n_count, dtype=np.intp)
+    best = np.empty(n_count, dtype=np.complex128)
+    for start in range(0, n_count, rows):
+        stop = min(start + rows, n_count)
+        scores = np.fft.ifft(folded[start:stop], n=size, axis=1, norm="forward", out=block[: stop - start])
+        k = np.argmax(np.abs(scores, out=magnitude[: stop - start]), axis=1)
+        best_k[start:stop] = k
+        best[start:stop] = scores[np.arange(stop - start), k]
+    return best_k, best
 
 
 def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -> ArrayConfig:
@@ -182,10 +249,9 @@ def jpta_approx(v_target: np.ndarray, params: SolverParams, cfg: SystemConfig) -
     """
     v_target = _as_target(v_target, cfg)
     t_grid = delay_grid(params.max_delay, params.delay_grid_size)
-    scores = _correlation_scores(v_target, cfg, t_grid, params.max_delay)
-    best_k = np.argmax(np.abs(scores), axis=1)  # first max: smaller delay wins ties
+    best_k, best = _best_correlations(v_target, cfg, t_grid, params.max_delay)
     t_best = t_grid[best_k]
-    return ArrayConfig(t_best, _winning_phases(t_best, scores[np.arange(cfg.n_antennas), best_k], cfg))
+    return ArrayConfig(t_best, _winning_phases(t_best, best, cfg))
 
 
 def fold_delay_periods(phi: ArrayConfig, cfg: SystemConfig) -> ArrayConfig:

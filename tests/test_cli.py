@@ -983,6 +983,49 @@ class TestBuildBound:
         assert not (tmp_path / "over.ttdd").exists()
 
 
+class TestSearchBound:
+    @pytest.mark.parametrize("args", [
+        ["eval", "--synth", "jpta", "--ues", "3", "--trials", "2", "--out-prefix", "x"],
+        ["eval", "--ues", "3", "--trials", "2", "--out-prefix", "x"],
+        ["bench", "--hdb-calls", "1", "--jpta-calls", "1"],
+    ], ids=["eval_jpta", "eval_hdb", "bench"])
+    @pytest.mark.parametrize("tmax, values", [([], 100000000), (["--tmax-s", "3.6e-7"], 400000000)],
+                             ids=["one-period", "other-range"])
+    def test_oversized_search_exits_2_before_allocating(self, tmp_path, args, tmax, values):
+        # 10**8 delays at N = 4: a one-row block takes 1.49 GiB and the whole correlation matrix 5.96 GiB;
+        # refused at once, in a child process capped at 1 GiB of address space, before the delay grid
+        small = tmp_path / "a9.ttdd"
+        _write_ttdd(small, n=4, m=1200, fc=28e9, bw=3e9, a=9, phase=0.0)
+        run, elapsed = _run_capped([args[0], "--dict", str(small), *args[1:], *tmax, "--delay-grid", "100000000"],
+                                   tmp_path)
+        assert elapsed < 5.0
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.splitlines() == [
+            f"error: --delay-grid 100000000 at N = 4, M = 1200 asks for {values} line-search values at once; "
+            "the bound is 16777216 (2**24)"]
+        assert list(tmp_path.iterdir()) == [small]
+
+    @pytest.mark.parametrize("flags, largest", [
+        # one period: 2**17 // 8192 = 16 rows a block, so all N = 16 antennas in one
+        (["--delay-grid", "8192"], 16 * 8192),
+        # one period: blocks of 2 rows of the 65 536-point grid
+        (["--delay-grid", "65536"], 2 * 65536),
+        # 0.9 periods: a chunk of 2**17 // 48 = 2730 delays' exponentials against the 16 x 4096 matrix
+        (["--tmax-s", "1.44e-8", "--delay-grid", "4096"], 2730 * 48),
+        # 0.9 periods: the 16 x 65 536 matrix against the same chunk
+        (["--tmax-s", "1.44e-8", "--delay-grid", "65536"], 16 * 65536),
+    ], ids=["one-block", "blocks", "exponentials", "matrix"])
+    def test_bound_is_the_largest_search_array(self, built_dict, tmp_path, monkeypatch, capsys, flags, largest):
+        args = ["eval", "--dict", str(built_dict), "--synth", "jpta", "--ues", "2", "--trials", "1", *flags]
+        monkeypatch.setattr(cli, "MAX_BUILD_VALUES", largest)
+        assert main(args + ["--out-prefix", str(tmp_path / "ok")]) == 0
+        monkeypatch.setattr(cli, "MAX_BUILD_VALUES", largest - 1)
+        capsys.readouterr()
+        assert main(args + ["--out-prefix", str(tmp_path / "over")]) == 2
+        assert capsys.readouterr().err.startswith("error: --delay-grid ")
+        assert not (tmp_path / "over.csv").exists()
+
+
 class TestBench:
     def test_bench_smoke(self, built_dict, capsys):
         rc = main(

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from ttdbeam import solvers as solvers_module
 
 from ttdbeam.core import (
     ArrayConfig,
@@ -14,6 +18,7 @@ from ttdbeam.core import (
 )
 from ttdbeam.solvers import (
     SolverParams,
+    _best_correlations,
     _correlation_scores,
     constant_direction_config,
     default_max_delay,
@@ -203,6 +208,53 @@ class TestCorrelationLayout:
             np.testing.assert_array_equal(phi.delays, t_grid[best_k])
             dphase = np.angle(np.exp(1j * (phi.phases - np.angle(oracle[rows, best_k]))))
             assert np.max(np.abs(dphase)) < 1e-9
+
+
+def _whole_matrix_search(v, size):
+    """First argmax of |c| per row and c there, on the whole (N, K) matrix folded and transformed in place."""
+    scores = np.zeros((v.shape[0], size), dtype=np.complex128)
+    np.add.at(scores, (slice(None), np.arange(1, v.shape[1] + 1) % size), v)
+    np.fft.ifft(scores, axis=1, norm="forward", out=scores)
+    best_k = np.argmax(np.abs(scores), axis=1)
+    return scores, best_k, scores[np.arange(v.shape[0]), best_k]
+
+
+class TestBlockedSearch:
+    # (N, M, K): full scale, K < M (every column aliases), K = M + 1, one antenna, K = M
+    SHAPES = [(16, 1200, 65536), (5, 1200, 512), (7, 24, 16), (1, 1200, 1201), (16, 1200, 1200)]
+
+    @pytest.mark.parametrize("n, m, size", SHAPES)
+    @pytest.mark.parametrize("budget", [1, 3 * 512, 3 * 65536, 2**17, 2**19, 2**30])
+    def test_bitwise_equal_to_whole_matrix_search(self, monkeypatch, rng, n, m, size, budget):
+        # budgets of 3 rows leave a last block of 1 or 2 rows (N = 16 at K = 65536, N = 5 at K = 512)
+        monkeypatch.setattr(solvers_module, "_SEARCH_VALUES", budget)
+        cfg = SystemConfig(n, m, 28e9, 3e9)
+        params = params_for(cfg, size=size)
+        t_grid = delay_grid(params.max_delay, size)
+        v = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        scores, best_k, best = _whole_matrix_search(v, size)
+        assert _correlation_scores(v, cfg, t_grid, params.max_delay).tobytes() == scores.tobytes()
+        got_k, got = _best_correlations(v, cfg, t_grid, params.max_delay)
+        assert got_k.tobytes() == best_k.tobytes()
+        assert got.tobytes() == best.tobytes()
+        phi = jpta_approx(v, params, cfg)
+        assert phi.delays.tobytes() == t_grid[best_k].tobytes()
+
+    @pytest.mark.parametrize("periods, size", [(1.0, 65536), (0.9, 4096)], ids=["one-period", "other-range"])
+    def test_full_scale_call_holds_its_working_set(self, periods, size):
+        # one period: 2-row blocks of the 65 536-point grid, 2 MiB of correlations and 1 MiB of magnitudes,
+        # against 16 MiB and 8 MiB for the whole matrix; any other range: the 1 MiB matrix and chunks of
+        # 109 delays' exponentials, 2 MiB, against all 4096 delays' 75 MiB in one chunk
+        cfg = SystemConfig(16, 1200, 28e9, 3e9)
+        v = ideal_split_precoder(DirectionMap(np.array([-0.4, 0.1, 0.6])), cfg)
+        params = SolverParams(max_delay=periods * default_max_delay(cfg), delay_grid_size=size)
+        tracemalloc.start()
+        try:
+            jpta_approx(v, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestDelayGrid:

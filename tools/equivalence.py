@@ -3,8 +3,9 @@
 Run from anywhere as ``python3 tools/equivalence.py`` (no options).  The
 script imports ``ttdbeam`` from the ``src`` directory of the checkout it sits
 in, builds the reference system's dictionaries at A=61 and A=499, runs the
-CLI's ``synth``, ``eval`` (hdb and jpta) and ``render`` (of the A=61 hdb
-``eval`` summary and of the ``synth`` config) on them, and prints one
+CLI's ``synth``, ``eval`` (hdb, and jpta on the default delay range and at
+A=61 on 0.9 of it) and ``render`` (of the A=61 hdb ``eval`` summary and of
+the ``synth`` config) on them, and prints one
 ``sha256  label`` line per output file.  A change that claims the
 same bytes diffs this output against the parent commit's.  A first line,
 starting with ``#``, names the numpy version and the CPU dispatch level the
@@ -72,6 +73,9 @@ RUNS = (
         ("eval --synth jpta --ues 3 --trials 40 --seed 11",
          ["eval", "--dict", "{dict}", "--synth", "jpta", "--ues", "3", "--trials", "40",
           "--seed", "11", "--out-prefix", "{out}"], (".csv", ".summary.json")),
+        ("eval --synth jpta --tmax-s 3.6e-7 --delay-grid 4096 --ues 3 --trials 4",
+         ["eval", "--dict", "{dict}", "--synth", "jpta", "--tmax-s", "3.6e-7", "--delay-grid", "4096",
+          "--ues", "3", "--trials", "4", "--out-prefix", "{out}"], (".csv", ".summary.json")),
         ("synth --dirs -0.4,0.4,-0.1",
          ["synth", "--dict", "{dict}", "--dirs", "-0.4,0.4,-0.1", "--out", "{out}.json"],
          (".json",)),
