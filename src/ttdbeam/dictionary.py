@@ -49,6 +49,7 @@ import math
 import os
 import stat
 import struct
+import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -95,6 +96,8 @@ _CHUNK_POINTS = 2**16  # the most values, offsets x the largest per-offset array
 # the fewest offsets delta >= 0 a build maps over threads: threads built A = 61 faster but raised
 # the peak RSS of a run with it 12-15 %, as each thread's malloc arena keeps a chunk's temporaries
 _POOL_OFFSETS = 80
+_BAND_VALUES = 2**20  # the most values, delays and phases, one dictionary's band tables hold together (8 MiB)
+_BANDS_LOCK = threading.Lock()  # held while a band table is made; a cached one is read without it
 
 
 class DictionaryFormatError(Exception):
@@ -103,7 +106,11 @@ class DictionaryFormatError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class GeneratorDictionary:
-    """Immutable two-subband configs, one per offset; ``offsets`` is bitwise ``offset_grid(A)``."""
+    """Immutable two-subband configs, one per offset; ``offsets`` is bitwise ``offset_grid(A)``.
+
+    Beside the table, a private cache holds it rescaled onto the generator bands of each G
+    served (:meth:`_band_tables`); ``==``, ``repr`` and :func:`save` leave the cache out.
+    """
 
     offsets: np.ndarray
     delays: np.ndarray
@@ -112,6 +119,7 @@ class GeneratorDictionary:
     direction_grid_size: int
     degenerate: tuple[int, ...] = field(default=())
     build_warnings: tuple[str, ...] = field(default=())
+    _bands: dict = field(default_factory=dict, init=False, repr=False)  # G -> _band_tables(G)
 
     def __post_init__(self) -> None:
         for name in ("offsets", "delays", "phases"):
@@ -157,9 +165,45 @@ class GeneratorDictionary:
         errors = (abs(below - delta), abs(at - delta), abs(above - delta))
         return guess - 1 + errors.index(min(errors))
 
-    def lookup(self, delta: float) -> ArrayConfig:
-        """Nearest-neighbor entry for a direction offset; ties take the smaller offset."""
-        return self.config(self.index(delta))
+    def lookup(self, delta: float, band: tuple[np.ndarray, np.ndarray] | None = None) -> ArrayConfig:
+        """Nearest-neighbor entry for a direction offset; ties take the smaller offset.
+
+        With ``band``, one generator's (delays, phases) pair of :meth:`_band_tables`,
+        the entry is read from that table's row instead: the entry already
+        rescaled onto the generator's band, again as read-only views.
+        """
+        index = self.index(delta)
+        if band is None:
+            return self.config(index)
+        return ArrayConfig._of_rows(band[0][index], band[1][index])
+
+    def _band_tables(self, g_count: int):
+        """The whole table rescaled onto the bands of generators 2..G, or None past the cache's bound.
+
+        A tuple: read-only (G-1, D, N) delays and phases, then their (D, N)
+        pair per generator.  Made by one ``hdb._rescale`` onto ``hdb._band_plan``
+        on the first call with G, so each row has the bits the rescale of that
+        row alone gives it, and cached unless it would take this dictionary's
+        tables past ``_BAND_VALUES`` values.  The check that G divides M raises
+        on every call until one succeeds.
+        """
+        tables = self._bands.get(g_count)
+        if tables is not None:
+            return tables
+        with _BANDS_LOCK:
+            tables = self._bands.get(g_count)
+            if tables is not None:  # made by another thread meanwhile
+                return tables
+            alpha, slope = hdb._band_plan(g_count, self.meta)
+            held = sum(2 * delays.size for delays, _, _ in self._bands.values())
+            if held + 2 * alpha.size * self.delays.size > _BAND_VALUES:
+                return None
+            delays, phases = hdb._rescale(self.delays, self.phases, alpha[..., None], slope[..., None], self.meta)
+            delays.setflags(write=False)
+            phases.setflags(write=False)
+            tables = delays, phases, tuple(zip(delays, phases))
+            self._bands[g_count] = tables
+            return tables
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorDictionary):

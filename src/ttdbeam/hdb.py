@@ -8,10 +8,15 @@ dictionary, each rescaled onto its own sub-band of the system bandwidth.
 The target's config is just the sum of the generator configs.
 
 :func:`synthesize` and :func:`synthesize_batch` share one closed form for the
-first generator, one nearest-row search (``GeneratorDictionary.index``), a
-band plan cached per (G, system) and one generator sum (:func:`_compose`), so
-a config is bitwise the sum of its generator configs under
-``ArrayConfig.__add__`` and a batch is bitwise the stacked calls.
+first generator, one nearest-row search (``GeneratorDictionary.index``), one
+set of rows already rescaled onto the generators' bands and one generator
+sum (:func:`_sum`), so a config is bitwise the sum of its generator configs
+under ``ArrayConfig.__add__`` and a batch is bitwise the stacked calls.  The
+rescale depends only on (row, G, g), so each dictionary makes it once per G
+for its whole table (``GeneratorDictionary._band_tables``, from the band plan
+cached per (G, system)) and keeps it, within a bound of 2**20 values per
+dictionary; a G past that bound rescales its looked-up rows on each call,
+with the same operations on every element.
 
 Two offset conventions coexist here.  :func:`decompose` reports offsets
 wrapped into the visible direction range, which is the natural invariant
@@ -145,22 +150,23 @@ def _band_plan(g_count: int, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]
     return alpha, slope
 
 
-def _checked_plan(g_count: int, dictionary: "GeneratorDictionary", cfg: SystemConfig):
-    """:func:`_band_plan` for (G, cfg), after checking the dictionary was built for cfg."""
+def _checked_tables(g_count: int, dictionary: "GeneratorDictionary", cfg: SystemConfig):
+    """The dictionary's band tables for G (or None past their bound), after checking it was built for cfg."""
     if dictionary.meta != cfg:
         raise DictionaryCompatibilityError(
             f"dictionary built for {dictionary.meta}, synthesizing for {cfg}"
         )
-    return _band_plan(g_count, cfg)
+    return dictionary._band_tables(g_count)
 
 
-def _compose(delays, entry_delays, entry_phases, alpha, slope, cfg: SystemConfig):
+def _sum(delays, entry_delays, entry_phases):
     """Closed-form ``delays`` (added to in place) and zero phases plus the G-1 rescaled entries.
 
-    The (G-1, ..., N) entries take one :func:`_rescale` onto the plan's bands
-    and are added left to right; then each sum is checked finite once.
+    The (G-1, ..., N) entries are added left to right; then each sum is
+    checked finite once.  The rows come from the dictionary's band tables,
+    or for a G past their bound from one :func:`_rescale` of the raw rows,
+    which gives every element the operations that made its band-table row.
     """
-    entry_delays, entry_phases = _rescale(entry_delays, entry_phases, alpha, slope, cfg)
     phases = np.zeros(delays.shape)  # the closed-form config's phases: a -0.0 row sums to 0.0
     for row_delays, row_phases in zip(entry_delays, entry_phases):
         delays += row_delays
@@ -176,19 +182,26 @@ def synthesize(dmap: DirectionMap, dictionary: "GeneratorDictionary", cfg: Syste
 
     Uses the raw direction differences, whose running sum reproduces the
     target exactly at every subcarrier (see the module docstring).  Per
-    generator one O(1) ``dictionary.lookup``; per call one cached band plan
-    and one :func:`_compose`, whose frozen sums the config holds uncopied.
-    Bitwise ``constant_direction_config(d_1) + sum(scale_shift(lookup(d_g), *generator_bands(g)))``.
+    generator one O(1) ``dictionary.lookup``, which reads the row already
+    rescaled onto the generator's band from the dictionary's band table for
+    G; per call one :func:`_sum`, whose frozen sums the config holds
+    uncopied.  A G whose tables would not fit the cache looks up the raw
+    rows and rescales them here, in one :func:`_rescale`.  Either way bitwise
+    ``constant_direction_config(d_1) + sum(scale_shift(lookup(d_g), *generator_bands(g)))``.
     Requires a dictionary built for the same (N, M, fc, BW).
     """
-    alpha, slope = _checked_plan(dmap.n_subbands, dictionary, cfg)
+    g_count = dmap.n_subbands
+    tables = _checked_tables(g_count, dictionary, cfg)
     deltas = generator_set(dmap)
-    entries = [dictionary.lookup(delta) for delta in deltas[1:].tolist()]
-    delays, phases = _compose(
-        constant_direction_delays(float(deltas[0]), cfg),
-        np.array([entry.delays for entry in entries]), np.array([entry.phases for entry in entries]),
-        alpha, slope, cfg,
-    )
+    offsets = deltas[1:].tolist()
+    if tables is None:
+        entries = [dictionary.lookup(delta) for delta in offsets]
+        rescaled = _rescale(np.array([entry.delays for entry in entries]),
+                            np.array([entry.phases for entry in entries]), *_band_plan(g_count, cfg), cfg)
+    else:
+        entries = [dictionary.lookup(delta, band) for delta, band in zip(offsets, tables[2])]
+        rescaled = [entry.delays for entry in entries], [entry.phases for entry in entries]
+    delays, phases = _sum(constant_direction_delays(float(deltas[0]), cfg), *rescaled)
     delays.setflags(write=False)
     phases.setflags(write=False)
     return ArrayConfig._of_rows(delays, phases)
@@ -201,22 +214,29 @@ def synthesize_batch(
 
     Row b is bitwise ``synthesize(DirectionMap(directions[b]), dictionary, cfg)``:
     the same raw offsets, rows (``dictionary.index`` of each distinct offset,
-    laid out (G-1, B)) and :func:`_compose`, with no per-target objects.
-    Makes the checks of ``DirectionMap`` and :func:`synthesize` and raises the
-    same exception types.
+    laid out (G-1, B)) gathered from the same band tables, or from the raw
+    table and rescaled, and the same :func:`_sum`, with no per-target
+    objects.  Makes the checks of ``DirectionMap`` and
+    :func:`synthesize` and raises the same exception types.
     """
     directions = np.asarray(directions, dtype=np.float64)
     if directions.ndim != 2 or directions.shape[1] < 1:
         raise ValueError(f"need a (targets, subbands) array of directions, got shape {directions.shape}")
     if not (np.abs(directions) <= 1.0).all():
         raise ValueError("directions must lie in [-1, 1]")
-    alpha, slope = _checked_plan(directions.shape[1], dictionary, cfg)
+    g_count = directions.shape[1]
+    tables = _checked_tables(g_count, dictionary, cfg)
     deltas = _raw_offsets(directions)
     # each distinct offset searched once; -0.0 and 0.0 merge, and index gives both one row
     offsets, inverse = np.unique(deltas[:, 1:].T, return_inverse=True)
     rows = np.array([dictionary.index(delta) for delta in offsets.tolist()], dtype=np.intp)[inverse]
-    return _compose(constant_direction_delays(deltas[:, :1], cfg), dictionary.delays[rows],
-                    dictionary.phases[rows], alpha[..., None], slope[..., None], cfg)
+    if tables is None:
+        alpha, slope = _band_plan(g_count, cfg)
+        rescaled = _rescale(dictionary.delays[rows], dictionary.phases[rows], alpha[..., None], slope[..., None], cfg)
+    else:
+        band = np.arange(g_count - 1)[:, None]
+        rescaled = tables[0][band, rows], tables[1][band, rows]
+    return _sum(constant_direction_delays(deltas[:, :1], cfg), *rescaled)
 
 
 def make_hdb_synthesizer(dictionary: "GeneratorDictionary") -> SynthesisFn:

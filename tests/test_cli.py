@@ -27,7 +27,9 @@ from ttdbeam import dictionary as dict_io
 from ttdbeam.cli import main
 from ttdbeam.core import SystemConfig, config_from_json_dict
 from ttdbeam.dictionary import DictionaryFormatError, build_dictionary, load, offset_grid
+from ttdbeam.hdb import synthesize
 from ttdbeam.solvers import SolverParams, constant_direction_config, default_max_delay
+from ttdbeam.splitbeam import DirectionMap
 
 
 def _render(kind, path, out):
@@ -267,6 +269,70 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--dict", str(built_dict), "--dirs", "1.5", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def cut_dicts(built_dict, tmp_path_factory):
+    """The built dictionary truncated: keyed by the bytes kept (0, mid-header, header, mid-offsets, one short)."""
+    blob, folder = built_dict.read_bytes(), tmp_path_factory.mktemp("cut")
+    paths = {}
+    for kept in (0, 20, 40, 100, len(blob) - 1):
+        paths[kept] = folder / f"cut{kept}.ttdd"
+        paths[kept].write_bytes(blob[:kept])
+    return paths
+
+
+def _direction_ok(token):
+    try:
+        return abs(float(token)) <= 1.0
+    except ValueError:
+        return False
+
+
+class TestSynthContract:
+    @given(
+        tokens=st.lists(st.one_of(
+            st.sampled_from(["0", "-0", "1", "-1", "1.0000000000000002", "-1.0000000000000002",
+                             "nan", "inf", "-inf", "", " "]),
+            st.floats(-1.0, 1.0).map(repr),
+            st.floats().map(repr),
+        ), min_size=1, max_size=6),
+        repeat=st.sampled_from([1, 1, 1, 2, 16, 2**17 + 1]),  # the field count: G may not divide M = 48
+        cut=st.sampled_from([None, None, None, 0, 20, 40, 100, -1]),  # None: the intact dictionary
+    )
+    @example(tokens=["-0.4", "0.4", "-0.1"], repeat=1, cut=None)
+    @example(tokens=["0"], repeat=2**17 + 1, cut=None)
+    @example(tokens=["0.5", "-1"], repeat=24, cut=None)
+    @example(tokens=["0.5", "-1"], repeat=1, cut=-1)
+    @settings(max_examples=60, deadline=None)
+    def test_exit_0_only_with_a_config_that_loads(self, built_dict, cut_dicts, tokens, repeat, cut):
+        path = built_dict if cut is None else cut_dicts[max(cut_dicts) if cut == -1 else cut]
+        fields = tokens * repeat
+        if not all(map(_direction_ok, tokens)):
+            expected = 2  # refused while the flags are parsed
+        elif cut is not None:
+            expected = 5
+        else:
+            expected = 0 if 48 % len(fields) == 0 else 2
+        with tempfile.TemporaryDirectory() as tmp:
+            out, stderr = Path(tmp) / "c.json", io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    rc = main(["synth", "--dict", str(path), "--dirs", ",".join(fields), "--out", str(out)])
+            except SystemExit as exc:  # argparse refuses a --dirs value
+                rc = exc.code
+            assert rc in (0, 2, 3, 5, 6) and "Traceback" not in stderr.getvalue()
+            assert rc == expected
+            if rc == 0:
+                assert os.listdir(tmp) == ["c.json"]
+                built = load(built_dict)
+                phi, cfg = config_from_json_dict(json.loads(out.read_text()))
+                assert cfg == built.meta and phi.delays.shape == phi.phases.shape == (built.meta.n_antennas,)
+                ref = synthesize(DirectionMap(np.array([float(f) for f in fields])), built, cfg)
+                assert phi.delays.tobytes() == ref.delays.tobytes()
+                assert phi.phases.tobytes() == ref.phases.tobytes()
+            else:
+                assert os.listdir(tmp) == []
 
 
 class TestEval:

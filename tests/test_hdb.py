@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,13 +17,14 @@ from ttdbeam.core import (
     precoder_matrix,
     wrap_sine,
 )
+from ttdbeam import dictionary as dict_io
 from ttdbeam.dictionary import GeneratorDictionary, offset_grid
 from ttdbeam.evaluation import direction_grid
 from ttdbeam.hdb import (
     DictionaryCompatibilityError,
     _band_plan,
-    _compose,
     _rescale,
+    _sum,
     decompose,
     generator_bands,
     generator_set,
@@ -180,16 +183,20 @@ class TestSynthesize:
         cfg = SystemConfig(4, 6, 28e9, 3e9)
         alpha, slope = _band_plan(3, cfg)
         with pytest.raises(ValueError, match="must be finite"), pytest.warns(RuntimeWarning, match="overflow"):
-            _compose(np.zeros(4), np.zeros((2, 4)), np.full((2, 4), 1e308), alpha, slope, cfg)
+            _sum(np.zeros(4), *_rescale(np.zeros((2, 4)), np.full((2, 4), 1e308), alpha, slope, cfg))
 
     @pytest.mark.parametrize("dirs", [[0.3], [0.3, -0.5], [0.3, -0.5, 1.0]])
     def test_vectors_read_only_and_apart_from_the_table(self, small_dict, cfg_dict, dirs):
         phi = synthesize(DirectionMap(np.array(dirs)), small_dict, cfg_dict)
+        band_tables = small_dict._band_tables(len(dirs))
+        for table in band_tables[:2]:
+            assert not table.flags.writeable
+            assert table.shape == (len(dirs) - 1, small_dict.n_entries, cfg_dict.n_antennas)
         for vector in (phi.delays, phi.phases):
             assert not vector.flags.writeable
             assert vector.dtype == np.float64 and vector.shape == (cfg_dict.n_antennas,)
-            assert not np.shares_memory(vector, small_dict.delays)
-            assert not np.shares_memory(vector, small_dict.phases)
+            for table in (small_dict.delays, small_dict.phases, *band_tables[:2]):
+                assert not np.shares_memory(vector, table)
 
     def test_generator_set_sums_to_targets(self, cfg_dict):
         dmap = DirectionMap(np.array([0.9, -0.9, 0.3]))
@@ -383,6 +390,115 @@ class TestPlanCache:
         for column in (alpha, slope):
             with pytest.raises(ValueError, match="read-only"):
                 column[0, 0] = 1.0
+
+
+def _held(table: GeneratorDictionary) -> int:
+    """Values, delays and phases, in the band tables a dictionary holds."""
+    return sum(delays.size + phases.size for delays, phases, _ in table._bands.values())
+
+
+class TestBandTables:
+    SYSTEMS = (TestPlanCache.CFG, SystemConfig(4, 24, 31e9, 3e9), SystemConfig(4, 24, 28e9, 2e9))
+    G_COUNTS = (1, 2, 3, 4, 6, 8, 12, 24)  # every divisor of M = 24
+
+    def _check_stream(self, tables, seed):
+        # G and the system interleaved: synthesize, synthesize_batch and the config sum agree bitwise
+        rng = np.random.default_rng(seed)
+        for i in range(3 * len(self.G_COUNTS) * 4):
+            k, g_count = i % len(self.SYSTEMS), self.G_COUNTS[(i // len(self.SYSTEMS)) % len(self.G_COUNTS)]
+            table, cfg = tables[k], self.SYSTEMS[k]
+            directions = rng.uniform(-1.0, 1.0, (3, g_count))
+            if i % 2:
+                directions = direction_grid(table.direction_grid_size)[rng.integers(0, table.direction_grid_size,
+                                                                                    directions.shape)]
+            delays, phases = synthesize_batch(directions, table, cfg)
+            for b, dirs in enumerate(directions):
+                dmap = DirectionMap(dirs)
+                oracle = _config_sum(dmap, table, cfg)
+                phi = synthesize(dmap, table, cfg)
+                for got in ((phi.delays, phi.phases), (delays[b], phases[b])):
+                    assert got[0].tobytes() == oracle.delays.tobytes()
+                    assert got[1].tobytes() == oracle.phases.tobytes()
+
+    def test_cached_and_over_cap_paths_bitwise_the_config_sum(self, monkeypatch):
+        for a in (5, 61):
+            monkeypatch.setattr(dict_io, "_BAND_VALUES", 0)  # every G with generators past the cap
+            tables = [_random_table(cfg, a, seed=k) for k, cfg in enumerate(self.SYSTEMS)]
+            self._check_stream(tables, seed=a)
+            assert all(_held(table) == 0 for table in tables)
+            monkeypatch.undo()  # the cap back: every G's tables cached
+            self._check_stream(tables, seed=a)
+            assert all(sorted(table._bands) == list(self.G_COUNTS) for table in tables)
+
+    def test_cache_bounded_by_the_cap(self):
+        # (G-1)*D*N*2 values a G: at A = 2000 and N = 4 the divisors of 24 together ask for 1.7e6
+        cfg = self.SYSTEMS[0]
+        table = _random_table(cfg, 2000, seed=3)
+        size = table.delays.size * 2
+        assert size * sum(g - 1 for g in self.G_COUNTS) > dict_io._BAND_VALUES
+        rng = np.random.default_rng(4)
+        for g_count in self.G_COUNTS * 2:
+            dmap = DirectionMap(rng.uniform(-1.0, 1.0, g_count))
+            phi = synthesize(dmap, table, cfg)
+            oracle = _config_sum(dmap, table, cfg)
+            assert phi.delays.tobytes() == oracle.delays.tobytes()
+            assert phi.phases.tobytes() == oracle.phases.tobytes()
+            assert _held(table) <= dict_io._BAND_VALUES
+        # first come, first cached: 1 through 12 fit (0 + 1 + 2 + 3 + 5 + 7 + 11 = 29 tables of one
+        # size), and 24 would take 23 more
+        assert sorted(table._bands) == [1, 2, 3, 4, 6, 8, 12] and table._band_tables(24) is None
+        assert _held(table) == 29 * size
+
+    def test_cached_tables_leave_equality_repr_and_file_alone(self, tmp_path):
+        table = _random_table(self.SYSTEMS[0], 5, seed=7)
+        twin = _random_table(self.SYSTEMS[0], 5, seed=7)
+        dict_io.save(table, tmp_path / "before.ttdd")
+        before_repr = repr(table)
+        for g_count in self.G_COUNTS:
+            synthesize(DirectionMap(np.zeros(g_count)), table, self.SYSTEMS[0])
+        assert len(table._bands) == len(self.G_COUNTS) and not twin._bands
+        assert table == twin and repr(table) == repr(twin) == before_repr
+        dict_io.save(table, tmp_path / "after.ttdd")
+        assert (tmp_path / "after.ttdd").read_bytes() == (tmp_path / "before.ttdd").read_bytes()
+        assert dict_io.load(tmp_path / "after.ttdd") == table
+
+    def test_racing_fills_give_the_serial_bits(self, monkeypatch):
+        # three threads, more than this host's cores, synthesize one stream on a fresh dictionary, so
+        # they fill each G's tables at once; the cap fits 10 of the 22 generator tables the stream asks for
+        cfg = self.SYSTEMS[0]
+        rng = np.random.default_rng(12)
+        stream = [DirectionMap(rng.uniform(-1.0, 1.0, int(rng.choice(self.G_COUNTS[:6])))) for _ in range(200)]
+        serial = [synthesize(dmap, _random_table(cfg, 61, seed=12), cfg) for dmap in stream]
+        cap = 10 * 2 * 121 * cfg.n_antennas
+        monkeypatch.setattr(dict_io, "_BAND_VALUES", cap)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                table = _random_table(cfg, 61, seed=12)
+                start = threading.Barrier(3)
+                results, errors = [[], [], []], []
+
+                def run(out):
+                    try:
+                        start.wait(timeout=10)
+                        out.extend(synthesize(dmap, table, cfg) for dmap in stream)
+                    except BaseException as exc:  # reported on the main thread
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=run, args=(out,)) for out in results]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert errors == []
+                for out in results:
+                    assert [phi.delays.tobytes() for phi in out] == [phi.delays.tobytes() for phi in serial]
+                    assert [phi.phases.tobytes() for phi in out] == [phi.phases.tobytes() for phi in serial]
+                assert 0 < _held(table) <= cap
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _stacked(directions, dictionary, cfg):
